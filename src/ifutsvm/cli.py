@@ -77,7 +77,10 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
-        cp.read(p)
+        try:
+            cp.read(p)
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file: {exc}") from None
     return cp
 
 
@@ -134,15 +137,40 @@ def _dataset_paths(cp: configparser.ConfigParser) -> list[Path]:
     return paths
 
 
+def _config_number(raw, convert, key: str):
+    try:
+        return convert(raw)
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {raw!r}") from None
+
+
+def _master_seed(cp: configparser.ConfigParser, args) -> int:
+    raw = args.seed if args.seed is not None else (
+        cp["experiment"].get("seed") if cp.has_section("experiment") else None)
+    if raw is None or raw == "":
+        raise ConfigError("a master seed is required (config [experiment] seed or --seed)")
+    return _config_number(raw, int, "seed")
+
+
 def _experiment_settings(cp: configparser.ConfigParser, args) -> dict:
     sec = cp["experiment"] if cp.has_section("experiment") else {}
 
     def get(key, default):
         return sec.get(key, default) if hasattr(sec, "get") else default
 
-    seed = args.seed if args.seed is not None else get("seed", None)
-    if seed is None:
-        raise ConfigError("a master seed is required (config [experiment] seed or --seed)")
+    seed = _master_seed(cp, args)
+    split_fraction = _config_number(get("split_fraction", DEFAULT_SPLIT), float,
+                                    "split_fraction")
+    if not 0.0 < split_fraction < 1.0:
+        raise ConfigError("split_fraction must lie strictly between 0 and 1")
+    folds = _config_number(get("folds", DEFAULT_FOLDS), int, "folds")
+    if folds < 2:
+        raise ConfigError("folds must be at least 2")
+    threads = _config_number(args.threads if args.threads is not None else get("threads", 1),
+                             int, "threads")
+    if threads < 1:
+        raise ConfigError("threads must be at least 1")
     models = _str_list(get("models", "ifutsvm-id"))
     for kind in models:
         if kind not in ("utsvm", "ifutsvm-id"):
@@ -154,13 +182,13 @@ def _experiment_settings(cp: configparser.ConfigParser, args) -> dict:
             raise ConfigError("noise levels must lie in [0, 0.5]")
     out = args.out if args.out is not None else get("out", "runs/report")
     return {
-        "seed": int(seed),
+        "seed": seed,
         "models": models,
-        "split_fraction": float(get("split_fraction", DEFAULT_SPLIT)),
-        "folds": int(get("folds", DEFAULT_FOLDS)),
+        "split_fraction": split_fraction,
+        "folds": folds,
         "standardize": str(get("standardize", "false")).lower() in ("1", "true", "yes"),
         "noise_levels": levels,
-        "threads": int(args.threads if args.threads is not None else get("threads", 1)),
+        "threads": threads,
         "out": Path(out),
     }
 
@@ -235,11 +263,7 @@ def cmd_train(args) -> int:
         raise ConfigError("no dataset given (--data or [train] dataset)")
     if not Path(data_path).is_file():
         raise ConfigError(f"dataset file not found: {data_path}")
-    seed = args.seed if args.seed is not None else (
-        cp["experiment"].getint("seed") if cp.has_section("experiment")
-        and cp["experiment"].get("seed") else None)
-    if seed is None:
-        raise ConfigError("a master seed is required (config or --seed)")
+    seed = _master_seed(cp, args)
     kind, hp = _fixed_hyperparams(cp, seed)
 
     ds = load_dataset(data_path)

@@ -7,6 +7,7 @@ the lexicographically smaller token), which keeps the +1 class the minority
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,9 @@ def _parse_row(line: str, lineno: int, arity: int | None):
         values = [float(f) for f in fields[:-1]]
     except ValueError as exc:
         raise ParseError(f"non-numeric feature value: {exc}", lineno) from None
+    for token, value in zip(fields, values):
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite feature value {token!r}", lineno)
     return values, fields[-1]
 
 

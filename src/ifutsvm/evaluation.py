@@ -1,15 +1,19 @@
 """Confusion metrics, cross-validated grid search, and rank statistics.
 
-The grid search walks the hyperparameter lattice in a fixed nested order
-(c1 outermost, then c3, cu, epsilon, width) and keeps the first best point,
-so model selection is reproducible.  Rank aggregation uses average ranks with
-tie averaging (best accuracy = rank 1) and feeds the Friedman chi-square, its
-F-form correction, and the Nemenyi critical difference.
+The grid search reports its table in a fixed lattice order (c1 outermost,
+then c3, cu, epsilon, width) and keeps the first best point in that order,
+so model selection is reproducible.  It fits the points in another order,
+width -> fold -> c3 -> (c1, cu, epsilon), so that each fold's fuzzy scores,
+sampling plan and Gram blocks are prepared once per width and its dual
+Hessians once per c3.  Every fit still computes the same bits as a
+standalone fit, so the table does not depend on that order.  Rank
+aggregation uses average ranks with tie averaging (best accuracy = rank 1)
+and feeds the Friedman chi-square, its F-form correction, and the Nemenyi
+critical difference.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +22,8 @@ from scipy.stats import rankdata
 from .data import Dataset
 from .kernels import KernelSpec
 from .membership import FuzzyParams
-from .models import Hyperparams, TrainingError, fit_ifutsvm_id, fit_utsvm, predict
+from .models import (FitStages, Hyperparams, TrainingError, fit_ifutsvm_id, fit_utsvm,
+                     predict)
 from .qp import NumericalError
 from .sampling import generate_universum
 from .seeds import mix_seed
@@ -100,10 +105,11 @@ class GridSpec:
     width: tuple | None = WIDTH_RANGE  # None -> linear models
     fuzzy: FuzzyParams = FuzzyParams()
 
-    def points(self):
-        widths = tuple(sorted(self.width)) if self.width is not None else (None,)
-        return itertools.product(sorted(self.c1), sorted(self.c3), sorted(self.cu),
-                                 sorted(self.epsilon), widths)
+    def axes(self) -> tuple[list, ...]:
+        """Sorted (c1, c3, cu, epsilon, width) values; the lattice is their product."""
+        widths = sorted(self.width) if self.width is not None else [None]
+        return (sorted(self.c1), sorted(self.c3), sorted(self.cu), sorted(self.epsilon),
+                widths)
 
     def size(self) -> int:
         w = len(self.width) if self.width is not None else 1
@@ -140,24 +146,40 @@ def stratified_kfold(ds: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, n
 
 
 def fit_model(kind: str, train: Dataset, hp: Hyperparams, *, uniform: bool = False,
-              universum_seed: int | None = None):
+              universum_seed: int | None = None, stages: FitStages | None = None):
     """Train one model of the requested kind.
 
     For the UTSVM baseline the universum is generated here by random
-    averaging, m2 - m1 points, from its own seed stream.
+    averaging, m2 - m1 points, from its own seed stream.  `stages` is an
+    internal memo that consecutive fits share (see models.FitStages).
     """
     if kind == "ifutsvm-id":
-        return fit_ifutsvm_id(train, hp, uniform=uniform)
+        return fit_ifutsvm_id(train, hp, uniform=uniform, stages=stages)
     if kind == "utsvm":
         count = train.m2 - train.m1
         seed = universum_seed if universum_seed is not None else mix_seed(hp.seed, "universum")
         univ, _ = generate_universum(train, count, seed)
-        return fit_utsvm(train, univ, hp)
+        return fit_utsvm(train, univ, hp, stages=stages)
     raise ValueError(f"unknown model kind: {kind!r}")
 
 
 def _subset(ds: Dataset, idx: np.ndarray, tag: str) -> Dataset:
     return Dataset(f"{ds.name}/{tag}", ds.features[idx], ds.labels[idx])
+
+
+def _fold_score(kind: str, j: int, tr: Dataset, va: Dataset, hp: Hyperparams,
+                uniform: bool, stages: FitStages) -> tuple[float, str | None]:
+    """Validation accuracy of one fold fit (NaN if it failed) and its flag."""
+    if tr.m1 == 0 or tr.m2 == 0:
+        return np.nan, f"fold{j}:single-class"
+    try:
+        model = fit_model(kind, tr, hp, uniform=uniform, stages=stages)
+    except (NumericalError, TrainingError) as exc:
+        return np.nan, f"fold{j}:{type(exc).__name__}"
+    flag = None
+    if model.dual_report is not None and model.dual_report.balanced_fallback:
+        flag = f"fold{j}:balanced-fallback"
+    return float(np.mean(predict(model, va.features) == va.labels)), flag
 
 
 def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int, seed: int,
@@ -167,6 +189,14 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int, seed: int,
     Folds that cannot be trained (single-class training part, solver failure)
     score NaN and are flagged; a point's mean ignores NaN folds.  Points whose
     folds all fail are never selected.
+
+    The table rows follow the lattice order of `GridSpec.axes` (c1 outermost,
+    width innermost) and ties go to the first row.  The fits run width ->
+    fold -> c3 -> (c1, cu, epsilon) instead, sharing one stage memo: each
+    (fold, width) preparation (scores, sampling plan, Gram blocks, universum)
+    is built once and each (fold, width, c3) pair of dual Hessians is formed
+    once, and only the current ones are kept.  Every fold fit is still one
+    call to `fit_model` and computes the same bits as a standalone fit.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
@@ -177,33 +207,33 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int, seed: int,
                  for j, (tr, va) in enumerate(folds)]
     fold_seeds = [mix_seed(seed, "fit", j) for j in range(k)]
 
+    axes = grid.axes()
+    shape = tuple(len(axis) for axis in axes)
+    accs = np.full((*shape, k), np.nan)
+    flags: dict[tuple, str] = {}
+    stages = FitStages()
+    n1, n3, nu, ne, nw = shape
+    for iw, j, i3, i1, iu, ie in np.ndindex(nw, k, n3, n1, nu, ne):
+        point = (i1, i3, iu, ie, iw)
+        c1, c3, cu, eps, width = (axis[i] for axis, i in zip(axes, point))
+        hp = make_hyperparams(c1, c3, cu, eps, width, grid.fuzzy, seed=fold_seeds[j])
+        tr, va = fold_sets[j]
+        accs[(*point, j)], flag = _fold_score(kind, j, tr, va, hp, uniform, stages)
+        if flag is not None:
+            flags[point, j] = flag
+
     table: list[dict] = []
     best_row = None
     best_hp = None
-    for c1, c3, cu, eps, width in grid.points():
-        accs = np.full(k, np.nan)
-        flags: list[str] = []
-        for j, (tr, va) in enumerate(fold_sets):
-            if tr.m1 == 0 or tr.m2 == 0:
-                flags.append(f"fold{j}:single-class")
-                continue
-            hp = make_hyperparams(c1, c3, cu, eps, width, grid.fuzzy, seed=fold_seeds[j])
-            try:
-                model = fit_model(kind, tr, hp, uniform=uniform,
-                                  universum_seed=mix_seed(fold_seeds[j], "universum"))
-            except (NumericalError, TrainingError) as exc:
-                flags.append(f"fold{j}:{type(exc).__name__}")
-                continue
-            if model.dual_report is not None and model.dual_report.balanced_fallback:
-                flags.append(f"fold{j}:balanced-fallback")
-            pred = predict(model, va.features)
-            accs[j] = float(np.mean(pred == va.labels))
-        mean = float(np.nanmean(accs)) if np.any(~np.isnan(accs)) else float("-inf")
+    for point in np.ndindex(shape):
+        c1, c3, cu, eps, width = (axis[i] for axis, i in zip(axes, point))
+        fold_accs = accs[point]
+        mean = float(np.nanmean(fold_accs)) if np.any(~np.isnan(fold_accs)) else float("-inf")
         row = {
             "c1": c1, "c3": c3, "cu": cu, "epsilon": eps, "width": width,
             "mean_accuracy": mean,
-            "fold_accuracies": [None if np.isnan(a) else float(a) for a in accs],
-            "flags": flags,
+            "fold_accuracies": [None if np.isnan(a) else float(a) for a in fold_accs],
+            "flags": [flags[point, j] for j in range(k) if (point, j) in flags],
         }
         table.append(row)
         if best_row is None or mean > best_row["mean_accuracy"]:

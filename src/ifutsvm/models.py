@@ -12,6 +12,11 @@ the minority plane from an undersampled majority subset plus a reduced
 universum, and builds the majority plane from the full classes plus the full
 universum.  In kernel mode every block is replaced by its Gaussian Gram rows
 against the stacked training matrix D = [X1; X2].
+
+A fit runs in three stages: prepare (scores, sampling plan or universum, and
+the M/H blocks), hessian (per plane, the Cholesky factor of M'M + ridge I and
+Q) and solve (per lattice point, the box QP and the recovery of (w; b)).
+A FitStages memo lets consecutive fits share the first two.
 """
 
 from __future__ import annotations
@@ -135,21 +140,82 @@ class _Plane:
     sign: float
 
 
+@dataclass(frozen=True)
+class _Blocks:
+    """Prepare stage: the parts of a fit that no penalty, tube or ridge changes.
+
+    Plane i has proximal block M[i] and signed constraint rows H[i], class
+    rows first and universum rows after them.  Its box bounds the class rows
+    by its penalty times weights[i] and the universum rows by cu.
+    """
+
+    kind: str
+    D: np.ndarray | None
+    M: tuple[np.ndarray, np.ndarray]
+    H: tuple[np.ndarray, np.ndarray]
+    weights: tuple[np.ndarray, np.ndarray]
+    trace_ridges: tuple[float, float] | None = None  # UTSVM's default delta per plane
+    plan: SamplingPlan | None = None
+    scores: ScoreWeights | None = None
+    universum: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class _Hessian:
+    """Hessian stage of one plane: the Cholesky factor of M'M + ridge I and
+    the symmetrised dual Hessian Q = H (M'M + ridge I)^{-1} H'."""
+
+    factor: tuple
+    Q: np.ndarray
+
+
+class FitStages:
+    """Last-key memo of the prepare and hessian stages, shared by consecutive fits.
+
+    Fits with the same preparation key (training set, model kind, kernel,
+    fuzzy parameters, seed, uniform scores, universum) reuse one set of
+    blocks; those that also share a plane's ridge reuse that plane's Hessian.
+    Only the latest blocks and the Hessians built on them are held, so a
+    caller that orders its fits by key gets the reuse without keeping a
+    lattice of arrays alive.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._blocks = None
+        self._hessians = [None, None]  # (ridge, _Hessian) per plane
+
+    def blocks(self, train: Dataset, key: tuple, build) -> _Blocks:
+        if self._blocks is None or self._key[0] is not train or self._key[1:] != key:
+            self._key, self._blocks, self._hessians = (train, *key), build(), [None, None]
+        return self._blocks
+
+    def hessian(self, index: int, plane: _Plane) -> _Hessian:
+        held = self._hessians[index]
+        if held is None or held[0] != plane.ridge:
+            held = self._hessians[index] = (plane.ridge, _hessian(plane))
+        return held[1]
+
+
 def _augment(X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-def _solve_plane(plane: _Plane, tol: float, max_iter: int) -> tuple[np.ndarray, QPSolution]:
+def _hessian(plane: _Plane) -> _Hessian:
     MtM = plane.M.T @ plane.M
     factor = spd_factor(MtM, plane.ridge)
     S = cho_solve(factor, plane.H.T, check_finite=False)
     Q = plane.H @ S
-    Q = 0.5 * (Q + Q.T)
+    return _Hessian(factor, 0.5 * (Q + Q.T))
+
+
+def _solve_plane(plane: _Plane, hess: _Hessian, tol: float,
+                 max_iter: int) -> tuple[np.ndarray, QPSolution]:
     # residual tolerance scales with the box so huge penalty grids stay solvable
     tol_eff = tol * max(1.0, float(plane.upper.max(initial=0.0)))
-    sol = solve_box_qp(BoxQP(Q, plane.lin, plane.upper), tol=tol_eff, max_iter=max_iter)
-    z = plane.sign * cho_solve(factor, plane.H.T @ sol.z, check_finite=False)
+    sol = solve_box_qp(BoxQP(hess.Q, plane.lin, plane.upper), tol=tol_eff, max_iter=max_iter)
+    z = plane.sign * cho_solve(hess.factor, plane.H.T @ sol.z, check_finite=False)
     return z, sol
 
 
@@ -170,79 +236,67 @@ def _mapper(kernel: KernelSpec | None, D: np.ndarray | None):
     return lambda X: gram_values(X, D, kernel)
 
 
-def _utsvm_planes(train: Dataset, universum: np.ndarray, hp: Hyperparams):
+def _utsvm_blocks(train: Dataset, universum: np.ndarray, kernel: KernelSpec | None) -> _Blocks:
     X1, X2 = train.positives(), train.negatives()
-    D = np.vstack([X1, X2]) if hp.kernel is not None else None
-    mp = _mapper(hp.kernel, D)
+    D = np.vstack([X1, X2]) if kernel is not None else None
+    mp = _mapper(kernel, D)
     Gp = _augment(mp(X1))
     En = _augment(mp(X2))
     Fu = _augment(mp(universum)) if universum.shape[0] else _empty_block(Gp.shape[1])
-    u = Fu.shape[0]
-    m1, m2 = Gp.shape[0], En.shape[0]
-
-    def delta_for(M: np.ndarray) -> float:
-        if hp.delta is not None:
-            return hp.delta
-        # in kernel mode M is wide (m1 rows, m+1 columns): delta is then the
-        # only regularizer acting on null(M), and a vanishing default makes
-        # the dual unsolvable; linear-mode normal matrices are full rank and
-        # tolerate a much smaller stabilization
-        scale = 1e-7 if hp.kernel is None else 1e-3
-        MtM_trace = float(np.sum(M * M))
-        return scale * MtM_trace / M.shape[1]
-
-    lin_u = (hp.epsilon - 1.0) * np.ones(u)
-    plane1 = _Plane(
-        M=Gp, ridge=delta_for(Gp),
-        H=np.vstack([En, -Fu]),
-        lin=np.concatenate([np.ones(m2), lin_u]),
-        upper=np.concatenate([hp.c1 * np.ones(m2), hp.cu * np.ones(u)]),
-        sign=-1.0,
+    # in kernel mode M is wide (m1 rows, m+1 columns): delta is then the
+    # only regularizer acting on null(M), and a vanishing default makes
+    # the dual unsolvable; linear-mode normal matrices are full rank and
+    # tolerate a much smaller stabilization
+    scale = 1e-7 if kernel is None else 1e-3
+    return _Blocks(
+        kind="utsvm", D=D, M=(Gp, En),
+        H=(np.vstack([En, -Fu]), np.vstack([Gp, -Fu])),
+        weights=(np.ones(En.shape[0]), np.ones(Gp.shape[0])),
+        trace_ridges=tuple(scale * float(np.sum(M * M)) / M.shape[1] for M in (Gp, En)),
+        universum=universum,
     )
-    plane2 = _Plane(
-        M=En, ridge=delta_for(En),
-        H=np.vstack([Gp, -Fu]),
-        lin=np.concatenate([np.ones(m1), lin_u]),
-        upper=np.concatenate([hp.c2 * np.ones(m1), hp.cu * np.ones(u)]),
-        sign=+1.0,
-    )
-    return plane1, plane2, D, m2
 
 
-def _ifutsvm_planes(train: Dataset, plan: SamplingPlan, scores: ScoreWeights,
-                    hp: Hyperparams):
+def _ifutsvm_blocks(train: Dataset, plan: SamplingPlan, scores: ScoreWeights,
+                    kernel: KernelSpec | None) -> _Blocks:
     X1, X2 = train.positives(), train.negatives()
-    D = np.vstack([X1, X2]) if hp.kernel is not None else None
-    mp = _mapper(hp.kernel, D)
+    D = np.vstack([X1, X2]) if kernel is not None else None
+    mp = _mapper(kernel, D)
     E = _augment(mp(X1))
     F = _augment(mp(X2))
     Fs = _augment(mp(plan.x2_star))
     if plan.balanced:
-        G = _empty_block(E.shape[1])
-        Gs = _empty_block(E.shape[1])
+        G = Gs = _empty_block(E.shape[1])
     else:
         G = _augment(mp(plan.universum))
         Gs = _augment(mp(plan.universum_star))
-    m1 = E.shape[0]
-    g = Gs.shape[0]
-    u = G.shape[0]
-    s2_sel = scores.s2[plan.x2_star_indices]
+    return _Blocks(
+        kind="ifutsvm-id", D=D, M=(E, F),
+        H=(np.vstack([Fs, -Gs]), np.vstack([E, G])),
+        weights=(scores.s2[plan.x2_star_indices], scores.s1),
+        plan=plan, scores=scores,
+    )
 
-    plane1 = _Plane(
-        M=E, ridge=hp.c3,
-        H=np.vstack([Fs, -Gs]),
-        lin=np.concatenate([np.ones(m1), (hp.epsilon - 1.0) * np.ones(g)]),
-        upper=np.concatenate([hp.c1 * s2_sel, hp.cu * np.ones(g)]),
-        sign=-1.0,
-    )
-    plane2 = _Plane(
-        M=F, ridge=hp.c4,
-        H=np.vstack([E, G]),
-        lin=np.concatenate([np.ones(m1), (hp.epsilon - 1.0) * np.ones(u)]),
-        upper=np.concatenate([hp.c2 * scores.s1, hp.cu * np.ones(u)]),
-        sign=+1.0,
-    )
-    return plane1, plane2, D, m1
+
+def _planes(blocks: _Blocks, hp: Hyperparams) -> tuple[_Plane, _Plane]:
+    """Both duals of one lattice point, assembled on prepared blocks."""
+    if blocks.kind == "ifutsvm-id":
+        ridges = (hp.c3, hp.c4)
+    elif hp.delta is not None:
+        ridges = (hp.delta, hp.delta)
+    else:
+        ridges = blocks.trace_ridges
+    planes = []
+    for M, H, weights, penalty, ridge, sign in zip(
+            blocks.M, blocks.H, blocks.weights, (hp.c1, hp.c2), ridges, (-1.0, 1.0)):
+        u = H.shape[0] - weights.shape[0]
+        planes.append(_Plane(
+            M=M, ridge=ridge, H=H,
+            lin=np.concatenate([np.ones(weights.shape[0]), (hp.epsilon - 1.0) * np.ones(u)]),
+            upper=np.concatenate([penalty * weights, hp.cu * np.ones(u)]),
+            sign=sign,
+        ))
+    return planes[0], planes[1]
 
 
 def _split_coefficients(z: np.ndarray, which: str) -> tuple[np.ndarray, float]:
@@ -252,9 +306,39 @@ def _split_coefficients(z: np.ndarray, which: str) -> tuple[np.ndarray, float]:
     return w, b
 
 
+def _fit(train: Dataset, hp: Hyperparams, key: tuple, prepare, stages: FitStages | None,
+         tol: float, max_iter: int) -> TwinModel:
+    """Solve stage: both box QPs of one lattice point on memoized blocks and Hessians."""
+    stages = stages if stages is not None else FitStages()
+    blocks = stages.blocks(train, key, prepare)
+    (z1, sol1), (z2, sol2) = [_solve_plane(plane, stages.hessian(i, plane), tol, max_iter)
+                              for i, plane in enumerate(_planes(blocks, hp))]
+    w1, b1 = _split_coefficients(z1, "1")
+    w2, b2 = _split_coefficients(z2, "2")
+    k1, k2 = (weights.shape[0] for weights in blocks.weights)
+    report = DualReport(
+        alpha=sol1.z[:k1], beta=sol1.z[k1:],
+        eta=sol2.z[:k2], theta=sol2.z[k2:],
+        kkt_residual_1=sol1.kkt_residual, kkt_residual_2=sol2.kkt_residual,
+        dual_objective_1=sol1.objective, dual_objective_2=sol2.objective,
+        iterations_1=sol1.iterations, iterations_2=sol2.iterations,
+        balanced_fallback=blocks.plan is not None and blocks.plan.balanced,
+        plan=blocks.plan, scores=blocks.scores, universum=blocks.universum,
+    )
+    return TwinModel(
+        kind=blocks.kind, mode="kernel" if hp.kernel else "linear",
+        w1=w1, b1=b1, w2=w2, b2=b2, reference=blocks.D, hyperparams=hp,
+        dual_report=report,
+    )
+
+
 def fit_utsvm(train: Dataset, universum: np.ndarray | None, hp: Hyperparams,
-              *, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> TwinModel:
-    """Train the UTSVM baseline; an empty universum drops its multipliers."""
+              *, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+              stages: FitStages | None = None) -> TwinModel:
+    """Train the UTSVM baseline; an empty universum drops its multipliers.
+
+    `stages` lets consecutive fits share their prepared blocks and Hessians.
+    """
     if train.m1 == 0 or train.m2 == 0:
         raise TrainingError("both classes must be nonempty")
     if universum is None:
@@ -262,57 +346,31 @@ def fit_utsvm(train: Dataset, universum: np.ndarray | None, hp: Hyperparams,
     universum = np.atleast_2d(np.asarray(universum, dtype=np.float64))
     if universum.shape[0] and universum.shape[1] != train.n:
         raise ValueError("universum feature dimension does not match the data")
-    plane1, plane2, D, split1 = _utsvm_planes(train, universum, hp)
-    z1, sol1 = _solve_plane(plane1, tol, max_iter)
-    z2, sol2 = _solve_plane(plane2, tol, max_iter)
-    w1, b1 = _split_coefficients(z1, "1")
-    w2, b2 = _split_coefficients(z2, "2")
-    report = DualReport(
-        alpha=sol1.z[:split1], beta=sol1.z[split1:],
-        eta=sol2.z[:train.m1], theta=sol2.z[train.m1:],
-        kkt_residual_1=sol1.kkt_residual, kkt_residual_2=sol2.kkt_residual,
-        dual_objective_1=sol1.objective, dual_objective_2=sol2.objective,
-        iterations_1=sol1.iterations, iterations_2=sol2.iterations,
-        balanced_fallback=False, universum=universum,
-    )
-    return TwinModel(
-        kind="utsvm", mode="kernel" if hp.kernel else "linear",
-        w1=w1, b1=b1, w2=w2, b2=b2, reference=D, hyperparams=hp,
-        dual_report=report,
-    )
+    key = ("utsvm", hp.kernel, universum.shape, universum.tobytes())
+    return _fit(train, hp, key, lambda: _utsvm_blocks(train, universum, hp.kernel),
+                stages, tol, max_iter)
 
 
 def fit_ifutsvm_id(train: Dataset, hp: Hyperparams, *, uniform: bool = False,
-                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> TwinModel:
+                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                   stages: FitStages | None = None) -> TwinModel:
     """Train IFUTSVM-ID: scores -> sampling plan -> two weighted duals.
 
     uniform=True forces all fuzzy scores to one (the ablation used in the
-    robustness studies).
+    robustness studies).  `stages` lets consecutive fits share their
+    prepared blocks and Hessians.
     """
     if train.m1 < 2:
         raise TrainingError("positive class needs at least 2 samples")
     if train.m1 > train.m2:
         raise TrainingError("positive class must be the minority (or equal) class")
-    scores = uniform_scores(train) if uniform else assign_scores(train, hp.kernel, hp.fuzzy)
-    plan = build_plan(train, hp.seed)
-    plane1, plane2, D, m1 = _ifutsvm_planes(train, plan, scores, hp)
-    z1, sol1 = _solve_plane(plane1, tol, max_iter)
-    z2, sol2 = _solve_plane(plane2, tol, max_iter)
-    w1, b1 = _split_coefficients(z1, "1")
-    w2, b2 = _split_coefficients(z2, "2")
-    report = DualReport(
-        alpha=sol1.z[:m1], beta=sol1.z[m1:],
-        eta=sol2.z[:m1], theta=sol2.z[m1:],
-        kkt_residual_1=sol1.kkt_residual, kkt_residual_2=sol2.kkt_residual,
-        dual_objective_1=sol1.objective, dual_objective_2=sol2.objective,
-        iterations_1=sol1.iterations, iterations_2=sol2.iterations,
-        balanced_fallback=plan.balanced, plan=plan, scores=scores,
-    )
-    return TwinModel(
-        kind="ifutsvm-id", mode="kernel" if hp.kernel else "linear",
-        w1=w1, b1=b1, w2=w2, b2=b2, reference=D, hyperparams=hp,
-        dual_report=report,
-    )
+
+    def prepare() -> _Blocks:
+        scores = uniform_scores(train) if uniform else assign_scores(train, hp.kernel, hp.fuzzy)
+        return _ifutsvm_blocks(train, build_plan(train, hp.seed), scores, hp.kernel)
+
+    key = ("ifutsvm-id", hp.kernel, hp.fuzzy, hp.seed, uniform)
+    return _fit(train, hp, key, prepare, stages, tol, max_iter)
 
 
 def duality_gaps(model: TwinModel, train: Dataset) -> tuple[float, float]:
@@ -324,11 +382,12 @@ def duality_gaps(model: TwinModel, train: Dataset) -> tuple[float, float]:
     if model.dual_report is None:
         raise ValueError("model carries no dual report")
     rep = model.dual_report
+    kernel = model.hyperparams.kernel
     if model.kind == "ifutsvm-id":
-        plane1, plane2, _, _ = _ifutsvm_planes(train, rep.plan, rep.scores,
-                                               model.hyperparams)
+        blocks = _ifutsvm_blocks(train, rep.plan, rep.scores, kernel)
     else:
-        plane1, plane2, _, _ = _utsvm_planes(train, rep.universum, model.hyperparams)
+        blocks = _utsvm_blocks(train, rep.universum, kernel)
+    plane1, plane2 = _planes(blocks, model.hyperparams)
     z1 = np.concatenate([model.w1, [model.b1]])
     z2 = np.concatenate([model.w2, [model.b2]])
     gap1 = abs(primal_value(plane1, z1) - rep.dual_objective_1)

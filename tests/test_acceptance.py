@@ -16,7 +16,6 @@ import pytest
 
 import ifutsvm as iu
 from ifutsvm.cli import main as cli_main
-from ifutsvm.models import _ifutsvm_planes
 
 from conftest import make_blobs
 from oracle_utils import grid_box_qp_oracle, random_box_qp

@@ -108,6 +108,14 @@ class TestTrainEval:
         cfg.write_text(TRAIN_CONFIG.format(dataset=bad))
         assert main(["train", "--config", str(cfg)]) == 2
 
+    def test_non_finite_dataset_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dat"
+        bad.write_text("@data\n1.0,2.0,pos\n1.0,nan,neg\n")
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=bad))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_degenerate_training_exits_3(self, tmp_path):
         zeros = tmp_path / "zeros.dat"
         rows = ["0,0,pos"] * 2 + ["0,0,neg"] * 6
@@ -209,6 +217,36 @@ class TestNoiseStudy:
                          "--seed", str(seed)]) == 0
             reports.append((out / "report.json").read_text())
         assert reports[0] != reports[1]
+
+
+class TestExperimentNumbers:
+    @pytest.mark.parametrize("old, new, flags", [
+        ("folds = 3", "folds = five", []),
+        ("folds = 3", "folds = 1", []),
+        ("seed = 77", "seed = abc", []),
+        ("seed = 77", "seed = 77\nthreads = two", []),
+        ("seed = 77", "seed = 77\nthreads = 0", []),
+        ("seed = 77", "seed = 77", ["--threads", "0"]),
+        ("split_fraction = 0.7", "split_fraction = 0.7.1", []),
+        ("split_fraction = 0.7", "split_fraction = 1.0", []),
+        ("split_fraction = 0.7", "split_fraction = 0", []),
+        ("folds = 3", "folds = 3\nfolds = 4", []),
+    ])
+    def test_malformed_or_out_of_range_exits_4(self, tmp_path, toy_files, capsys,
+                                               old, new, flags):
+        pa, _ = toy_files
+        cfg = tmp_path / "b.ini"
+        cfg.write_text(BENCH_CONFIG.format(datasets=str(pa), models="ifutsvm-id",
+                                           out=tmp_path / "out", extra="")
+                       .replace(old, new))
+        assert main(["benchmark", "--config", str(cfg), *flags]) == 4
+        assert "config error" in capsys.readouterr().err
+
+    def test_malformed_train_seed_exits_4(self, tmp_path, toy_files):
+        pa, _ = toy_files
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=pa).replace("seed = 9", "seed = x"))
+        assert main(["train", "--config", str(cfg)]) == 4
 
 
 class TestAggregate:

@@ -11,6 +11,7 @@ from ifutsvm import (
     ParseError,
     SplitError,
     inject_label_noise,
+    load_dataset,
     parse_csv,
     parse_keel,
     standardize,
@@ -54,6 +55,17 @@ class TestParseKeel:
     def test_missing_sentinel_rejected(self):
         with pytest.raises(ParseError):
             parse_keel("1.0,a\n2.0,b\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity"])
+@pytest.mark.parametrize("suffix", [".dat", ".csv"])
+def test_non_finite_feature_reports_line(tmp_path, token, suffix):
+    header = "@relation x\n@data\n" if suffix == ".dat" else ""
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(header + f"1.0,2.0,a\n0.5,{token},b\n")
+    line = header.count("\n") + 2
+    with pytest.raises(ParseError, match=f"line {line}: non-finite"):
+        load_dataset(path)
 
 
 def test_parse_csv_numeric_labels():

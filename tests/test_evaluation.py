@@ -1,20 +1,32 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import ifutsvm.evaluation as evaluation
+import ifutsvm.models as models
 from ifutsvm import (
     ConfusionMatrix,
     GridSpec,
+    Hyperparams,
+    KernelSpec,
+    NumericalError,
+    TrainingError,
     average_ranks,
     confusion,
+    fit_ifutsvm_id,
     friedman,
     grid_search_cv,
     load_benchmark_matrix,
     metrics,
     nemenyi_cd,
     pairwise_significance,
+    predict,
     stratified_kfold,
 )
+from ifutsvm.evaluation import _subset, fit_model, make_hyperparams
+from ifutsvm.seeds import mix_seed
 
 from conftest import make_blobs
 
@@ -221,3 +233,106 @@ class TestGridSearchCV:
         ds = make_blobs(10, 25, seed=8)
         with pytest.raises(ValueError):
             grid_search_cv(ds, "svm", SMALL_GRID, k=5, seed=0)
+
+
+def reference_grid_search(train, kind, grid, k, seed, uniform=False):
+    """Per-point loop over the lattice, each fold fit on its own (no stages)."""
+    folds = stratified_kfold(train, k, mix_seed(seed, "folds"))
+    fold_sets = [(_subset(train, tr, f"cv{j}t"), _subset(train, va, f"cv{j}v"))
+                 for j, (tr, va) in enumerate(folds)]
+    table, best_row, best_hp = [], None, None
+    for c1, c3, cu, eps, width in itertools.product(*grid.axes()):
+        accs = np.full(k, np.nan)
+        flags = []
+        for j, (tr, va) in enumerate(fold_sets):
+            if tr.m1 == 0 or tr.m2 == 0:
+                flags.append(f"fold{j}:single-class")
+                continue
+            fold_seed = mix_seed(seed, "fit", j)
+            hp = make_hyperparams(c1, c3, cu, eps, width, grid.fuzzy, seed=fold_seed)
+            try:
+                model = fit_model(kind, tr, hp, uniform=uniform,
+                                  universum_seed=mix_seed(fold_seed, "universum"))
+            except (NumericalError, TrainingError) as exc:
+                flags.append(f"fold{j}:{type(exc).__name__}")
+                continue
+            if model.dual_report.balanced_fallback:
+                flags.append(f"fold{j}:balanced-fallback")
+            accs[j] = float(np.mean(predict(model, va.features) == va.labels))
+        mean = float(np.nanmean(accs)) if np.any(~np.isnan(accs)) else float("-inf")
+        row = {"c1": c1, "c3": c3, "cu": cu, "epsilon": eps, "width": width,
+               "mean_accuracy": mean,
+               "fold_accuracies": [None if np.isnan(a) else float(a) for a in accs],
+               "flags": flags}
+        table.append(row)
+        if best_row is None or mean > best_row["mean_accuracy"]:
+            best_row = row
+            best_hp = make_hyperparams(c1, c3, cu, eps, width, grid.fuzzy,
+                                       seed=mix_seed(seed, "refit"))
+    return best_hp, table
+
+
+class TestStagedGridSearch:
+    """The staged search must equal the per-point loop exactly, not approximately."""
+
+    @pytest.mark.parametrize("kind, ds_args, grid, uniform", [
+        # width 0.5 collapses the fuzzy scores of some folds: degenerate planes
+        ("ifutsvm-id", (10, 40, 2, 5),
+         GridSpec(c1=(10.0, 0.1), c3=(1.0, 0.01), cu=(0.1, 1.0), epsilon=(0.1, 0.5),
+                  width=(2.0, 0.5)), False),
+        ("ifutsvm-id", (10, 30, 3, 2),
+         GridSpec(c1=(0.1, 10.0), c3=(0.01, 1.0), cu=(0.1,), epsilon=(0.1, 0.5),
+                  width=None), False),
+        ("ifutsvm-id", (10, 30, 4, 3),
+         GridSpec(c1=(0.1, 10.0), c3=(0.1, 1.0), cu=(0.1, 1.0), epsilon=(0.1,),
+                  width=(1.0, 4.0)), True),
+        ("utsvm", (8, 24, 3, 3),
+         GridSpec(c1=(0.1, 1.0), c3=(0.1, 1.0), cu=(0.1,), epsilon=(0.1,),
+                  width=(2.0, 4.0)), False),
+    ], ids=["ifutsvm-kernel-collapse", "ifutsvm-linear", "ifutsvm-uniform", "utsvm-kernel"])
+    def test_equals_per_point_reference(self, kind, ds_args, grid, uniform):
+        n1, n2, seed, d = ds_args
+        ds = make_blobs(n1, n2, seed=seed, d=d)
+        best, table = grid_search_cv(ds, kind, grid, k=3, seed=4, uniform=uniform)
+        ref_best, ref_table = reference_grid_search(ds, kind, grid, 3, 4, uniform)
+        assert table == ref_table
+        assert best == ref_best
+        if grid.width is not None and 0.5 in grid.width:
+            assert any("TrainingError" in f for row in table for f in row["flags"])
+
+    def test_shared_memo_fits_are_bit_identical(self, blobs):
+        # two training sets with one seed: only the set tells their stages apart
+        sets = (blobs(8, 30, seed=11), blobs(8, 30, seed=12))
+        stages = models.FitStages()
+        for c1, c3, width, ds in itertools.product((0.1, 10.0), (0.01, 1.0), (None, 2.0), sets):
+            hp = Hyperparams(c1=c1, c2=c1, c3=c3, c4=c3, cu=0.5,
+                             kernel=KernelSpec(width) if width else None, seed=3)
+            shared = fit_ifutsvm_id(ds, hp, stages=stages)
+            alone = fit_ifutsvm_id(ds, hp)
+            for name in ("w1", "b1", "w2", "b2"):
+                assert_array_equal(getattr(shared, name), getattr(alone, name))
+
+    def test_each_stage_runs_once_per_key(self, monkeypatch):
+        calls = {"assign_scores": 0, "spd_factor": 0, "fit_model": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(models, "assign_scores")
+        counted(models, "spd_factor")
+        counted(evaluation, "fit_model")
+        grid = GridSpec(c1=(0.1, 10.0), c3=(0.01, 1.0), cu=(0.1, 1.0), epsilon=(0.1,),
+                        width=(1.0, 4.0))
+        k = 3
+        _, table = grid_search_cv(make_blobs(10, 40, seed=0, d=4), "ifutsvm-id", grid,
+                                  k=k, seed=4)
+        assert not any(row["flags"] for row in table)
+        folds_widths = k * len(grid.width)
+        assert calls["assign_scores"] == folds_widths
+        assert calls["spd_factor"] == 2 * folds_widths * len(grid.c3)
+        assert calls["fit_model"] == grid.size() * k

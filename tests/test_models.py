@@ -26,7 +26,7 @@ from ifutsvm import (
     solve_box_qp,
     with_rkhs_norm,
 )
-from ifutsvm.models import _ifutsvm_planes
+from ifutsvm.models import _ifutsvm_blocks, _planes
 from ifutsvm.membership import uniform_scores
 
 from conftest import make_blobs
@@ -174,7 +174,7 @@ class TestFitIFUTSVM:
         hp = Hyperparams(**HP, fuzzy=FuzzyParams(eta=0.5, rho=0.8), seed=2)
         model = fit_ifutsvm_id(ds, hp)
         rep = model.dual_report
-        plane1, plane2, _, _ = _ifutsvm_planes(ds, rep.plan, rep.scores, hp)
+        plane1, plane2 = _planes(_ifutsvm_blocks(ds, rep.plan, rep.scores, hp.kernel), hp)
         z1 = np.append(model.w1, model.b1)
         margins = plane1.lin - plane1.sign * (plane1.H @ z1)
         lam = np.concatenate([rep.alpha, rep.beta])
@@ -199,7 +199,7 @@ class TestFitIFUTSVM:
         hp = Hyperparams(**HP, seed=4)
         plan = build_plan(ds, hp.seed)
         sw = uniform_scores(ds)
-        plane1, _, _, _ = _ifutsvm_planes(ds, plan, sw, hp)
+        plane1, _ = _planes(_ifutsvm_blocks(ds, plan, sw, hp.kernel), hp)
         fac = cho_factor(plane1.M.T @ plane1.M + plane1.ridge * np.eye(plane1.M.shape[1]))
         Q = plane1.H @ cho_solve(fac, plane1.H.T)
         Q = 0.5 * (Q + Q.T)
