@@ -41,13 +41,8 @@ from .evaluation import (
     stratified_kfold,
 )
 from .kernels import (
-    GramMatrix,
     KernelSpec,
-    centroid_distance,
-    centroid_distances,
-    class_radius,
     gaussian,
-    gram,
     gram_values,
 )
 from .membership import (
@@ -70,10 +65,8 @@ from .models import (
     fit_ifutsvm_id,
     fit_utsvm,
     load_model,
-    load_model_json,
     predict,
     save_model,
-    save_model_json,
     with_rkhs_norm,
 )
 from .qp import (
@@ -82,9 +75,7 @@ from .qp import (
     NonConvergenceError,
     NumericalError,
     QPSolution,
-    SpdSystem,
     solve_box_qp,
-    spd_solve,
 )
 from .sampling import (
     SamplingPlan,

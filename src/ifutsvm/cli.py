@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    Dataset,
     DatasetError,
+    InvalidDatasetError,
     NoiseSpec,
     inject_label_noise,
     load_dataset,
@@ -32,6 +32,7 @@ from .data import (
     stratified_split,
 )
 from .evaluation import (
+    MODEL_KINDS,
     GridSpec,
     average_ranks,
     confusion,
@@ -43,6 +44,7 @@ from .evaluation import (
     nemenyi_cd,
     pairwise_significance,
     predict,
+    read_accuracy_matrix,
 )
 from .membership import FuzzyParams
 from .models import TrainingError, load_model, save_model
@@ -107,25 +109,28 @@ def _grid_from_config(cp: configparser.ConfigParser) -> GridSpec:
         raw = sec.get("width", "").strip()
         kwargs["width"] = None if raw in ("", "linear") else tuple(_float_list(raw))
     kwargs["fuzzy"] = _fuzzy_from_config(cp)
-    return GridSpec(**kwargs)
+    try:
+        return GridSpec(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad [grid] values: {exc}") from None
 
 
 def _fuzzy_from_config(cp: configparser.ConfigParser) -> FuzzyParams:
-    if not cp.has_section("fuzzy"):
-        return FuzzyParams()
-    sec = cp["fuzzy"]
-    eta = sec.getfloat("eta", fallback=None)
-    rho = sec.getfloat("rho", fallback=None)
-    return FuzzyParams(eta=eta, rho=rho)
+    try:
+        return FuzzyParams(eta=cp.getfloat("fuzzy", "eta", fallback=None),
+                           rho=cp.getfloat("fuzzy", "rho", fallback=None))
+    except ValueError as exc:
+        raise ConfigError(f"bad [fuzzy] values: {exc}") from None
 
 
 def _dataset_paths(cp: configparser.ConfigParser) -> list[Path]:
-    sec = cp["experiment"] if cp.has_section("experiment") else {}
+    datasets = cp.get("experiment", "datasets", fallback="")
+    dataset_dir = cp.get("experiment", "dataset_dir", fallback="")
     paths: list[Path] = []
-    if isinstance(sec, configparser.SectionProxy) and sec.get("datasets"):
-        paths = [Path(tok) for tok in _str_list(sec["datasets"])]
-    elif isinstance(sec, configparser.SectionProxy) and sec.get("dataset_dir"):
-        root = Path(sec["dataset_dir"])
+    if datasets:
+        paths = [Path(tok) for tok in _str_list(datasets)]
+    elif dataset_dir:
+        root = Path(dataset_dir)
         if not root.is_dir():
             raise ConfigError(f"dataset_dir not found: {root}")
         paths = sorted(root.glob("*.dat")) + sorted(root.glob("*.csv"))
@@ -146,18 +151,15 @@ def _config_number(raw, convert, key: str):
 
 
 def _master_seed(cp: configparser.ConfigParser, args) -> int:
-    raw = args.seed if args.seed is not None else (
-        cp["experiment"].get("seed") if cp.has_section("experiment") else None)
+    raw = args.seed if args.seed is not None else cp.get("experiment", "seed", fallback=None)
     if raw is None or raw == "":
         raise ConfigError("a master seed is required (config [experiment] seed or --seed)")
     return _config_number(raw, int, "seed")
 
 
 def _experiment_settings(cp: configparser.ConfigParser, args) -> dict:
-    sec = cp["experiment"] if cp.has_section("experiment") else {}
-
     def get(key, default):
-        return sec.get(key, default) if hasattr(sec, "get") else default
+        return cp.get("experiment", key, fallback=default)
 
     seed = _master_seed(cp, args)
     split_fraction = _config_number(get("split_fraction", DEFAULT_SPLIT), float,
@@ -173,7 +175,7 @@ def _experiment_settings(cp: configparser.ConfigParser, args) -> dict:
         raise ConfigError("threads must be at least 1")
     models = _str_list(get("models", "ifutsvm-id"))
     for kind in models:
-        if kind not in ("utsvm", "ifutsvm-id"):
+        if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind: {kind!r}")
     levels = get("noise_levels", None)
     levels = [float(v) for v in _float_list(levels)] if levels else list(DEFAULT_NOISE_LEVELS)
@@ -238,7 +240,7 @@ def _fixed_hyperparams(cp: configparser.ConfigParser, seed: int):
         raise ConfigError("cmd_train needs a [train] section with fixed hyperparameters")
     sec = cp["train"]
     kind = sec.get("model", "ifutsvm-id")
-    if kind not in ("utsvm", "ifutsvm-id"):
+    if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind: {kind!r}")
     try:
         width_raw = sec.get("width", "").strip()
@@ -329,6 +331,9 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"dataset file not found: {args.data}")
     model = load_model(model_path)
     ds = load_dataset(args.data)
+    if ds.n != model.n_features:
+        raise InvalidDatasetError(
+            f"dataset has {ds.n} features, the model expects {model.n_features}")
     pred = predict(model, ds.features)
     cm = confusion(ds.labels, pred)
     payload = {
@@ -456,9 +461,11 @@ def _aggregate_results(results: list[dict], names: list[str], kinds: list[str],
     return aggregate
 
 
-def _run_protocol(args, noise_levels: list[float]) -> int:
+def _run_protocol(args, noise: bool) -> int:
+    """Benchmark (noise=False) or noise study over the configured noise levels."""
     cp = _read_config(args.config)
     settings = _experiment_settings(cp, args)
+    noise_levels = list(settings["noise_levels"]) if noise else [0.0]
     grid = _grid_from_config(cp)
     paths = _dataset_paths(cp)
     names = [p.stem for p in paths]
@@ -536,38 +543,15 @@ def _run_protocol(args, noise_levels: list[float]) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    return _run_protocol(args, [0.0])
+    return _run_protocol(args, noise=False)
 
 
 def cmd_noise_study(args) -> int:
-    cp = _read_config(args.config)
-    settings = _experiment_settings(cp, args)
-    return _run_protocol(args, list(settings["noise_levels"]))
+    return _run_protocol(args, noise=True)
 
 
 # ---------------------------------------------------------------------------
 # aggregate (bypass mode)
-
-
-def read_accuracy_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
-    """CSV with a header row naming the models and one row per dataset."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or len(rows[0]) < 3:
-        raise DatasetError("accuracy matrix needs a header and at least 2 columns")
-    models = rows[0][1:]
-    names, data = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(models) + 1:
-            raise DatasetError(f"line {lineno}: expected {len(models) + 1} fields")
-        names.append(row[0])
-        try:
-            data.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise DatasetError(f"line {lineno}: {exc}") from None
-    return names, models, np.asarray(data)
 
 
 def cmd_aggregate(args) -> int:

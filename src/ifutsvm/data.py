@@ -129,24 +129,21 @@ def _parse_row(line: str, lineno: int, arity: int | None):
     return values, fields[-1]
 
 
-def parse_keel(text: str, name: str = "dataset") -> Dataset:
-    """Parse a KEEL '.dat' file: '@' metadata lines, an '@data' sentinel, CSV rows.
+def _parse_rows(text: str, name: str, keel: bool) -> Dataset:
+    """Row loop shared by both formats; the row arity is fixed by the first row.
 
-    Attribute declarations are treated permissively (names ignored); only row
-    arity is enforced, against the first data row.
+    In KEEL mode lines starting with '@' are metadata and data rows must
+    follow the '@data' sentinel.
     """
     rows, tokens = [], []
     arity = None
-    in_data = False
-    saw_sentinel = False
+    in_data = not keel
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("@"):
-            if line.lower().startswith("@data"):
-                in_data = True
-                saw_sentinel = True
+        if keel and line.startswith("@"):
+            in_data = in_data or line.lower().startswith("@data")
             continue
         if not in_data:
             raise ParseError("data row before '@data' sentinel", lineno)
@@ -154,30 +151,26 @@ def parse_keel(text: str, name: str = "dataset") -> Dataset:
         arity = arity if arity is not None else len(values) + 1
         rows.append(values)
         tokens.append(token)
-    if not saw_sentinel:
+    if not in_data:
         raise ParseError("missing '@data' sentinel")
     if not rows:
-        raise InvalidDatasetError("empty '@data' section")
+        raise InvalidDatasetError("empty '@data' section" if keel else "empty dataset")
     labels = encode_labels(tokens)
     return Dataset(name, np.array(rows, dtype=np.float64), labels)
+
+
+def parse_keel(text: str, name: str = "dataset") -> Dataset:
+    """Parse a KEEL '.dat' file: '@' metadata lines, an '@data' sentinel, CSV rows.
+
+    Attribute declarations are treated permissively (names ignored); only row
+    arity is enforced, against the first data row.
+    """
+    return _parse_rows(text, name, keel=True)
 
 
 def parse_csv(text: str, name: str = "dataset") -> Dataset:
     """Parse headerless CSV whose trailing column is the class token."""
-    rows, tokens = [], []
-    arity = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        values, token = _parse_row(line, lineno, arity)
-        arity = arity if arity is not None else len(values) + 1
-        rows.append(values)
-        tokens.append(token)
-    if not rows:
-        raise InvalidDatasetError("empty dataset")
-    labels = encode_labels(tokens)
-    return Dataset(name, np.array(rows, dtype=np.float64), labels)
+    return _parse_rows(text, name, keel=False)
 
 
 def load_dataset(path) -> Dataset:

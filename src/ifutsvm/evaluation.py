@@ -14,12 +14,14 @@ critical difference.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import Dataset
+from .data import Dataset, DatasetError
 from .kernels import KernelSpec
 from .membership import FuzzyParams
 from .models import (FitStages, Hyperparams, TrainingError, fit_ifutsvm_id, fit_utsvm,
@@ -104,6 +106,16 @@ class GridSpec:
     epsilon: tuple = EPSILON_RANGE
     width: tuple | None = WIDTH_RANGE  # None -> linear models
     fuzzy: FuzzyParams = FuzzyParams()
+
+    def __post_init__(self):
+        # each axis value must pass the Hyperparams/KernelSpec checks on its own,
+        # with the other settings held at valid values
+        valid = {"c1": 1.0, "c3": 1.0, "cu": 1.0, "epsilon": 0.1, "width": None}
+        for name, values in zip(valid, self.axes()):
+            if not values:
+                raise ValueError(f"grid axis {name} is empty")
+            for value in values:
+                make_hyperparams(**{**valid, name: value})
 
     def axes(self) -> tuple[list, ...]:
         """Sorted (c1, c3, cu, epsilon, width) values; the lattice is their product."""
@@ -300,18 +312,36 @@ def pairwise_significance(avg_ranks: np.ndarray, cd: float) -> np.ndarray:
     return np.abs(R[:, None] - R[None, :]) > cd
 
 
+def read_accuracy_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
+    """CSV with a header row naming the models and one row per dataset.
+
+    Returns (dataset names, model names, accuracy matrix); raises DatasetError
+    on a missing header, a row of the wrong length or a non-numeric value.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2 or len(rows[0]) < 3:
+        raise DatasetError("accuracy matrix needs a header and at least 2 columns")
+    models = rows[0][1:]
+    names, data = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(models) + 1:
+            raise DatasetError(f"line {lineno}: expected {len(models) + 1} fields")
+        names.append(row[0])
+        try:
+            data.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from None
+    return names, models, np.asarray(data)
+
+
 def load_benchmark_matrix() -> tuple[list[str], list[str], np.ndarray]:
     """Bundled 46-dataset KEEL accuracy table of the six published classifiers.
 
     Returns (dataset names, model names, accuracy matrix in percent).
     """
-    import csv
-    from importlib import resources
-
     ref = resources.files("ifutsvm.resources") / "keel_benchmark_accuracies.csv"
-    with ref.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    models = rows[0][1:]
-    names = [r[0] for r in rows[1:] if r]
-    acc = np.array([[float(v) for v in r[1:]] for r in rows[1:] if r])
-    return names, models, acc
+    with resources.as_file(ref) as path:
+        return read_accuracy_matrix(path)

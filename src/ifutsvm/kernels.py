@@ -1,13 +1,15 @@
-"""Gaussian kernel evaluation and kernel-space geometry.
+"""Gaussian kernel evaluation and the kernel-space distances built on a Gram matrix.
 
-All geometric quantities (distance to a class centroid, class radius) are
-computed through the Gram-sum expansion
+Distances never materialize the feature map psi.  Pairwise distances use
+||psi(p) - psi(q)||^2 = 2 - 2 K(p, q) (the Gaussian kernel has unit
+diagonal), and distances to a centroid C of m samples use the Gram-sum
+expansion
 
-    ||psi(x) - C||^2 = K(x,x) - (2/m) sum_i K(x, x_i) + (1/m^2) sum_ij K(x_i, x_j)
+    ||psi(x) - C||^2 = K(x,x) - (2/m) sum_i K(x, x_i) + (1/m^2) sum_ij K(x_i, x_j).
 
-so the feature map psi never has to be materialized.  Squared distances are
-clamped at zero before taking roots: floating-point cancellation can leave
-tiny negatives.
+The fuzzy scoring in `membership` evaluates the Gram matrix once and derives
+both from it.  Squared distances are clamped at zero before taking roots:
+floating-point cancellation can leave tiny negatives.
 """
 
 from __future__ import annotations
@@ -27,19 +29,6 @@ class KernelSpec:
     def __post_init__(self):
         if not self.width > 0:
             raise ValueError("kernel width must be positive")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Kernel evaluations between two sample sets, with provenance tags."""
-
-    values: np.ndarray
-    rows_from: str = ""
-    cols_from: str = ""
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 def _check_dims(A: np.ndarray, B: np.ndarray):
@@ -70,12 +59,6 @@ def gram_values(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return np.exp(-d2 / (2.0 * spec.width**2))
 
 
-def gram(A: np.ndarray, B: np.ndarray, spec: KernelSpec,
-         rows_from: str = "", cols_from: str = "") -> GramMatrix:
-    """Gram matrix between two sample sets; supports rectangular shapes."""
-    return GramMatrix(gram_values(A, B, spec), rows_from, cols_from)
-
-
 def center_sq_dists_from_gram(K_qc: np.ndarray, K_cc_mean: float,
                               k_qq_diag: np.ndarray) -> np.ndarray:
     """Squared distances from query points to a class centroid, given Gram pieces.
@@ -88,34 +71,6 @@ def center_sq_dists_from_gram(K_qc: np.ndarray, K_cc_mean: float,
     """
     sq = k_qq_diag - 2.0 * K_qc.mean(axis=1) + K_cc_mean
     return np.maximum(sq, 0.0)
-
-
-def centroid_distances(X: np.ndarray, class_rows: np.ndarray,
-                       spec: KernelSpec) -> np.ndarray:
-    """Kernel-space distances from each row of X to the centroid of class_rows."""
-    class_rows = np.atleast_2d(np.asarray(class_rows, dtype=np.float64))
-    if class_rows.shape[0] == 0:
-        raise ValueError("class must contain at least one sample")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    _check_dims(X, class_rows)
-    K_qc = gram_values(X, class_rows, spec)
-    K_cc_mean = float(gram_values(class_rows, class_rows, spec).mean())
-    diag = np.ones(X.shape[0])  # Gaussian: K(x, x) = 1
-    return np.sqrt(center_sq_dists_from_gram(K_qc, K_cc_mean, diag))
-
-
-def centroid_distance(x: np.ndarray, class_rows: np.ndarray,
-                      spec: KernelSpec) -> float:
-    """Kernel-space distance from a single sample to the class centroid."""
-    return float(centroid_distances(np.atleast_2d(x), class_rows, spec)[0])
-
-
-def class_radius(class_rows: np.ndarray, spec: KernelSpec) -> float:
-    """Largest centroid distance over the class members."""
-    class_rows = np.atleast_2d(np.asarray(class_rows, dtype=np.float64))
-    if class_rows.shape[0] == 0:
-        raise ValueError("class must contain at least one sample")
-    return float(centroid_distances(class_rows, class_rows, spec).max())
 
 
 def kernel_space_distances(K: np.ndarray) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Each training sample receives a membership degree (closeness to its own class
 centroid), a non-membership degree (heterogeneity of its neighborhood), and a
-combined score used to weight its slack penalty during training.  All three
-are computed in the kernel-induced feature space when a Gaussian kernel is
-given, and in plain input space otherwise.
+combined score used to weight its slack penalty during training.  Both
+degrees rest on one geometry step: with a Gaussian kernel it evaluates the
+Gram matrix K of the training set once and derives from it the pairwise
+feature-space distances sqrt(2 - 2 K_ij) and each class's centroid distances
+(from that class's diagonal block of K); without a kernel it uses plain
+Euclidean distances in input space.
 """
 
 from __future__ import annotations
@@ -56,24 +59,31 @@ class ScoreWeights:
     memberships: np.ndarray
     nonmemberships: np.ndarray
     scores: np.ndarray
-    eta_pos: float
-    eta_neg: float
     rho: float
 
 
-def _pairwise_distances(ds: Dataset, kspec: KernelSpec | None) -> np.ndarray:
-    if kspec is None:
-        return squareform(pdist(ds.features))
-    return kernel_space_distances(gram_values(ds.features, ds.features, kspec))
+def _geometry(ds: Dataset, kspec: KernelSpec | None) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise distances and each sample's distance to its own class centroid.
 
-
-def _class_center_dists(X: np.ndarray, class_rows: np.ndarray,
-                        kspec: KernelSpec | None) -> np.ndarray:
-    if kspec is None:
-        return np.linalg.norm(X - class_rows.mean(axis=0), axis=1)
-    K_qc = gram_values(X, class_rows, kspec)
-    K_cc_mean = float(gram_values(class_rows, class_rows, kspec).mean())
-    return np.sqrt(center_sq_dists_from_gram(K_qc, K_cc_mean, np.ones(X.shape[0])))
+    In kernel mode both come from the one Gram matrix K of the training set;
+    a class's centroid distances use its diagonal block of K.
+    """
+    center = np.empty(ds.m)
+    X = ds.features
+    K = gram_values(X, X, kspec) if kspec is not None else None
+    for label in (1, -1):
+        idx = np.flatnonzero(ds.labels == label)
+        if idx.size == 0:
+            raise ValueError(f"class {label:+d} is empty")
+        if K is None:
+            rows = X[idx]
+            center[idx] = np.linalg.norm(rows - rows.mean(axis=0), axis=1)
+        else:
+            K_cc = K[np.ix_(idx, idx)]
+            center[idx] = np.sqrt(center_sq_dists_from_gram(K_cc, float(K_cc.mean()),
+                                                            np.ones(idx.size)))
+    dists = squareform(pdist(X)) if K is None else kernel_space_distances(K)
+    return dists, center
 
 
 def _resolve_eta(radius: float, params: FuzzyParams) -> float:
@@ -82,28 +92,35 @@ def _resolve_eta(radius: float, params: FuzzyParams) -> float:
     return ETA_SCALE_DEFAULT * (radius + 1.0)
 
 
+def _memberships(labels: np.ndarray, center: np.ndarray, params: FuzzyParams) -> np.ndarray:
+    theta = np.empty(labels.shape[0])
+    for label in (1, -1):
+        idx = np.flatnonzero(labels == label)
+        d = center[idx]
+        radius = float(d.max())
+        theta[idx] = 1.0 - d / (radius + _resolve_eta(radius, params))
+    return theta
+
+
 def membership(ds: Dataset, kspec: KernelSpec | None,
                params: FuzzyParams = FuzzyParams()) -> np.ndarray:
     """Membership degree 1 - d_i / (r + eta) per sample, toward its own class."""
-    theta = np.empty(ds.m)
-    for label in (1, -1):
-        idx = np.flatnonzero(ds.labels == label)
-        if idx.size == 0:
-            raise ValueError(f"class {label:+d} is empty")
-        rows = ds.features[idx]
-        d = _class_center_dists(rows, rows, kspec)
-        radius = float(d.max())
-        eta = _resolve_eta(radius, params)
-        theta[idx] = 1.0 - d / (radius + eta)
-    return theta
+    return _memberships(ds.labels, _geometry(ds, kspec)[1], params)
 
 
 def _resolve_rho(dists: np.ndarray, params: FuzzyParams) -> float:
     if params.rho is not None:
         return params.rho
-    iu = np.triu_indices(dists.shape[0], k=1)
-    # single-sample degenerate case: any positive radius behaves identically
-    return float(np.median(dists[iu])) if iu[0].size else 1.0
+    # _geometry guarantees two nonempty classes, so there is at least one pair
+    return float(np.median(dists[np.triu_indices(dists.shape[0], k=1)]))
+
+
+def _nonmemberships(labels: np.ndarray, dists: np.ndarray, rho: float,
+                    theta: np.ndarray) -> np.ndarray:
+    within = dists <= rho
+    opposite = labels[:, None] != labels[None, :]
+    mu = (within & opposite).sum(axis=1) / within.sum(axis=1)
+    return (1.0 - theta) * mu
 
 
 def nonmembership(ds: Dataset, kspec: KernelSpec | None, params: FuzzyParams,
@@ -113,14 +130,8 @@ def nonmembership(ds: Dataset, kspec: KernelSpec | None, params: FuzzyParams,
     A sample's neighborhood is closed at radius rho and counts the sample
     itself in the denominator, so the ratio is always well defined.
     """
-    dists = _pairwise_distances(ds, kspec)
-    rho = _resolve_rho(dists, params)
-    within = dists <= rho
-    opposite = ds.labels[:, None] != ds.labels[None, :]
-    total = within.sum(axis=1)
-    hetero = (within & opposite).sum(axis=1)
-    mu = hetero / total
-    return (1.0 - theta) * mu
+    dists = _geometry(ds, kspec)[0]
+    return _nonmemberships(ds.labels, dists, _resolve_rho(dists, params), theta)
 
 
 def score(theta: float, sigma: float) -> float:
@@ -146,24 +157,10 @@ def score_vector(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def assign_scores(ds: Dataset, kspec: KernelSpec | None,
                   params: FuzzyParams = FuzzyParams()) -> ScoreWeights:
     """Run the full membership -> non-membership -> score pipeline on a dataset."""
-    if ds.m1 == 0 or ds.m2 == 0:
-        raise ValueError("both classes must be nonempty")
-    dists = _pairwise_distances(ds, kspec)
-    theta = np.empty(ds.m)
-    etas = {}
-    for label in (1, -1):
-        idx = np.flatnonzero(ds.labels == label)
-        rows = ds.features[idx]
-        d = _class_center_dists(rows, rows, kspec)
-        radius = float(d.max())
-        etas[label] = _resolve_eta(radius, params)
-        theta[idx] = 1.0 - d / (radius + etas[label])
-
+    dists, center = _geometry(ds, kspec)
+    theta = _memberships(ds.labels, center, params)
     rho = _resolve_rho(dists, params)
-    within = dists <= rho
-    opposite = ds.labels[:, None] != ds.labels[None, :]
-    mu = (within & opposite).sum(axis=1) / within.sum(axis=1)
-    sigma = (1.0 - theta) * mu
+    sigma = _nonmemberships(ds.labels, dists, rho, theta)
     scores = score_vector(theta, sigma)
     return ScoreWeights(
         s1=scores[ds.labels == 1],
@@ -171,8 +168,6 @@ def assign_scores(ds: Dataset, kspec: KernelSpec | None,
         memberships=theta,
         nonmemberships=sigma,
         scores=scores,
-        eta_pos=etas[1],
-        eta_neg=etas[-1],
         rho=rho,
     )
 
@@ -186,7 +181,5 @@ def uniform_scores(ds: Dataset) -> ScoreWeights:
         memberships=ones.copy(),
         nonmemberships=np.zeros(ds.m),
         scores=ones,
-        eta_pos=float("nan"),
-        eta_neg=float("nan"),
         rho=float("nan"),
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .data import Dataset
+from .data import Dataset, ParseError
 from .kernels import KernelSpec, gram_values
 from .membership import FuzzyParams, ScoreWeights, assign_scores, uniform_scores
 from .qp import (
@@ -69,13 +69,17 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        # the solver tolerance scales with the box, so an infinite penalty
+        # would accept any iterate; the comparisons also reject NaN
         for name in ("c1", "c2", "c3", "c4"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.cu < 0:  # cu = 0 is allowed: it pins every universum multiplier at 0
-            raise ValueError("cu must be nonnegative")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.cu < np.inf:  # cu = 0 pins every universum multiplier at 0
+            raise ValueError("cu must be nonnegative and finite")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
+        if self.delta is not None and not 0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -446,9 +450,10 @@ def predict(model: TwinModel, x: np.ndarray):
 # serialization
 
 
-def _header_dict(model: TwinModel) -> dict:
+def save_model(model: TwinModel, path) -> None:
+    """Write the binary model file: magic, JSON header, little-endian f64 blocks."""
     hp = model.hyperparams
-    return {
+    header = json.dumps({
         "kind": model.kind,
         "mode": model.mode,
         "n": int(model.n_features),
@@ -463,23 +468,7 @@ def _header_dict(model: TwinModel) -> dict:
             "eta": hp.fuzzy.eta, "rho": hp.fuzzy.rho,
             "seed": hp.seed,
         },
-    }
-
-
-def _hyperparams_from_header(h: dict) -> Hyperparams:
-    hp = h["hyperparams"]
-    kernel = KernelSpec(hp["width"]) if hp["width"] is not None else None
-    return Hyperparams(
-        c1=hp["c1"], c2=hp["c2"], c3=hp["c3"], c4=hp["c4"], cu=hp["cu"],
-        epsilon=hp["epsilon"], kernel=kernel, delta=hp["delta"],
-        fuzzy=FuzzyParams(eta=hp["eta"], rho=hp["rho"]), seed=hp["seed"],
-    )
-
-
-def save_model(model: TwinModel, path) -> None:
-    """Write the binary model file: magic, JSON header, little-endian f64 blocks."""
-    header = json.dumps(_header_dict(model), sort_keys=True,
-                        separators=(",", ":")).encode("utf-8")
+    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blocks = [model.w1, [model.b1], model.w2, [model.b2]]
     if model.mode == "kernel":
         blocks.append(model.reference.ravel())
@@ -492,13 +481,22 @@ def save_model(model: TwinModel, path) -> None:
 
 
 def load_model(path) -> TwinModel:
-    """Read a binary model file written by save_model."""
-    from .data import ParseError
+    """Read a binary model file written by save_model.
 
+    Raises ParseError for any content it cannot decode: wrong magic, a
+    truncated header or payload, or a header with missing or invalid fields.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise ParseError("not a twin-SVM model file")
+    try:
+        return _decode_model(blob)
+    except (ValueError, KeyError, TypeError, struct.error) as exc:
+        raise ParseError(f"corrupt model file: {type(exc).__name__}: {exc}") from None
+
+
+def _decode_model(blob: bytes) -> TwinModel:
     off = len(MAGIC)
     (hlen,) = struct.unpack_from("<I", blob, off)
     off += 4
@@ -519,39 +517,15 @@ def load_model(path) -> TwinModel:
     reference = None
     if header["mode"] == "kernel":
         reference = take(header["m"] * header["n"]).reshape(header["m"], header["n"])
+    hp = header["hyperparams"]
+    hyperparams = Hyperparams(
+        c1=hp["c1"], c2=hp["c2"], c3=hp["c3"], c4=hp["c4"], cu=hp["cu"],
+        epsilon=hp["epsilon"], kernel=KernelSpec(hp["width"]) if hp["width"] is not None else None,
+        delta=hp["delta"], fuzzy=FuzzyParams(eta=hp["eta"], rho=hp["rho"]), seed=hp["seed"],
+    )
     return TwinModel(
         kind=header["kind"], mode=header["mode"], w1=w1, b1=b1, w2=w2, b2=b2,
-        reference=reference, hyperparams=_hyperparams_from_header(header),
-        rkhs_norm=header["rkhs_norm"],
-    )
-
-
-def save_model_json(model: TwinModel, path) -> None:
-    """Text twin of the binary format, arrays spelled out as JSON lists."""
-    doc = _header_dict(model)
-    doc["w1"] = model.w1.tolist()
-    doc["b1"] = model.b1
-    doc["w2"] = model.w2.tolist()
-    doc["b2"] = model.b2
-    if model.mode == "kernel":
-        doc["reference"] = model.reference.tolist()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_model_json(path) -> TwinModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    reference = None
-    if doc["mode"] == "kernel":
-        reference = np.asarray(doc["reference"], dtype=np.float64)
-    return TwinModel(
-        kind=doc["kind"], mode=doc["mode"],
-        w1=np.asarray(doc["w1"], dtype=np.float64), b1=float(doc["b1"]),
-        w2=np.asarray(doc["w2"], dtype=np.float64), b2=float(doc["b2"]),
-        reference=reference, hyperparams=_hyperparams_from_header(doc),
-        rkhs_norm=doc["rkhs_norm"],
+        reference=reference, hyperparams=hyperparams, rkhs_norm=header["rkhs_norm"],
     )
 
 

@@ -1,4 +1,4 @@
-"""Box-constrained concave-quadratic maximization and regularized SPD solves.
+"""Box-constrained concave-quadratic maximization and regularized SPD factorization.
 
 The duals trained here maximize c'z - z'Qz/2 over 0 <= z <= upper with Q
 symmetric positive semidefinite.  There is no equality constraint, so cyclic
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor
 
 from ._sweep import DIAG_FLOOR, cyclic_sweep
 
@@ -172,19 +172,6 @@ def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
     raise NonConvergenceError(QPSolution(z, _objective(problem, z, q), resid, max_iter))
 
 
-@dataclass(frozen=True)
-class SpdSystem:
-    """(M + ridge I) x = rhs with M symmetric and the sum positive definite."""
-
-    M: np.ndarray
-    ridge: float
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
-
-
 def spd_factor(M: np.ndarray, ridge: float):
     """Cholesky factor of M + ridge I (never an explicit inverse)."""
     A = np.asarray(M, dtype=np.float64)
@@ -196,16 +183,3 @@ def spd_factor(M: np.ndarray, ridge: float):
         raise FactorizationError(
             f"matrix is not positive definite ({exc}); increase the ridge"
         ) from None
-
-
-def spd_solve(system: SpdSystem) -> np.ndarray:
-    """Solve the regularized SPD system via a symmetric factorization."""
-    factor = spd_factor(system.M, system.ridge)
-    x = cho_solve(factor, system.rhs, check_finite=False)
-    A = system.M + system.ridge * np.eye(system.M.shape[0])
-    resid = float(np.linalg.norm(A @ x - system.rhs))
-    if resid > 1e-8 * (1.0 + float(np.linalg.norm(system.rhs))):
-        raise FactorizationError(
-            f"solution residual {resid:.3e} too large; increase the ridge"
-        )
-    return x

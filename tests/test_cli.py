@@ -136,6 +136,30 @@ class TestTrainEval:
         bad.write_bytes(b"NOTAMODEL")
         assert main(["eval", "--model", str(bad), "--data", str(pa)]) == 2
 
+    def trained_model(self, tmp_path, dataset):
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=dataset))
+        model_path = tmp_path / "m.bin"
+        assert main(["train", "--config", str(cfg), "--out", str(model_path)]) == 0
+        return model_path
+
+    @pytest.mark.parametrize("cut", ["header", "payload"])
+    def test_truncated_model_file_exits_2(self, tmp_path, toy_files, capsys, cut):
+        pa, _ = toy_files
+        model_path = self.trained_model(tmp_path, pa)
+        blob = model_path.read_bytes()
+        model_path.write_bytes(blob[:20] if cut == "header" else blob[:-3])
+        assert main(["eval", "--model", str(model_path), "--data", str(pa)]) == 2
+        assert "corrupt model file" in capsys.readouterr().err
+
+    def test_feature_count_mismatch_exits_2(self, tmp_path, toy_files, capsys):
+        pa, _ = toy_files
+        model_path = self.trained_model(tmp_path, pa)
+        wide = tmp_path / "wide.dat"
+        write_dataset(wide, make_blobs(10, 20, seed=3, d=3, name="wide"))
+        assert main(["eval", "--model", str(model_path), "--data", str(wide)]) == 2
+        assert "dataset has 3 features, the model expects 2" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def run(self, tmp_path, toy_files, models="ifutsvm-id, utsvm", out="runs/x",
@@ -241,6 +265,24 @@ class TestExperimentNumbers:
                        .replace(old, new))
         assert main(["benchmark", "--config", str(cfg), *flags]) == 4
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["benchmark", "noise-study"])
+    @pytest.mark.parametrize("old, new", [
+        ("width = linear", "width = linear\n[fuzzy]\neta = abc"),
+        ("width = linear", "width = linear\n[fuzzy]\neta = -1"),
+        ("c1 = 0.1, 1", "c1 = -1"),
+        ("c1 = 0.1, 1", "c1 = ,"),
+    ], ids=["eta-not-a-number", "eta-negative", "c1-negative", "c1-empty"])
+    def test_bad_grid_or_fuzzy_exits_4(self, tmp_path, toy_files, capsys, command,
+                                       old, new):
+        pa, _ = toy_files
+        cfg = tmp_path / "b.ini"
+        cfg.write_text(BENCH_CONFIG.format(datasets=str(pa), models="ifutsvm-id",
+                                           out=tmp_path / "out", extra="")
+                       .replace(old, new))
+        assert main([command, "--config", str(cfg)]) == 4
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_train_seed_exits_4(self, tmp_path, toy_files):
         pa, _ = toy_files

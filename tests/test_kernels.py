@@ -2,16 +2,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ifutsvm import (
-    KernelSpec,
-    centroid_distance,
-    centroid_distances,
-    class_radius,
-    gaussian,
-    gram,
-    gram_values,
-)
+from ifutsvm import Dataset, FuzzyParams, KernelSpec, gaussian, gram_values, membership
 from ifutsvm.kernels import center_sq_dists_from_gram
+
+
+def centroid_dists(queries, cls, spec):
+    """Kernel-space distances from each query to the centroid of cls."""
+    K_cc_mean = float(gram_values(cls, cls, spec).mean())
+    sq = center_sq_dists_from_gram(gram_values(queries, cls, spec), K_cc_mean,
+                                   np.ones(len(queries)))
+    return np.sqrt(sq)
+
+
+def brute_centroid_dist(x, cls, spec):
+    k_xc = np.mean([gaussian(x, c, spec) for c in cls])
+    k_cc = np.mean([[gaussian(a, b, spec) for b in cls] for a in cls])
+    return np.sqrt(max(1.0 - 2.0 * k_xc + k_cc, 0.0))
+
+
+def class_memberships(cls, spec, eta):
+    """Memberships of cls as the +1 class of a dataset with a far-away -1 class."""
+    far = np.full((2, cls.shape[1]), 1e3)
+    ds = Dataset("c", np.vstack([cls, far]), np.array([1] * len(cls) + [-1, -1]))
+    return membership(ds, spec, FuzzyParams(eta=eta))[:len(cls)]
 
 
 def test_kernel_spec_requires_positive_width():
@@ -76,24 +89,18 @@ class TestGram:
         assert eigs.min() >= -1e-8 * K.shape[0]
         assert np.all(K > 0.0) and np.all(K <= 1.0)
 
-    def test_provenance_tags(self):
-        A = np.zeros((2, 2))
-        gm = gram(A, A, KernelSpec(1.0), rows_from="X1", cols_from="D")
-        assert gm.rows_from == "X1" and gm.cols_from == "D"
-        assert gm.shape == (2, 2)
-
 
 class TestCentroidDistance:
     def test_single_member_class_is_zero(self):
-        x = np.array([1.0, 2.0])
-        assert centroid_distance(x, x[None, :], KernelSpec(1.0)) == 0.0
+        x = np.array([[1.0, 2.0]])
+        assert centroid_dists(x, x, KernelSpec(1.0))[0] == 0.0
 
     def test_two_term_expansion_for_singleton_class(self):
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=3), rng.normal(size=3)
         spec = KernelSpec(1.1)
         expected = np.sqrt(2.0 - 2.0 * gaussian(x, y, spec))
-        assert_allclose(centroid_distance(y, x[None, :], spec), expected, rtol=1e-12)
+        assert_allclose(centroid_dists(y[None, :], x[None, :], spec)[0], expected, rtol=1e-12)
 
     def test_against_explicit_feature_map_oracle(self):
         # degree-2 homogeneous polynomial kernel has the explicit feature map
@@ -118,29 +125,39 @@ class TestCentroidDistance:
         assert_allclose(got, expected, atol=1e-10)
 
     def test_empty_class_rejected(self):
-        with pytest.raises(ValueError):
-            centroid_distance(np.zeros(2), np.zeros((0, 2)), KernelSpec(1.0))
+        # the fuzzy geometry refuses an empty class before any distance is taken
+        ds = Dataset("d", np.zeros((2, 2)) + np.arange(2)[:, None], np.array([1, 1]))
+        with pytest.raises(ValueError, match="empty"):
+            membership(ds, KernelSpec(1.0))
 
 
 class TestClassRadius:
     def test_singleton_and_duplicates_are_zero(self):
+        # radius 0 leaves every member at full membership, whatever eta is
         spec = KernelSpec(1.0)
-        assert class_radius(np.array([[1.0, 2.0]]), spec) == 0.0
-        assert class_radius(np.array([[1.0, 2.0], [1.0, 2.0]]), spec) == 0.0
+        assert class_memberships(np.array([[1.0, 2.0]]), spec, 1e-9)[0] == 1.0
+        dup = class_memberships(np.array([[1.0, 2.0], [1.0, 2.0]]), spec, 1e-9)
+        assert np.all(dup == 1.0)
 
     def test_equals_brute_force_member_max(self):
+        # the radius is the largest member distance: the farthest member
+        # scores eta / (r + eta)
         rng = np.random.default_rng(6)
         spec = KernelSpec(1.4)
+        eta = 0.5
         for _ in range(5):
             cls = rng.normal(size=(rng.integers(2, 50), 3))
-            per_member = [centroid_distance(m, cls, spec) for m in cls]
-            assert_allclose(class_radius(cls, spec), max(per_member), rtol=1e-12)
+            r = max(brute_centroid_dist(m, cls, spec) for m in cls)
+            theta = class_memberships(cls, spec, eta)
+            assert_allclose(theta.min(), eta / (r + eta), rtol=1e-12)
 
     def test_batch_distances_match_singles(self):
         rng = np.random.default_rng(7)
         spec = KernelSpec(1.0)
         cls = rng.normal(size=(12, 2))
         queries = rng.normal(size=(5, 2))
-        batch = centroid_distances(queries, cls, spec)
-        singles = [centroid_distance(q, cls, spec) for q in queries]
+        batch = centroid_dists(queries, cls, spec)
+        singles = [centroid_dists(q[None, :], cls, spec)[0] for q in queries]
         assert_allclose(batch, singles, rtol=1e-12)
+        assert_allclose(batch, [brute_centroid_dist(q, cls, spec) for q in queries],
+                        atol=1e-12)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,13 @@ def two_cluster_dataset(seed=0, n_pos=6, n_neg=10, gap=4.0):
     return Dataset("two", X, y)
 
 
+def brute_center_dist(x, cls, spec):
+    """Kernel-space distance from x to the centroid of cls, one kernel value at a time."""
+    k_xc = np.mean([gaussian(x, c, spec) for c in cls])
+    k_cc = np.mean([[gaussian(a, b, spec) for b in cls] for a in cls])
+    return np.sqrt(max(1.0 - 2.0 * k_xc + k_cc, 0.0))
+
+
 class TestMembership:
     def test_single_member_class_scores_one(self):
         X = np.array([[0.0, 0.0], [3.0, 3.0], [3.1, 2.9]])
@@ -39,11 +48,10 @@ class TestMembership:
         eta = 0.5
         spec = KernelSpec(1.0)
         theta = membership(Dataset("d", X, y), spec, FuzzyParams(eta=eta))
-        from ifutsvm import centroid_distances, class_radius
 
         neg = X[2:]
-        r = class_radius(neg, spec)
-        d = centroid_distances(neg, neg, spec)
+        d = np.array([brute_center_dist(x, neg, spec) for x in neg])
+        r = d.max()
         worst = 2 + int(np.argmax(d))
         assert_allclose(theta[worst], eta / (r + eta), rtol=1e-12)
 
@@ -57,12 +65,7 @@ class TestMembership:
         spec = KernelSpec(1.3)
         theta = membership(Dataset("d", X, y), spec, FuzzyParams(eta=0.5))
 
-        def brute_center_dist(x, cls):
-            k_xc = np.mean([gaussian(x, c, spec) for c in cls])
-            k_cc = np.mean([[gaussian(a, b, spec) for b in cls] for a in cls])
-            return np.sqrt(max(1.0 - 2.0 * k_xc + k_cc, 0.0))
-
-        dists = np.array([brute_center_dist(x, pos) for x in pos])
+        dists = np.array([brute_center_dist(x, pos, spec) for x in pos])
         r = dists.max()
         assert_allclose(theta[:6], 1.0 - dists / (r + 0.5), atol=1e-10)
 
@@ -194,9 +197,32 @@ def test_fuzzy_invariants_random(seed, eta, rho):
     dominated = (~exact_first) & (theta <= sigma)
     assert_array_equal(s[dominated], 0.0)
     # non-membership is (1 - theta) * counting ratio, bitwise
-    from ifutsvm.membership import _pairwise_distances
+    from ifutsvm.membership import _geometry
 
-    dists = _pairwise_distances(ds, kspec)
+    dists, _ = _geometry(ds, kspec)
     within = dists <= rho
     mu = (within & (y[:, None] != y[None, :])).sum(axis=1) / within.sum(axis=1)
     assert_array_equal(sigma, (1.0 - theta) * mu)
+    # the pipeline is the composition of the two public degrees, bit for bit
+    params = FuzzyParams(eta=eta, rho=rho)
+    theta_ref = membership(ds, kspec, params)
+    assert_array_equal(theta, theta_ref)
+    assert_array_equal(sigma, nonmembership(ds, kspec, params, theta_ref))
+    assert_array_equal(s, score_vector(theta_ref, sigma))
+
+
+@pytest.mark.parametrize("kspec, calls", [(KernelSpec(1.0), 1), (None, 0)],
+                         ids=["kernel", "linear"])
+def test_one_gram_per_scoring_call(monkeypatch, kspec, calls):
+    # the package re-exports a function named like the module, so fetch the module
+    mod = importlib.import_module("ifutsvm.membership")
+    seen = []
+    real = mod.gram_values
+
+    def counting(*args, **kwargs):
+        seen.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mod, "gram_values", counting)
+    assign_scores(two_cluster_dataset(seed=8), kspec)
+    assert len(seen) == calls

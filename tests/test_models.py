@@ -11,6 +11,7 @@ from ifutsvm import (
     FuzzyParams,
     Hyperparams,
     KernelSpec,
+    ParseError,
     TrainingError,
     TwinModel,
     build_plan,
@@ -19,10 +20,8 @@ from ifutsvm import (
     fit_ifutsvm_id,
     fit_utsvm,
     load_model,
-    load_model_json,
     predict,
     save_model,
-    save_model_json,
     solve_box_qp,
     with_rkhs_norm,
 )
@@ -292,18 +291,34 @@ class TestSerialization:
         save_model(fit_ifutsvm_id(ds, hp), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_json_round_trip(self, tmp_path, blobs):
-        ds = blobs(5, 12, seed=15)
-        model = fit_ifutsvm_id(ds, Hyperparams(**HP, kernel=KernelSpec(0.7), seed=8))
-        path = tmp_path / "model.json"
-        save_model_json(model, path)
-        loaded = load_model_json(path)
-        assert_allclose(loaded.w1, model.w1, rtol=0)
-        assert_allclose(loaded.reference, model.reference, rtol=0)
-        assert loaded.hyperparams == model.hyperparams
-
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTAMODEL")
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError):
             load_model(path)
+
+    @pytest.mark.parametrize("cut", ["header", "payload", "length"])
+    def test_truncated_file_rejected(self, tmp_path, blobs, cut):
+        ds = blobs(5, 12, seed=16)
+        path = tmp_path / "model.bin"
+        save_model(fit_ifutsvm_id(ds, Hyperparams(**HP, kernel=KernelSpec(0.7), seed=9)), path)
+        blob = path.read_bytes()
+        keep = {"header": 20, "payload": len(blob) - 5, "length": 10}[cut]
+        path.write_bytes(blob[:keep])
+        with pytest.raises(ParseError, match="corrupt model file"):
+            load_model(path)
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("field, value", [
+        ("c1", np.nan), ("c1", np.inf), ("c3", np.inf), ("c4", -1.0), ("c2", 0.0),
+        ("cu", np.nan), ("cu", np.inf), ("cu", -1.0),
+        ("delta", np.nan), ("delta", np.inf), ("delta", 0.0), ("delta", -1e-6),
+    ])
+    def test_non_finite_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Hyperparams(**{**HP, field: value})
+
+    def test_boundary_values_accepted(self):
+        Hyperparams(**{**HP, "cu": 0.0}, delta=1e-12)
+        Hyperparams(**{**HP, "c1": 1e300})

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_solve
 
-from ifutsvm import (
-    BoxQP,
-    FactorizationError,
-    NonConvergenceError,
-    SpdSystem,
-    solve_box_qp,
-    spd_solve,
-)
-from ifutsvm.qp import kkt_residual
+from ifutsvm import BoxQP, FactorizationError, NonConvergenceError, solve_box_qp
+from ifutsvm.qp import kkt_residual, spd_factor
 
 from oracle_utils import grid_box_qp_oracle, random_box_qp
 
@@ -108,13 +102,18 @@ def test_kkt_residual_zero_at_solution():
     assert kkt_residual(prob, sol.z) <= 1e-10
 
 
+def spd_solve(M, ridge, rhs):
+    """(M + ridge I) x = rhs the way the models solve it: spd_factor, then cho_solve."""
+    return cho_solve(spd_factor(M, ridge), rhs, check_finite=False)
+
+
 class TestSpdSolve:
     def test_identity(self):
-        x = spd_solve(SpdSystem(np.eye(3), 0.0, np.array([1.0, 0.0, 0.0])))
+        x = spd_solve(np.eye(3), 0.0, np.array([1.0, 0.0, 0.0]))
         assert_allclose(x, [1.0, 0.0, 0.0])
 
     def test_pure_ridge_scalar(self):
-        x = spd_solve(SpdSystem(np.zeros((1, 1)), 2.0, np.array([4.0])))
+        x = spd_solve(np.zeros((1, 1)), 2.0, np.array([4.0]))
         assert_allclose(x, [2.0])
 
     def test_matches_independent_solver(self):
@@ -122,11 +121,11 @@ class TestSpdSolve:
         G = rng.normal(size=(6, 6))
         M = G.T @ G
         rhs = rng.normal(size=6)
-        x = spd_solve(SpdSystem(M, 1e-3, rhs))
+        x = spd_solve(M, 1e-3, rhs)
         expected = np.linalg.solve(M + 1e-3 * np.eye(6), rhs)
         assert_allclose(x, expected, atol=1e-9)
 
     def test_indefinite_matrix_rejected(self):
         M = np.diag([1.0, -5.0])
         with pytest.raises(FactorizationError, match="ridge"):
-            spd_solve(SpdSystem(M, 0.0, np.ones(2)))
+            spd_factor(M, 0.0)

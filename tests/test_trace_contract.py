@@ -1,0 +1,30 @@
+"""The benchmark's per-layer trace wraps names that ifutsvm modules look up in
+each other; this checks that every one of them still exists and is called
+where the trace expects it, so a refactor cannot silently blind the trace."""
+
+import sys
+from pathlib import Path
+
+from ifutsvm import Hyperparams, KernelSpec, fit_ifutsvm_id
+
+from conftest import make_blobs
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+
+def test_install_wraps_every_layer_and_nests_scoring_gram(tmp_path):
+    rec, patches = tracing.Recorder(tmp_path), tracing.Patches()
+    tracing.install(rec, patches)
+    try:
+        hp = Hyperparams(c1=1.0, c2=1.0, c3=0.1, c4=0.1, cu=0.5,
+                         kernel=KernelSpec(1.0), seed=0)
+        fit_ifutsvm_id(make_blobs(6, 14, seed=0), hp)
+    finally:
+        patches.restore()
+    spans = rec.spans
+    names = {span["name"] for span in spans}
+    assert {"membership.scores", "sampling.plan", "qp.factor", "qp.solve",
+            "models.hessian", "models.recover"} <= names
+    assert any(s["name"] == "kernels.gram" and s["parent"] == "membership.scores"
+               for s in spans)
