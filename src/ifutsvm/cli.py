@@ -15,6 +15,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -461,8 +462,19 @@ def _aggregate_results(results: list[dict], names: list[str], kinds: list[str],
     return aggregate
 
 
+def _statistics_settings(args) -> tuple[float, float | None]:
+    """--q-alpha and --f-critical, checked before any work starts."""
+    q_alpha, f_critical = args.q_alpha, args.f_critical
+    if not (math.isfinite(q_alpha) and q_alpha >= 0.0):
+        raise ConfigError(f"--q-alpha must be finite and nonnegative, got {q_alpha}")
+    if f_critical is not None and not math.isfinite(f_critical):
+        raise ConfigError(f"--f-critical must be finite, got {f_critical}")
+    return q_alpha, f_critical
+
+
 def _run_protocol(args, noise: bool) -> int:
     """Benchmark (noise=False) or noise study over the configured noise levels."""
+    q_alpha, f_critical = _statistics_settings(args)
     cp = _read_config(args.config)
     settings = _experiment_settings(cp, args)
     noise_levels = list(settings["noise_levels"]) if noise else [0.0]
@@ -508,8 +520,6 @@ def _run_protocol(args, noise: bool) -> int:
         r.pop("elapsed", None)
         r.pop("cv_table", None)
 
-    q_alpha = float(args.q_alpha)
-    f_critical = float(args.f_critical) if args.f_critical is not None else None
     aggregate = _aggregate_results(results, names, kinds, q_alpha, f_critical)
 
     report = {
@@ -555,11 +565,14 @@ def cmd_noise_study(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    q_alpha, f_critical = _statistics_settings(args)
     if not Path(args.matrix).is_file():
         raise ConfigError(f"accuracy matrix not found: {args.matrix}")
     names, kinds, acc = read_accuracy_matrix(args.matrix)
-    f_critical = float(args.f_critical) if args.f_critical is not None else None
-    block = _statistics_block(names, kinds, acc, float(args.q_alpha), f_critical)
+    if len(names) < 2 or len(kinds) < 2:
+        raise DatasetError(f"accuracy matrix has {len(names)} datasets and {len(kinds)} "
+                           "models; rank statistics need at least 2 of each")
+    block = _statistics_block(names, kinds, acc, q_alpha, f_critical)
     out = Path(args.out or "aggregate.json")
     _write_json(out, block)
     print(out)

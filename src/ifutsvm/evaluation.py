@@ -15,6 +15,7 @@ critical difference.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -316,7 +317,8 @@ def read_accuracy_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
     """CSV with a header row naming the models and one row per dataset.
 
     Returns (dataset names, model names, accuracy matrix); raises DatasetError
-    on a missing header, a row of the wrong length or a non-numeric value.
+    on a missing header, a row of the wrong length or a non-numeric or
+    non-finite value.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -331,9 +333,12 @@ def read_accuracy_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
             raise DatasetError(f"line {lineno}: expected {len(models) + 1} fields")
         names.append(row[0])
         try:
-            data.append([float(v) for v in row[1:]])
+            values = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise DatasetError(f"line {lineno}: accuracies must be finite numbers")
+        data.append(values)
     return names, models, np.asarray(data)
 
 

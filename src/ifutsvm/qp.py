@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
 
-from ._sweep import DIAG_FLOOR, cyclic_sweep
-
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 _POLISH_EVERY = 16  # sweeps between active-set refinement attempts
+DIAG_FLOOR = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -105,6 +104,39 @@ def _solve_projected_gradient(problem: BoxQP, tol: float, max_iter: int) -> QPSo
     raise NonConvergenceError(QPSolution(z, _objective(problem, z, Q @ z), resid, max_iter))
 
 
+def _sweeper(problem: BoxQP):
+    """Return sweep(z, q): one cyclic pass of exact per-coordinate maximization.
+
+    z and q (= Q @ z, maintained incrementally) are updated in place.  The
+    coordinate step runs on Python floats; each gradient update is one
+    multiply and one add over a column of Q, so every element gets the two
+    roundings of the scalar q[j] += delta * Q[j, i] (a fused update would
+    round once and change the bits).
+    """
+    # columns, not rows: Q is only symmetric to BoxQP's tolerance
+    cols = list(np.ascontiguousarray(problem.Q.T))
+    diag = problem.Q.diagonal().tolist()
+    steps = list(zip(range(problem.size), cols, problem.c.tolist(), diag,
+                     [max(d, DIAG_FLOOR) for d in diag], problem.upper.tolist()))
+    tmp = np.empty(problem.size)
+
+    def sweep(z: np.ndarray, q: np.ndarray) -> None:
+        for i, col, ci, di, dn, ui in steps:
+            zi_old = z.item(i)
+            zi = (ci - q.item(i) + di * zi_old) / dn
+            if zi < 0.0:
+                zi = 0.0
+            elif zi > ui:
+                zi = ui
+            delta = zi - zi_old
+            if delta != 0.0:
+                z[i] = zi
+                np.multiply(col, delta, out=tmp)
+                np.add(q, tmp, out=q)
+
+    return sweep
+
+
 def _active_set_polish(problem: BoxQP, z: np.ndarray, q: np.ndarray):
     """Newton step on the currently free coordinates, kept only if it ascends.
 
@@ -152,10 +184,11 @@ def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
         return _solve_projected_gradient(problem, tol, max_iter)
 
     Q, c, upper = problem.Q, problem.c, problem.upper
+    sweep = _sweeper(problem)
     z = np.zeros(problem.size)
     q = np.zeros(problem.size)  # running Q @ z
     for it in range(1, max_iter + 1):
-        cyclic_sweep(Q, c, upper, z, q)
+        sweep(z, q)
         if it % _POLISH_EVERY == 0:
             q = Q @ z  # refresh the incrementally tracked gradient
             z, q = _active_set_polish(problem, z, q)

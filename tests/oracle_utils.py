@@ -1,6 +1,8 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
-The box-QP oracle never touches the solver's update algebra: it only
+scalar_cyclic_sweep is the box-QP sweep written as a plain scalar loop, the
+reference the vectorised sweep in ifutsvm.qp must match bit for bit.  The
+box-QP oracle never touches the solver's update algebra: it only
 evaluates the objective on grid candidates.  For k <= 2 it enumerates the
 full 0.001-step grid; for larger k it alternates exhaustive single-coordinate
 scans with exhaustive local two-coordinate scans until no grid move improves.
@@ -47,6 +49,28 @@ def grid_box_qp_oracle(Q, c, upper, step=1e-3, max_rounds=200, pair_window=40):
         if moved <= step / 2:
             break
     return z
+
+
+def scalar_cyclic_sweep(Q, c, upper, z, q, diag_floor=1e-12):
+    """One cyclic pass of exact per-coordinate maximization with clipping.
+
+    z and q (= Q @ z, maintained incrementally) are updated in place.
+    """
+    k = z.shape[0]
+    for i in range(k):
+        denom = Q[i, i]
+        if denom < diag_floor:
+            denom = diag_floor
+        zi = (c[i] - q[i] + Q[i, i] * z[i]) / denom
+        if zi < 0.0:
+            zi = 0.0
+        elif zi > upper[i]:
+            zi = upper[i]
+        delta = zi - z[i]
+        if delta != 0.0:
+            z[i] = zi
+            for j in range(k):
+                q[j] += delta * Q[j, i]
 
 
 def random_box_qp(rng):

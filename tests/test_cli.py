@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ifutsvm import cli
 from ifutsvm.cli import main, read_accuracy_matrix
 
 from conftest import make_blobs
@@ -242,6 +243,27 @@ class TestNoiseStudy:
             reports.append((out / "report.json").read_text())
         assert reports[0] != reports[1]
 
+    def test_report_independent_of_thread_count(self, tmp_path, toy_files):
+        pa, pb = toy_files
+        out = tmp_path / "ns"
+        cfg = tmp_path / "ns.ini"
+        cfg.write_text(BENCH_CONFIG.format(
+            datasets=f"{pa}, {pb}", models="ifutsvm-id, utsvm", out=out,
+            extra="noise_levels = 0.1, 0.2\n"))
+        reports = {}
+        for threads in (1, 2):
+            assert main(["noise-study", "--config", str(cfg),
+                         "--threads", str(threads)]) == 0
+            reports[threads] = ((out / "report.json").read_bytes(),
+                                (out / "accuracies.csv").read_bytes(),
+                                (out / "ranks.csv").read_bytes())
+        # the config block records the thread count; everything else must match
+        # byte for byte
+        one = reports[1][0].replace(b'"threads": 1', b'"threads": 2', 1)
+        assert one != reports[1][0]
+        assert one == reports[2][0]
+        assert reports[1][1:] == reports[2][1:]
+
 
 class TestExperimentNumbers:
     @pytest.mark.parametrize("old, new, flags", [
@@ -314,3 +336,45 @@ class TestAggregate:
 
     def test_missing_matrix_exits_4(self):
         assert main(["aggregate", "--matrix", "/does/not/exist.csv"]) == 4
+
+    @pytest.mark.parametrize("text, message", [
+        ("dataset,a,b\nrow1,80,nan\nrow2,70,75\n", "line 2"),
+        ("dataset,a,b\nrow1,80,90\nrow2,inf,75\n", "line 3"),
+        ("dataset,a,b\nrow1,80,90\n", "1 datasets"),
+    ], ids=["nan-cell", "inf-cell", "single-dataset"])
+    def test_bad_matrix_exits_2(self, tmp_path, capsys, text, message):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(text)
+        out = tmp_path / "agg.json"
+        assert main(["aggregate", "--matrix", str(matrix), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestStatisticsFlags:
+    @pytest.mark.parametrize("command", ["benchmark", "noise-study", "aggregate"])
+    @pytest.mark.parametrize("flags", [
+        ["--q-alpha", "-1"], ["--q-alpha", "nan"], ["--q-alpha", "inf"],
+        ["--f-critical", "nan"], ["--f-critical=-inf"],
+    ], ids=["q-negative", "q-nan", "q-inf", "f-nan", "f-inf"])
+    def test_bad_value_exits_4_before_any_cell(self, tmp_path, toy_files, capsys,
+                                               monkeypatch, command, flags):
+        def no_cells(cells, threads):
+            raise AssertionError("cells ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "_run_cells", no_cells)
+        pa, pb = toy_files
+        out = tmp_path / "out"
+        if command == "aggregate":
+            matrix = tmp_path / "m.csv"
+            matrix.write_text("dataset,a,b\nrow1,80,90\nrow2,70,75\n")
+            argv = ["aggregate", "--matrix", str(matrix), "--out", str(out)]
+        else:
+            cfg = tmp_path / "b.ini"
+            cfg.write_text(BENCH_CONFIG.format(datasets=f"{pa}, {pb}",
+                                               models="ifutsvm-id, utsvm", out=out,
+                                               extra=""))
+            argv = [command, "--config", str(cfg)]
+        assert main(argv + flags) == 4
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()

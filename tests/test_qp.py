@@ -3,10 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_solve
 
-from ifutsvm import BoxQP, FactorizationError, NonConvergenceError, solve_box_qp
+from ifutsvm import BoxQP, FactorizationError, NonConvergenceError, qp, solve_box_qp
 from ifutsvm.qp import kkt_residual, spd_factor
 
-from oracle_utils import grid_box_qp_oracle, random_box_qp
+from oracle_utils import grid_box_qp_oracle, random_box_qp, scalar_cyclic_sweep
 
 
 class TestSolveBoxQP:
@@ -72,15 +72,14 @@ class TestSolveBoxQP:
         assert best.kkt_residual > 1e-14
 
     def test_monotone_ascent_across_sweeps(self):
-        from ifutsvm._sweep import cyclic_sweep
-
         rng = np.random.default_rng(3)
         Q, c, upper = random_box_qp(rng)
+        sweep = qp._sweeper(BoxQP(Q, c, upper))
         z = np.zeros_like(c)
         q = np.zeros_like(c)
         prev = 0.0
         for _ in range(50):
-            cyclic_sweep(Q, c, upper, z, q)
+            sweep(z, q)
             obj = float(c @ z - 0.5 * z @ (Q @ z))
             assert obj >= prev - 1e-10 * (1.0 + abs(prev))
             prev = obj
@@ -92,6 +91,80 @@ class TestSolveBoxQP:
     def test_empty_problem(self):
         sol = solve_box_qp(BoxQP(np.zeros((0, 0)), np.zeros(0), np.zeros(0)))
         assert sol.z.shape == (0,) and sol.objective == 0.0
+
+
+def psd_box_qp(rng, k, rank, zero_box_share=0.0, asymmetry=0.0):
+    """Q = B B' of the given rank (scaled over decades), mixed-sign c, random boxes.
+
+    zero_box_share pins that share of the boxes to [0, 0]; asymmetry adds
+    noise of that relative size to Q, below BoxQP's symmetry tolerance.
+    """
+    B = rng.normal(size=(k, rank)) * 10.0 ** rng.uniform(-1, 1, size=(k, 1))
+    Q = B @ B.T
+    if asymmetry:
+        Q = Q + asymmetry * np.abs(Q).max() * rng.normal(size=(k, k))
+    c = rng.normal(size=k) * rng.uniform(0.1, 5.0)
+    upper = rng.uniform(0.0, 3.0, size=k)
+    upper[rng.random(k) < zero_box_share] = 0.0
+    return BoxQP(Q, c, upper)
+
+
+def solution_bits(problem, max_iter):
+    """Everything solve_box_qp reports, as exact bytes, converged or not."""
+    try:
+        sol, converged = solve_box_qp(problem, max_iter=max_iter), True
+    except NonConvergenceError as err:
+        sol, converged = err.best, False
+    return (converged, sol.z.tobytes(), sol.objective.hex(), sol.kkt_residual.hex(),
+            sol.iterations)
+
+
+class TestVectorisedSweep:
+    """The numpy sweep must reproduce the scalar loop bit for bit.
+
+    The active-set polish every 16 sweeps can land on the same point from
+    slightly different iterates, so the near-symmetric cases stop before it:
+    there the returned z is the sweeps' own output.
+    """
+
+    @pytest.mark.parametrize("k, rank, zero_box_share, asymmetry, max_iter, seed", [
+        (6, 6, 0.0, 0.0, 10_000, 10),
+        (40, 40, 0.0, 0.0, 10_000, 11),
+        (40, 5, 0.0, 0.0, 300, 12),
+        (60, 20, 0.3, 0.0, 300, 13),
+        (30, 30, 1.0, 0.0, 10_000, 14),
+        (50, 12, 0.2, 1e-13, 15, 15),
+        (200, 141, 0.0, 0.0, 40, 16),
+        (220, 141, 0.2, 1e-13, 15, 17),
+    ], ids=["small", "full-rank", "rank-deficient", "zero-boxes", "all-boxes-zero",
+            "near-symmetric", "keel-size", "keel-size-near-symmetric"])
+    def test_matches_scalar_loop(self, monkeypatch, k, rank, zero_box_share, asymmetry,
+                                 max_iter, seed):
+        problem = psd_box_qp(np.random.default_rng(seed), k, rank, zero_box_share,
+                             asymmetry)
+        self.assert_matches([problem], max_iter, monkeypatch)
+
+    def test_random_problems_match_scalar_loop(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        problems = []
+        for _ in range(40):
+            k = int(rng.integers(1, 25))
+            problems.append(psd_box_qp(rng, k, int(rng.integers(1, k + 1)),
+                                       zero_box_share=0.2))
+        self.assert_matches(problems, 200, monkeypatch)
+
+    @staticmethod
+    def assert_matches(problems, max_iter, monkeypatch):
+        fast = [solution_bits(p, max_iter) for p in problems]
+        swept = []
+
+        def scalar_sweeper(p):
+            swept.append(p)
+            return lambda z, q: scalar_cyclic_sweep(p.Q, p.c, p.upper, z, q)
+
+        monkeypatch.setattr(qp, "_sweeper", scalar_sweeper)
+        assert [solution_bits(p, max_iter) for p in problems] == fast
+        assert swept == problems
 
 
 def test_kkt_residual_zero_at_solution():
