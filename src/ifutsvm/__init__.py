@@ -42,7 +42,6 @@ from .evaluation import (
 )
 from .kernels import (
     KernelSpec,
-    gaussian,
     gram_values,
 )
 from .membership import (
@@ -51,7 +50,6 @@ from .membership import (
     assign_scores,
     membership,
     nonmembership,
-    score,
     score_vector,
     uniform_scores,
 )
@@ -67,7 +65,6 @@ from .models import (
     load_model,
     predict,
     save_model,
-    with_rkhs_norm,
 )
 from .qp import (
     BoxQP,

@@ -223,6 +223,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _confusion_dict(cm) -> dict:
+    return {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn}
+
+
 def _metrics_dict(report) -> dict:
     return {
         "accuracy": report.accuracy,
@@ -340,7 +344,7 @@ def cmd_eval(args) -> int:
     payload = {
         "model": str(model_path),
         "dataset": ds.name,
-        "confusion": {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn},
+        "confusion": _confusion_dict(cm),
         "metrics": _metrics_dict(metrics(cm)),
     }
     out = Path(args.out or (model_path.stem + "_eval.json"))
@@ -388,7 +392,7 @@ def _run_dataset_model(payload: dict) -> dict:
             "ok": True, "best": best,
             "cv_accuracy": max(r["mean_accuracy"] for r in cv_table),
             "metrics": _metrics_dict(rep),
-            "confusion": {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn},
+            "confusion": _confusion_dict(cm),
             "cv_table": cv_table if payload["keep_cv_table"] else None,
             "elapsed": time.perf_counter() - t0,
         }
@@ -596,6 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path or directory (overrides config)")
         p.add_argument("--threads", type=int, help="dataset-level worker count")
 
+    def statistics_flags(p):
+        p.add_argument("--q-alpha", type=float, default=2.850,
+                       help="Nemenyi critical value (default: two-tailed, 6 models, 5%%)")
+        p.add_argument("--f-critical", type=float, default=None,
+                       help="F-distribution critical value for the significance flag")
+
     p_train = sub.add_parser("train", help="fit one model with fixed hyperparameters")
     common(p_train)
     p_train.add_argument("--data", help="dataset file (.dat or .csv)")
@@ -617,17 +627,13 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--keep-cv-tables", action="store_true",
                        help="write per-cell CV tables as CSV")
-        p.add_argument("--q-alpha", type=float, default=2.850,
-                       help="Nemenyi critical value (default: two-tailed, 6 models, 5%%)")
-        p.add_argument("--f-critical", type=float, default=None,
-                       help="F-distribution critical value for the significance flag")
+        statistics_flags(p)
         p.set_defaults(func=fn)
 
     p_agg = sub.add_parser("aggregate",
                            help="rank statistics from an external accuracy matrix")
     p_agg.add_argument("--matrix", required=True, help="CSV accuracy matrix")
-    p_agg.add_argument("--q-alpha", type=float, default=2.850)
-    p_agg.add_argument("--f-critical", type=float, default=None)
+    statistics_flags(p_agg)
     p_agg.add_argument("--out")
     p_agg.set_defaults(func=cmd_aggregate)
     return parser

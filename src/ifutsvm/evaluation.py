@@ -20,18 +20,15 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset, DatasetError
 from .kernels import KernelSpec
 from .membership import FuzzyParams
-from .models import (FitStages, Hyperparams, TrainingError, fit_ifutsvm_id, fit_utsvm,
-                     predict)
+from .models import (MODEL_KINDS, FitStages, Hyperparams, TrainingError, fit_ifutsvm_id,
+                     fit_utsvm, predict)
 from .qp import NumericalError
 from .sampling import generate_universum
 from .seeds import mix_seed
-
-MODEL_KINDS = ("utsvm", "ifutsvm-id")
 
 
 @dataclass(frozen=True)
@@ -270,12 +267,17 @@ class RankTable:
 
 
 def average_ranks(accuracies: np.ndarray) -> RankTable:
+    """Rank each row, 1 = highest accuracy; a run of t tied entries shares the
+    mean of its t ranks: 1 + (#better) + (t - 1) / 2."""
     acc = np.asarray(accuracies, dtype=np.float64)
     if acc.ndim != 2 or acc.shape[0] < 1 or acc.shape[1] < 2:
         raise ValueError("need an N x p accuracy matrix with p >= 2")
     if np.any(np.isnan(acc)):
         raise ValueError("accuracy matrix contains NaN")
-    ranks = np.vstack([rankdata(-row, method="average") for row in acc])
+    others, own = acc[:, None, :], acc[:, :, None]
+    better = (others > own).sum(axis=2)
+    tied = (others == own).sum(axis=2)
+    ranks = 1.0 + better + (tied - 1) / 2.0
     return RankTable(acc, ranks, ranks.mean(axis=0))
 
 

@@ -38,16 +38,6 @@ def _check_dims(A: np.ndarray, B: np.ndarray):
         )
 
 
-def gaussian(p: np.ndarray, q: np.ndarray, spec: KernelSpec) -> float:
-    """Gaussian kernel value for a single pair of feature vectors."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if p.shape != q.shape:
-        raise ValueError(f"vectors must share dimension, got {p.shape} vs {q.shape}")
-    d2 = float(np.sum((p - q) ** 2))
-    return float(np.exp(-d2 / (2.0 * spec.width**2)))
-
-
 def gram_values(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Raw p x q matrix of kernel evaluations between rows of A and rows of B."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))

@@ -134,24 +134,11 @@ def nonmembership(ds: Dataset, kspec: KernelSpec | None, params: FuzzyParams,
     return _nonmemberships(ds.labels, dists, _resolve_rho(dists, params), theta)
 
 
-def score(theta: float, sigma: float) -> float:
-    """Combine membership and non-membership into a single weight in [0, 1]."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("membership must lie in [0, 1]")
-    if not 0.0 <= sigma <= 1.0 - theta + 1e-15:
-        raise ValueError("non-membership must lie in [0, 1 - membership]")
-    if sigma == 0.0:
-        return theta
-    if theta <= sigma:
-        return 0.0
-    return (1.0 - sigma) / (2.0 - theta - sigma)
-
-
 def score_vector(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Vectorized score(); branch order matches the scalar form."""
+    """Combined weight in [0, 1] per sample: theta where sigma = 0, else 0 where
+    theta <= sigma, else (1 - sigma) / (2 - theta - sigma)."""
     third = (1.0 - sigma) / (2.0 - theta - sigma)
-    out = np.where(sigma == 0.0, theta, np.where(theta <= sigma, 0.0, third))
-    return out
+    return np.where(sigma == 0.0, theta, np.where(theta <= sigma, 0.0, third))
 
 
 def assign_scores(ds: Dataset, kspec: KernelSpec | None,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -42,6 +42,7 @@ from .qp import (
 from .sampling import SamplingPlan, build_plan
 
 MAGIC = b"TWINSVM1"
+MODEL_KINDS = ("utsvm", "ifutsvm-id")
 DEGENERATE_NORM = 1e-12
 
 
@@ -123,7 +124,6 @@ class TwinModel:
     reference: np.ndarray | None
     hyperparams: Hyperparams
     dual_report: DualReport | None = None
-    rkhs_norm: bool = False  # use sqrt(w' K w) instead of ||w|| in distances
 
     @property
     def n_features(self) -> int:
@@ -399,13 +399,6 @@ def duality_gaps(model: TwinModel, train: Dataset) -> tuple[float, float]:
     return gap1, gap2
 
 
-def _plane_norm(model: TwinModel, w: np.ndarray) -> float:
-    if model.mode == "kernel" and model.rkhs_norm:
-        K = gram_values(model.reference, model.reference, model.hyperparams.kernel)
-        return float(np.sqrt(max(w @ K @ w, 0.0)))
-    return float(np.linalg.norm(w))
-
-
 def _decision_values(model: TwinModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.n_features:
@@ -428,8 +421,8 @@ def decision_distances(model: TwinModel, x: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     f1, f2 = _decision_values(model, x)
-    d1 = np.abs(f1) / _plane_norm(model, model.w1)
-    d2 = np.abs(f2) / _plane_norm(model, model.w2)
+    d1 = np.abs(f1) / float(np.linalg.norm(model.w1))
+    d2 = np.abs(f2) / float(np.linalg.norm(model.w2))
     if single:
         return float(d1[0]), float(d2[0])
     return d1, d2
@@ -459,7 +452,7 @@ def save_model(model: TwinModel, path) -> None:
         "n": int(model.n_features),
         "m": int(model.reference.shape[0]) if model.mode == "kernel" else 0,
         "coef_len": int(model.w1.shape[0]),
-        "rkhs_norm": bool(model.rkhs_norm),
+        "rkhs_norm": False,  # format field: plane distances always use ||w||
         "hyperparams": {
             "c1": hp.c1, "c2": hp.c2, "c3": hp.c3, "c4": hp.c4, "cu": hp.cu,
             "epsilon": hp.epsilon,
@@ -483,8 +476,11 @@ def save_model(model: TwinModel, path) -> None:
 def load_model(path) -> TwinModel:
     """Read a binary model file written by save_model.
 
-    Raises ParseError for any content it cannot decode: wrong magic, a
-    truncated header or payload, or a header with missing or invalid fields.
+    Raises ParseError for any content it cannot decode or honour: wrong
+    magic, a truncated header, a header with missing or invalid fields (an
+    unknown kind or mode, sizes that are not nonnegative integers or do not
+    fit together, rkhs_norm other than false), or a payload that is not
+    exactly the size the header announces.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -496,13 +492,37 @@ def load_model(path) -> TwinModel:
         raise ParseError(f"corrupt model file: {type(exc).__name__}: {exc}") from None
 
 
+def _check_header(header: dict) -> None:
+    if header["kind"] not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {header['kind']!r}")
+    if header["mode"] not in ("linear", "kernel"):
+        raise ValueError(f"unknown mode {header['mode']!r}")
+    for key in ("n", "m", "coef_len"):
+        value = header[key]
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{key} must be a nonnegative integer, got {value!r}")
+    expected = header["m"] if header["mode"] == "kernel" else header["n"]
+    if header["coef_len"] != expected:
+        raise ValueError(f"coef_len {header['coef_len']} does not match the "
+                         f"{header['mode']} model size {expected}")
+    if (header["mode"] == "kernel") != (header["hyperparams"]["width"] is not None):
+        raise ValueError("a kernel width is required in kernel mode and only there")
+    if header["rkhs_norm"] is not False:
+        raise ValueError("rkhs_norm must be false: plane distances use ||w||")
+
+
 def _decode_model(blob: bytes) -> TwinModel:
     off = len(MAGIC)
     (hlen,) = struct.unpack_from("<I", blob, off)
     off += 4
     header = json.loads(blob[off:off + hlen].decode("utf-8"))
     off += hlen
-    coef_len = header["coef_len"]
+    _check_header(header)
+    coef_len, m, n = header["coef_len"], header["m"], header["n"]
+    kernel = header["mode"] == "kernel"
+    size = 8 * (2 * coef_len + 2 + (m * n if kernel else 0))
+    if len(blob) - off != size:
+        raise ValueError(f"payload has {len(blob) - off} bytes, the header announces {size}")
 
     def take(count: int) -> np.ndarray:
         nonlocal off
@@ -514,9 +534,7 @@ def _decode_model(blob: bytes) -> TwinModel:
     b1 = float(take(1)[0])
     w2 = take(coef_len)
     b2 = float(take(1)[0])
-    reference = None
-    if header["mode"] == "kernel":
-        reference = take(header["m"] * header["n"]).reshape(header["m"], header["n"])
+    reference = take(m * n).reshape(m, n) if kernel else None
     hp = header["hyperparams"]
     hyperparams = Hyperparams(
         c1=hp["c1"], c2=hp["c2"], c3=hp["c3"], c4=hp["c4"], cu=hp["cu"],
@@ -525,10 +543,5 @@ def _decode_model(blob: bytes) -> TwinModel:
     )
     return TwinModel(
         kind=header["kind"], mode=header["mode"], w1=w1, b1=b1, w2=w2, b2=b2,
-        reference=reference, hyperparams=hyperparams, rkhs_norm=header["rkhs_norm"],
+        reference=reference, hyperparams=hyperparams,
     )
-
-
-def with_rkhs_norm(model: TwinModel, enabled: bool = True) -> TwinModel:
-    """Return a copy that measures plane distances in the RKHS metric."""
-    return replace(model, rkhs_norm=enabled)

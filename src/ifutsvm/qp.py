@@ -2,8 +2,10 @@
 
 The duals trained here maximize c'z - z'Qz/2 over 0 <= z <= upper with Q
 symmetric positive semidefinite.  There is no equality constraint, so cyclic
-coordinate ascent with exact per-coordinate clipping converges monotonically;
-a projected-gradient fallback covers degenerate diagonals.  Convergence is
+coordinate ascent with exact per-coordinate clipping converges monotonically.
+Every problem takes that one path: each step divides by max(Q_ii, DIAG_FLOOR),
+and a zero-curvature coordinate of a PSD Q has a zero row, so the floored
+step sends it straight to the bound its linear term favours.  Convergence is
 certified by the projected-gradient KKT residual
 
     max_i | clip(z_i - g_i, 0, upper_i) - z_i |,   g = Qz - c.
@@ -79,29 +81,19 @@ class QPSolution:
     iterations: int
 
 
+def _kkt_residual(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
+    """KKT residual of z given q = Q @ z."""
+    g = q - problem.c
+    return float(np.max(np.abs(np.clip(z - g, 0.0, problem.upper) - z), initial=0.0))
+
+
 def kkt_residual(problem: BoxQP, z: np.ndarray) -> float:
     """Projected-gradient optimality residual; zero exactly at a solution."""
-    g = problem.Q @ z - problem.c
-    return float(np.max(np.abs(np.clip(z - g, 0.0, problem.upper) - z), initial=0.0))
+    return _kkt_residual(problem, z, problem.Q @ z)
 
 
 def _objective(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
     return float(problem.c @ z - 0.5 * (z @ q))
-
-
-def _solve_projected_gradient(problem: BoxQP, tol: float, max_iter: int) -> QPSolution:
-    # step 1/L with L an upper bound on ||Q||_2; safe, monotone ascent
-    Q, c, upper = problem.Q, problem.c, problem.upper
-    L = max(float(np.abs(Q).sum(axis=1).max(initial=0.0)), DIAG_FLOOR)
-    z = np.zeros(problem.size)
-    for it in range(1, max_iter + 1):
-        g = Q @ z - c
-        z = np.clip(z - g / L, 0.0, upper)
-        resid = float(np.max(np.abs(np.clip(z - (Q @ z - c), 0.0, upper) - z), initial=0.0))
-        if resid <= tol:
-            return QPSolution(z, _objective(problem, z, Q @ z), resid, it)
-    resid = kkt_residual(problem, z)
-    raise NonConvergenceError(QPSolution(z, _objective(problem, z, Q @ z), resid, max_iter))
 
 
 def _sweeper(problem: BoxQP):
@@ -180,10 +172,8 @@ def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     if problem.size == 0:
         return QPSolution(np.zeros(0), 0.0, 0.0, 0)
-    if float(np.min(np.diag(problem.Q))) < DIAG_FLOOR:
-        return _solve_projected_gradient(problem, tol, max_iter)
 
-    Q, c, upper = problem.Q, problem.c, problem.upper
+    Q = problem.Q
     sweep = _sweeper(problem)
     z = np.zeros(problem.size)
     q = np.zeros(problem.size)  # running Q @ z
@@ -192,16 +182,14 @@ def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
         if it % _POLISH_EVERY == 0:
             q = Q @ z  # refresh the incrementally tracked gradient
             z, q = _active_set_polish(problem, z, q)
-        g = q - c
-        resid = float(np.max(np.abs(np.clip(z - g, 0.0, upper) - z), initial=0.0))
-        if resid <= tol:
+        if _kkt_residual(problem, z, q) <= tol:
             # confirm against a freshly computed gradient before reporting
             q = Q @ z
-            resid = float(np.max(np.abs(np.clip(z - (q - c), 0.0, upper) - z), initial=0.0))
+            resid = _kkt_residual(problem, z, q)
             if resid <= tol:
                 return QPSolution(z, _objective(problem, z, q), resid, it)
     q = Q @ z
-    resid = float(np.max(np.abs(np.clip(z - (q - c), 0.0, upper) - z), initial=0.0))
+    resid = _kkt_residual(problem, z, q)
     raise NonConvergenceError(QPSolution(z, _objective(problem, z, q), resid, max_iter))
 
 

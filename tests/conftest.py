@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from ifutsvm import Dataset
+from ifutsvm.models import MAGIC
 
 
 KEEL_TEXT = """\
@@ -45,3 +49,17 @@ def separable():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [5.0, 1.0]])
     y = np.array([1, 1, -1, -1])
     return Dataset("separable", X, y)
+
+
+def read_model_file(path):
+    """Split a model file into its JSON header and its payload bytes."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+    start = len(MAGIC) + 4
+    return json.loads(blob[start:start + hlen]), blob[start + hlen:]
+
+
+def write_model_file(path, header, payload):
+    """Write a model file the way save_model lays it out, from its two parts."""
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + payload)

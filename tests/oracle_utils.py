@@ -1,14 +1,34 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
+gaussian and score are the scalar forms of the Gaussian kernel and of the
+fuzzy score, one value at a time: the references for
+ifutsvm.kernels.gram_values and ifutsvm.membership.score_vector.
 scalar_cyclic_sweep is the box-QP sweep written as a plain scalar loop, the
 reference the vectorised sweep in ifutsvm.qp must match bit for bit.  The
 box-QP oracle never touches the solver's update algebra: it only
 evaluates the objective on grid candidates.  For k <= 2 it enumerates the
 full 0.001-step grid; for larger k it alternates exhaustive single-coordinate
 scans with exhaustive local two-coordinate scans until no grid move improves.
+Every scan axis is clipped to its box, so each candidate is feasible.
 """
 
 import numpy as np
+
+
+def gaussian(p, q, spec):
+    """Gaussian kernel value for a single pair of feature vectors."""
+    diff = np.asarray(p, dtype=np.float64) - np.asarray(q, dtype=np.float64)
+    d2 = float(np.sum(diff**2))
+    return float(np.exp(-d2 / (2.0 * spec.width**2)))
+
+
+def score(theta, sigma):
+    """Fuzzy score of one sample from its membership and non-membership."""
+    if sigma == 0.0:
+        return theta
+    if theta <= sigma:
+        return 0.0
+    return (1.0 - sigma) / (2.0 - theta - sigma)
 
 
 def qp_objective_rows(Z, Q, c):
@@ -16,10 +36,15 @@ def qp_objective_rows(Z, Q, c):
     return Z @ c - 0.5 * np.einsum("ij,ij->i", Z @ Q, Z)
 
 
+def grid_axis(lo, hi, step):
+    """Grid lo, lo + step, ... up to hi; arange may overshoot hi, so clip to it."""
+    return np.minimum(np.arange(lo, hi + step / 2, step), hi)
+
+
 def grid_box_qp_oracle(Q, c, upper, step=1e-3, max_rounds=200, pair_window=40):
     k = len(c)
     if k <= 2:
-        axes = [np.arange(0.0, u + step / 2, step) for u in upper]
+        axes = [grid_axis(0.0, u, step) for u in upper]
         mesh = np.meshgrid(*axes, indexing="ij")
         Z = np.stack([m.ravel() for m in mesh], axis=1)
         return Z[np.argmax(qp_objective_rows(Z, Q, c))]
@@ -27,7 +52,7 @@ def grid_box_qp_oracle(Q, c, upper, step=1e-3, max_rounds=200, pair_window=40):
     for _ in range(max_rounds):
         moved = 0.0
         for i in range(k):
-            ts = np.arange(0.0, upper[i] + step / 2, step)
+            ts = grid_axis(0.0, upper[i], step)
             Zc = np.repeat(z[None, :], ts.size, axis=0)
             Zc[:, i] = ts
             t = ts[np.argmax(qp_objective_rows(Zc, Q, c))]
@@ -35,10 +60,10 @@ def grid_box_qp_oracle(Q, c, upper, step=1e-3, max_rounds=200, pair_window=40):
             z[i] = t
         for i in range(k):
             for j in range(i + 1, k):
-                ti = np.arange(max(0.0, z[i] - pair_window * step),
-                               min(upper[i], z[i] + pair_window * step) + step / 2, step)
-                tj = np.arange(max(0.0, z[j] - pair_window * step),
-                               min(upper[j], z[j] + pair_window * step) + step / 2, step)
+                ti = grid_axis(max(0.0, z[i] - pair_window * step),
+                               min(upper[i], z[i] + pair_window * step), step)
+                tj = grid_axis(max(0.0, z[j] - pair_window * step),
+                               min(upper[j], z[j] + pair_window * step), step)
                 TI, TJ = np.meshgrid(ti, tj, indexing="ij")
                 Zc = np.repeat(z[None, :], TI.size, axis=0)
                 Zc[:, i] = TI.ravel()

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ifutsvm
 from ifutsvm import cli
 from ifutsvm.cli import main, read_accuracy_matrix
 
-from conftest import make_blobs
+from conftest import make_blobs, read_model_file, write_model_file
 
 
 def write_dataset(path, ds):
@@ -150,6 +155,16 @@ class TestTrainEval:
         model_path = self.trained_model(tmp_path, pa)
         blob = model_path.read_bytes()
         model_path.write_bytes(blob[:20] if cut == "header" else blob[:-3])
+        assert main(["eval", "--model", str(model_path), "--data", str(pa)]) == 2
+        assert "corrupt model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("kind", "banana"), ("coef_len", -1)])
+    def test_header_it_cannot_honour_exits_2(self, tmp_path, toy_files, capsys, field,
+                                             value):
+        pa, _ = toy_files
+        model_path = self.trained_model(tmp_path, pa)
+        header, payload = read_model_file(model_path)
+        write_model_file(model_path, {**header, field: value}, payload)
         assert main(["eval", "--model", str(model_path), "--data", str(pa)]) == 2
         assert "corrupt model file" in capsys.readouterr().err
 
@@ -378,3 +393,14 @@ class TestStatisticsFlags:
         assert main(argv + flags) == 4
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_import_does_not_load_scipy_stats():
+    # every command pays the package import; scipy.stats alone took most of it
+    src = str(Path(ifutsvm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, ifutsvm, ifutsvm.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -83,6 +83,25 @@ class TestAverageRanks:
     def test_tie_averaging(self):
         table = average_ranks(np.array([[0.9, 0.9, 0.7]]))
         assert_array_equal(table.ranks[0], [1.5, 1.5, 3])
+        table = average_ranks(np.array([[0.7, 0.9, 0.7, 0.9, 0.7],
+                                        [0.4, 0.4, 0.4, 0.4, 0.4]]))
+        assert_array_equal(table.ranks, [[4, 1.5, 4, 1.5, 4], [3, 3, 3, 3, 3]])
+
+    def test_matches_scipy_rankdata_bytes(self):
+        # scipy is the test-side reference only; the package does not import
+        # scipy.stats
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n, p = int(rng.integers(1, 8)), int(rng.integers(2, 9))
+            acc = rng.integers(-2, 3, size=(n, p)) * rng.choice([0.25, 1.0, 1e-300])
+            acc[rng.random(acc.shape) < 0.3] = 0.0
+            acc[rng.random(acc.shape) < 0.3] = -0.0
+            expected = np.vstack([rankdata(-row, method="average") for row in acc])
+            ranks = average_ranks(acc).ranks
+            assert ranks.dtype == expected.dtype
+            assert ranks.tobytes() == expected.tobytes()
 
     def test_row_sums_invariant(self):
         rng = np.random.default_rng(0)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ifutsvm import Dataset, FuzzyParams, KernelSpec, gaussian, gram_values, membership
+from ifutsvm import Dataset, FuzzyParams, KernelSpec, gram_values, membership
 from ifutsvm.kernels import center_sq_dists_from_gram
+
+from oracle_utils import gaussian
 
 
 def centroid_dists(queries, cls, spec):
@@ -33,13 +35,16 @@ def test_kernel_spec_requires_positive_width():
 
 
 class TestGaussian:
+    """Single kernel values, as 1 x 1 Gram matrices."""
+
     def test_zero_distance_is_one(self):
-        x = np.array([0.3, -1.2, 4.0])
+        x = np.array([[0.3, -1.2, 4.0]])
         for width in (0.1, 1.0, 32.0):
-            assert gaussian(x, x, KernelSpec(width)) == 1.0
+            K = gram_values(x, x, KernelSpec(width))
+            assert K.shape == (1, 1) and K[0, 0] == 1.0
 
     def test_unit_distance_value(self):
-        val = gaussian(np.array([0.0]), np.array([1.0]), KernelSpec(1.0))
+        val = gram_values(np.array([[0.0]]), np.array([[1.0]]), KernelSpec(1.0))[0, 0]
         assert_allclose(val, np.exp(-0.5))
         assert_allclose(val, 0.6065307, atol=1e-7)
 
@@ -47,12 +52,14 @@ class TestGaussian:
         rng = np.random.default_rng(0)
         spec = KernelSpec(1.7)
         for _ in range(100):
-            p, q = rng.normal(size=4), rng.normal(size=4)
-            assert gaussian(p, q, spec) == gaussian(q, p, spec)
+            p, q = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+            assert gram_values(p, q, spec)[0, 0] == gram_values(q, p, spec)[0, 0]
+        A, B = rng.normal(size=(9, 4)), rng.normal(size=(6, 4))
+        assert np.array_equal(gram_values(A, B, spec), gram_values(B, A, spec).T)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            gaussian(np.zeros(2), np.zeros(3), KernelSpec(1.0))
+            gram_values(np.zeros((1, 2)), np.zeros((1, 3)), KernelSpec(1.0))
 
 
 class TestGram:

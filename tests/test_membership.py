@@ -11,13 +11,13 @@ from ifutsvm import (
     FuzzyParams,
     KernelSpec,
     assign_scores,
-    gaussian,
     membership,
     nonmembership,
-    score,
     score_vector,
     uniform_scores,
 )
+
+from oracle_utils import gaussian, score
 
 
 def two_cluster_dataset(seed=0, n_pos=6, n_neg=10, gap=4.0):
@@ -108,21 +108,19 @@ class TestNonmembership:
             assert_allclose(sigma[i], (1.0 - theta[i]) * opposite / 8.0, atol=1e-12)
 
 
+def score_one(theta, sigma):
+    return float(score_vector(np.array([theta]), np.array([sigma]))[0])
+
+
 class TestScore:
     def test_zero_nonmembership_branch(self):
-        assert score(0.7, 0.0) == 0.7
+        assert score_one(0.7, 0.0) == 0.7
 
     def test_dominated_membership_branch(self):
-        assert score(0.2, 0.3) == 0.0
+        assert score_one(0.2, 0.3) == 0.0
 
     def test_third_branch_value(self):
-        assert_allclose(score(0.8, 0.1), 0.9 / 1.1, rtol=1e-15)
-
-    def test_rejects_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            score(1.2, 0.0)
-        with pytest.raises(ValueError):
-            score(0.5, 0.6)  # sigma > 1 - theta
+        assert_allclose(score_one(0.8, 0.1), 0.9 / 1.1, rtol=1e-15)
 
     def test_vector_matches_scalar(self):
         rng = np.random.default_rng(3)

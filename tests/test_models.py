@@ -23,12 +23,12 @@ from ifutsvm import (
     predict,
     save_model,
     solve_box_qp,
-    with_rkhs_norm,
 )
 from ifutsvm.models import _ifutsvm_blocks, _planes
 from ifutsvm.membership import uniform_scores
 
-from conftest import make_blobs
+from conftest import make_blobs, read_model_file, write_model_file
+from oracle_utils import gaussian
 
 
 HP = dict(c1=1.0, c2=1.0, c3=0.1, c4=0.1, cu=0.5, epsilon=0.1)
@@ -254,15 +254,27 @@ class TestDecision:
         with pytest.raises(ValueError):
             predict(model, np.zeros(5))
 
-    def test_rkhs_norm_flag(self, blobs):
+    def test_rkhs_norm_flag(self, tmp_path, blobs):
+        # plane distances always use ||w||, kernel mode included, so a model
+        # file asking for the RKHS norm cannot be honoured
         ds = blobs(5, 12, seed=12)
-        model = fit_ifutsvm_id(ds, Hyperparams(**HP, kernel=KernelSpec(1.0), seed=1))
-        flagged = with_rkhs_norm(model)
-        x = ds.features[0]
-        default = decision_distances(model, x)
-        rkhs = decision_distances(flagged, x)
-        assert default[0] != rkhs[0]  # different norms scale the distances
-        assert predict(model, x) in (-1, 1) and predict(flagged, x) in (-1, 1)
+        for kernel in (None, KernelSpec(1.0)):
+            model = fit_ifutsvm_id(ds, Hyperparams(**HP, kernel=kernel, seed=1))
+            x = ds.features[0]
+            phi = x if kernel is None else np.array(
+                [gaussian(x, r, kernel) for r in model.reference])
+            assert_allclose(decision_distances(model, x),
+                            (abs(phi @ model.w1 + model.b1) / np.linalg.norm(model.w1),
+                             abs(phi @ model.w2 + model.b2) / np.linalg.norm(model.w2)),
+                            rtol=1e-12)
+            path = tmp_path / f"model-{model.mode}.bin"
+            save_model(model, path)
+            header, payload = read_model_file(path)
+            assert header["rkhs_norm"] is False
+            header["rkhs_norm"] = True
+            write_model_file(path, header, payload)
+            with pytest.raises(ParseError, match="rkhs_norm"):
+                load_model(path)
 
 
 class TestSerialization:
@@ -290,6 +302,53 @@ class TestSerialization:
         save_model(fit_ifutsvm_id(ds, hp), p1)
         save_model(fit_ifutsvm_id(ds, hp), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("kernel", [None, KernelSpec(1.5)])
+    def test_header_and_payload_rewritten_unchanged(self, tmp_path, blobs, kernel):
+        # the test helpers reproduce save_model's bytes, so the mutations
+        # below change only what they name
+        path = tmp_path / "model.bin"
+        save_model(fit_ifutsvm_id(blobs(5, 12, seed=13), Hyperparams(**HP, kernel=kernel)),
+                   path)
+        header, payload = read_model_file(path)
+        assert header["rkhs_norm"] is False
+        copy = tmp_path / "copy.bin"
+        write_model_file(copy, header, payload)
+        assert copy.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("kernel, mutation", [
+        (None, {"kind": "banana"}),
+        (None, {"mode": "Kernel"}),
+        (None, {"coef_len": -1}),
+        (None, {"coef_len": 1}),
+        (None, {"coef_len": 2.0}),
+        (None, {"n": -2}),
+        (None, {"m": "3"}),
+        (None, {"mode": "kernel"}),
+        (None, "trailing"),
+        (KernelSpec(0.7), {"coef_len": 2}),
+        (KernelSpec(0.7), {"m": 16}),
+        (KernelSpec(0.7), {"mode": "linear"}),
+        (KernelSpec(0.7), {"n": True}),
+        (KernelSpec(0.7), {"hyperparams": {"width": None}}),
+        (KernelSpec(0.7), "trailing"),
+    ], ids=["kind", "mode-case", "negative-coef-len", "coef-len-not-n", "float-coef-len",
+            "negative-n", "string-m", "linear-as-kernel", "trailing-linear",
+            "coef-len-not-m", "m-not-coef-len", "kernel-as-linear", "bool-n",
+            "kernel-without-width", "trailing-kernel"])
+    def test_header_it_cannot_honour_rejected(self, tmp_path, blobs, kernel, mutation):
+        path = tmp_path / "model.bin"
+        save_model(fit_ifutsvm_id(blobs(5, 12, seed=16), Hyperparams(**HP, kernel=kernel)),
+                   path)
+        header, payload = read_model_file(path)
+        if mutation == "trailing":
+            payload += b"\0" * 8
+        else:
+            header.update({key: {**header[key], **value} if isinstance(value, dict) else value
+                           for key, value in mutation.items()})
+        write_model_file(path, header, payload)
+        with pytest.raises(ParseError, match="corrupt model file"):
+            load_model(path)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
 
 from ifutsvm import BoxQP, FactorizationError, NonConvergenceError, qp, solve_box_qp
@@ -52,10 +52,19 @@ class TestSolveBoxQP:
         assert sol.z[1] == 0.0
         assert_allclose(sol.z[0], 3.0, atol=1e-9)
 
-    def test_projected_gradient_fallback_on_flat_diagonal(self):
-        # Q = 0 makes the objective linear; the fallback must clip at the bound
-        sol = solve_box_qp(BoxQP(np.zeros((1, 1)), np.array([1.0]), np.array([2.0])))
-        assert_allclose(sol.z, [2.0])
+    def test_zero_rows_sweep_to_their_bounds(self):
+        # a zero diagonal entry of a PSD Q means a zero row, so the objective is
+        # linear in that coordinate: the floored coordinate step must send it
+        # to the bound its linear term favours, and the rest must still solve
+        cases = [(np.zeros((1, 1)), np.array([1.0]), np.array([2.0])),
+                 (np.zeros((1, 1)), np.array([-1.0]), np.array([2.0]))]
+        rng = np.random.default_rng(6)
+        cases += [psd_box_qp_with_zero_rows(rng) for _ in range(20)]
+        for Q, c, upper in cases:
+            sol = solve_box_qp(BoxQP(Q, c, upper))
+            flat = np.diag(Q) == 0.0
+            assert_array_equal(sol.z[flat], np.where(c[flat] > 0.0, upper[flat], 0.0))
+            assert np.max(np.abs(sol.z - grid_box_qp_oracle(Q, c, upper))) <= 2e-3
 
     def test_nonconvergence_carries_best_iterate(self):
         # tridiagonal coupling with an interior optimum: one sweep is not enough
@@ -91,6 +100,16 @@ class TestSolveBoxQP:
     def test_empty_problem(self):
         sol = solve_box_qp(BoxQP(np.zeros((0, 0)), np.zeros(0), np.zeros(0)))
         assert sol.z.shape == (0,) and sol.objective == 0.0
+
+
+def psd_box_qp_with_zero_rows(rng):
+    """random_box_qp-style instance with some rows and columns of Q set to zero."""
+    Q, c, upper = random_box_qp(rng)
+    flat = rng.random(c.size) < 0.4
+    flat[rng.integers(c.size)] = True
+    Q[flat, :] = 0.0
+    Q[:, flat] = 0.0
+    return Q, c, upper
 
 
 def psd_box_qp(rng, k, rank, zero_box_share=0.0, asymmetry=0.0):
@@ -165,6 +184,15 @@ class TestVectorisedSweep:
         monkeypatch.setattr(qp, "_sweeper", scalar_sweeper)
         assert [solution_bits(p, max_iter) for p in problems] == fast
         assert swept == problems
+
+
+def test_grid_oracle_stays_in_box():
+    # a 0.001-step arange overshoots a bound that is not on the grid
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        Q, c, upper = random_box_qp(rng)
+        z = grid_box_qp_oracle(Q, c, upper)
+        assert np.all(z >= 0.0) and np.all(z <= upper)
 
 
 def test_kkt_residual_zero_at_solution():
