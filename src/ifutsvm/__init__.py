@@ -48,8 +48,6 @@ from .membership import (
     FuzzyParams,
     ScoreWeights,
     assign_scores,
-    membership,
-    nonmembership,
     score_vector,
     uniform_scores,
 )

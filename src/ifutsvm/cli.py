@@ -486,6 +486,11 @@ def _run_protocol(args, noise: bool) -> int:
     paths = _dataset_paths(cp)
     names = [p.stem for p in paths]
     kinds = settings["models"]
+    # results are keyed by (dataset name, model, level): a repeat would merge cells
+    for what, values in (("dataset name", names), ("model", kinds)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"repeated {what}: {', '.join(repeated)}")
     seed = settings["seed"]
 
     cells = [

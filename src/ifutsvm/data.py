@@ -56,6 +56,8 @@ class Dataset:
         labels = np.asarray(self.labels, dtype=np.int64)
         if features.ndim != 2 or features.shape[1] < 1:
             raise InvalidDatasetError("features must be a 2-D matrix with >= 1 column")
+        if not np.all(np.isfinite(features)):
+            raise InvalidDatasetError("features must be finite")
         if labels.shape != (features.shape[0],):
             raise InvalidDatasetError("labels must be one per feature row")
         if not np.all(np.abs(labels) == 1):

@@ -261,7 +261,6 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int, seed: int,
 class RankTable:
     """Per-dataset ranks of each model (1 = best accuracy, ties averaged)."""
 
-    accuracies: np.ndarray
     ranks: np.ndarray
     average_ranks: np.ndarray
 
@@ -278,7 +277,7 @@ def average_ranks(accuracies: np.ndarray) -> RankTable:
     better = (others > own).sum(axis=2)
     tied = (others == own).sum(axis=2)
     ranks = 1.0 + better + (tied - 1) / 2.0
-    return RankTable(acc, ranks, ranks.mean(axis=0))
+    return RankTable(ranks, ranks.mean(axis=0))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ class KernelSpec:
     width: float
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("kernel width must be positive")
+        if not 0 < self.width < np.inf:  # an infinite width makes every K_ij = 1
+            raise ValueError("kernel width must be positive and finite")
 
 
 def _check_dims(A: np.ndarray, B: np.ndarray):

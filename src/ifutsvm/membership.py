@@ -2,12 +2,13 @@
 
 Each training sample receives a membership degree (closeness to its own class
 centroid), a non-membership degree (heterogeneity of its neighborhood), and a
-combined score used to weight its slack penalty during training.  Both
-degrees rest on one geometry step: with a Gaussian kernel it evaluates the
-Gram matrix K of the training set once and derives from it the pairwise
-feature-space distances sqrt(2 - 2 K_ij) and each class's centroid distances
-(from that class's diagonal block of K); without a kernel it uses plain
-Euclidean distances in input space.
+combined score used to weight its slack penalty during training.
+`assign_scores` is the one entry point: it returns all three in a
+ScoreWeights.  Both degrees rest on one geometry step: with a Gaussian kernel
+it evaluates the Gram matrix K of the training set once and derives from it
+the pairwise feature-space distances sqrt(2 - 2 K_ij) and each class's
+centroid distances (from that class's diagonal block of K); without a kernel
+it uses plain Euclidean distances in input space.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ def _resolve_eta(radius: float, params: FuzzyParams) -> float:
 
 
 def _memberships(labels: np.ndarray, center: np.ndarray, params: FuzzyParams) -> np.ndarray:
+    """Membership degree 1 - d_i / (r + eta) per sample, toward its own class."""
     theta = np.empty(labels.shape[0])
     for label in (1, -1):
         idx = np.flatnonzero(labels == label)
@@ -100,12 +102,6 @@ def _memberships(labels: np.ndarray, center: np.ndarray, params: FuzzyParams) ->
         radius = float(d.max())
         theta[idx] = 1.0 - d / (radius + _resolve_eta(radius, params))
     return theta
-
-
-def membership(ds: Dataset, kspec: KernelSpec | None,
-               params: FuzzyParams = FuzzyParams()) -> np.ndarray:
-    """Membership degree 1 - d_i / (r + eta) per sample, toward its own class."""
-    return _memberships(ds.labels, _geometry(ds, kspec)[1], params)
 
 
 def _resolve_rho(dists: np.ndarray, params: FuzzyParams) -> float:
@@ -117,21 +113,12 @@ def _resolve_rho(dists: np.ndarray, params: FuzzyParams) -> float:
 
 def _nonmemberships(labels: np.ndarray, dists: np.ndarray, rho: float,
                     theta: np.ndarray) -> np.ndarray:
+    """Non-membership (1 - theta_i) * mu_i, mu_i the heterogeneous-neighbor ratio
+    in the closed rho-ball around sample i, which counts i itself."""
     within = dists <= rho
     opposite = labels[:, None] != labels[None, :]
     mu = (within & opposite).sum(axis=1) / within.sum(axis=1)
     return (1.0 - theta) * mu
-
-
-def nonmembership(ds: Dataset, kspec: KernelSpec | None, params: FuzzyParams,
-                  theta: np.ndarray) -> np.ndarray:
-    """Non-membership (1 - theta_i) * mu_i with mu_i the heterogeneous-neighbor ratio.
-
-    A sample's neighborhood is closed at radius rho and counts the sample
-    itself in the denominator, so the ratio is always well defined.
-    """
-    dists = _geometry(ds, kspec)[0]
-    return _nonmemberships(ds.labels, dists, _resolve_rho(dists, params), theta)
 
 
 def score_vector(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:

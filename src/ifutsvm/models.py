@@ -31,14 +31,7 @@ from scipy.linalg import cho_solve
 from .data import Dataset, ParseError
 from .kernels import KernelSpec, gram_values
 from .membership import FuzzyParams, ScoreWeights, assign_scores, uniform_scores
-from .qp import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    BoxQP,
-    QPSolution,
-    solve_box_qp,
-    spd_factor,
-)
+from .qp import DEFAULT_TOL, BoxQP, QPSolution, solve_box_qp, spd_factor
 from .sampling import SamplingPlan, build_plan
 
 MAGIC = b"TWINSVM1"
@@ -167,7 +160,7 @@ class _Blocks:
 @dataclass(frozen=True)
 class _Hessian:
     """Hessian stage of one plane: the Cholesky factor of M'M + ridge I and
-    the symmetrised dual Hessian Q = H (M'M + ridge I)^{-1} H'."""
+    the dual Hessian Q = H (M'M + ridge I)^{-1} H' (BoxQP symmetrises it)."""
 
     factor: tuple
     Q: np.ndarray
@@ -210,15 +203,13 @@ def _hessian(plane: _Plane) -> _Hessian:
     MtM = plane.M.T @ plane.M
     factor = spd_factor(MtM, plane.ridge)
     S = cho_solve(factor, plane.H.T, check_finite=False)
-    Q = plane.H @ S
-    return _Hessian(factor, 0.5 * (Q + Q.T))
+    return _Hessian(factor, plane.H @ S)
 
 
-def _solve_plane(plane: _Plane, hess: _Hessian, tol: float,
-                 max_iter: int) -> tuple[np.ndarray, QPSolution]:
+def _solve_plane(plane: _Plane, hess: _Hessian) -> tuple[np.ndarray, QPSolution]:
     # residual tolerance scales with the box so huge penalty grids stay solvable
-    tol_eff = tol * max(1.0, float(plane.upper.max(initial=0.0)))
-    sol = solve_box_qp(BoxQP(hess.Q, plane.lin, plane.upper), tol=tol_eff, max_iter=max_iter)
+    tol = DEFAULT_TOL * max(1.0, float(plane.upper.max(initial=0.0)))
+    sol = solve_box_qp(BoxQP(hess.Q, plane.lin, plane.upper), tol=tol)
     z = plane.sign * cho_solve(hess.factor, plane.H.T @ sol.z, check_finite=False)
     return z, sol
 
@@ -310,12 +301,12 @@ def _split_coefficients(z: np.ndarray, which: str) -> tuple[np.ndarray, float]:
     return w, b
 
 
-def _fit(train: Dataset, hp: Hyperparams, key: tuple, prepare, stages: FitStages | None,
-         tol: float, max_iter: int) -> TwinModel:
+def _fit(train: Dataset, hp: Hyperparams, key: tuple, prepare,
+         stages: FitStages | None) -> TwinModel:
     """Solve stage: both box QPs of one lattice point on memoized blocks and Hessians."""
     stages = stages if stages is not None else FitStages()
     blocks = stages.blocks(train, key, prepare)
-    (z1, sol1), (z2, sol2) = [_solve_plane(plane, stages.hessian(i, plane), tol, max_iter)
+    (z1, sol1), (z2, sol2) = [_solve_plane(plane, stages.hessian(i, plane))
                               for i, plane in enumerate(_planes(blocks, hp))]
     w1, b1 = _split_coefficients(z1, "1")
     w2, b2 = _split_coefficients(z2, "2")
@@ -337,8 +328,7 @@ def _fit(train: Dataset, hp: Hyperparams, key: tuple, prepare, stages: FitStages
 
 
 def fit_utsvm(train: Dataset, universum: np.ndarray | None, hp: Hyperparams,
-              *, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-              stages: FitStages | None = None) -> TwinModel:
+              *, stages: FitStages | None = None) -> TwinModel:
     """Train the UTSVM baseline; an empty universum drops its multipliers.
 
     `stages` lets consecutive fits share their prepared blocks and Hessians.
@@ -351,12 +341,10 @@ def fit_utsvm(train: Dataset, universum: np.ndarray | None, hp: Hyperparams,
     if universum.shape[0] and universum.shape[1] != train.n:
         raise ValueError("universum feature dimension does not match the data")
     key = ("utsvm", hp.kernel, universum.shape, universum.tobytes())
-    return _fit(train, hp, key, lambda: _utsvm_blocks(train, universum, hp.kernel),
-                stages, tol, max_iter)
+    return _fit(train, hp, key, lambda: _utsvm_blocks(train, universum, hp.kernel), stages)
 
 
 def fit_ifutsvm_id(train: Dataset, hp: Hyperparams, *, uniform: bool = False,
-                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                    stages: FitStages | None = None) -> TwinModel:
     """Train IFUTSVM-ID: scores -> sampling plan -> two weighted duals.
 
@@ -374,7 +362,7 @@ def fit_ifutsvm_id(train: Dataset, hp: Hyperparams, *, uniform: bool = False,
         return _ifutsvm_blocks(train, build_plan(train, hp.seed), scores, hp.kernel)
 
     key = ("ifutsvm-id", hp.kernel, hp.fuzzy, hp.seed, uniform)
-    return _fit(train, hp, key, prepare, stages, tol, max_iter)
+    return _fit(train, hp, key, prepare, stages)
 
 
 def duality_gaps(model: TwinModel, train: Dataset) -> tuple[float, float]:
@@ -399,19 +387,6 @@ def duality_gaps(model: TwinModel, train: Dataset) -> tuple[float, float]:
     return gap1, gap2
 
 
-def _decision_values(model: TwinModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"expected {model.n_features} features, got {X.shape[1]}"
-        )
-    Phi = gram_values(X, model.reference, model.hyperparams.kernel) \
-        if model.mode == "kernel" else X
-    f1 = Phi @ model.w1 + model.b1
-    f2 = Phi @ model.w2 + model.b2
-    return f1, f2
-
-
 def decision_distances(model: TwinModel, x: np.ndarray):
     """Distance of x to each plane, |f_i(x)| / ||w_i||.
 
@@ -420,9 +395,13 @@ def decision_distances(model: TwinModel, x: np.ndarray):
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    f1, f2 = _decision_values(model, x)
-    d1 = np.abs(f1) / float(np.linalg.norm(model.w1))
-    d2 = np.abs(f2) / float(np.linalg.norm(model.w2))
+    X = np.atleast_2d(x)
+    if X.shape[1] != model.n_features:
+        raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
+    Phi = gram_values(X, model.reference, model.hyperparams.kernel) \
+        if model.mode == "kernel" else X
+    d1 = np.abs(Phi @ model.w1 + model.b1) / float(np.linalg.norm(model.w1))
+    d2 = np.abs(Phi @ model.w2 + model.b2) / float(np.linalg.norm(model.w2))
     if single:
         return float(d1[0]), float(d2[0])
     return d1, d2

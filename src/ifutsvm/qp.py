@@ -1,12 +1,15 @@
 """Box-constrained concave-quadratic maximization and regularized SPD factorization.
 
 The duals trained here maximize c'z - z'Qz/2 over 0 <= z <= upper with Q
-symmetric positive semidefinite.  There is no equality constraint, so cyclic
-coordinate ascent with exact per-coordinate clipping converges monotonically.
-Every problem takes that one path: each step divides by max(Q_ii, DIAG_FLOOR),
-and a zero-curvature coordinate of a PSD Q has a zero row, so the floored
-step sends it straight to the bound its linear term favours.  Convergence is
-certified by the projected-gradient KKT residual
+symmetric positive semidefinite.  BoxQP stores Q as its symmetric part
+(Q + Q')/2, which defines the same objective, so the sweep, the gradient and
+the residual all read one exactly symmetric matrix.  There is no equality
+constraint, so cyclic coordinate ascent with exact per-coordinate clipping
+converges monotonically.  Every problem takes that one path: each step
+divides by max(Q_ii, DIAG_FLOOR), and a zero-curvature coordinate of a PSD Q
+has a zero row, so the floored step sends it straight to the bound its
+linear term favours.  Convergence is certified by the projected-gradient KKT
+residual
 
     max_i | clip(z_i - g_i, 0, upper_i) - z_i |,   g = Qz - c.
 """
@@ -43,9 +46,18 @@ class FactorizationError(NumericalError):
     """Cholesky factorization hit a non-positive pivot."""
 
 
+class NonFiniteError(NumericalError, ValueError):
+    """A box QP has a NaN or infinite entry, so no sweep could solve it."""
+
+
 @dataclass(frozen=True)
 class BoxQP:
-    """maximize c'z - z'Qz/2  subject to  0 <= z <= upper."""
+    """maximize c'z - z'Qz/2  subject to  0 <= z <= upper.
+
+    Q, c and upper must be finite (NonFiniteError, which fits report as a
+    numerical failure) and Q symmetric to a relative 1e-10; Q is stored as
+    (Q + Q')/2, which keeps the bits of an exactly symmetric Q.
+    """
 
     Q: np.ndarray
     c: np.ndarray
@@ -60,11 +72,16 @@ class BoxQP:
             raise ValueError("Q must be square and match the linear term")
         if upper.shape != (k,):
             raise ValueError("upper bounds must match the linear term")
-        if k and np.max(np.abs(Q - Q.T)) > 1e-10 * max(1.0, np.max(np.abs(Q))):
+        scale = float(np.max(np.abs(Q), initial=0.0))  # NaN or inf if Q has one
+        if not (np.isfinite(scale) and np.all(np.isfinite(c)) and np.all(np.isfinite(upper))):
+            raise NonFiniteError("Q, c and upper must be finite")
+        if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-10 * max(1.0, scale):
             raise ValueError("Q must be symmetric")
         if np.any(upper < 0):
             raise ValueError("upper bounds must be nonnegative")
-        object.__setattr__(self, "Q", Q)
+        Q_sym = Q + Q.T
+        Q_sym *= 0.5
+        object.__setattr__(self, "Q", Q_sym)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "upper", upper)
 
@@ -101,19 +118,17 @@ def _sweeper(problem: BoxQP):
 
     z and q (= Q @ z, maintained incrementally) are updated in place.  The
     coordinate step runs on Python floats; each gradient update is one
-    multiply and one add over a column of Q, so every element gets the two
-    roundings of the scalar q[j] += delta * Q[j, i] (a fused update would
-    round once and change the bits).
+    multiply and one add over a row of the symmetric Q, so every element gets
+    the two roundings of the scalar q[j] += delta * Q[i, j] (a fused update
+    would round once and change the bits).
     """
-    # columns, not rows: Q is only symmetric to BoxQP's tolerance
-    cols = list(np.ascontiguousarray(problem.Q.T))
     diag = problem.Q.diagonal().tolist()
-    steps = list(zip(range(problem.size), cols, problem.c.tolist(), diag,
+    steps = list(zip(range(problem.size), problem.Q, problem.c.tolist(), diag,
                      [max(d, DIAG_FLOOR) for d in diag], problem.upper.tolist()))
     tmp = np.empty(problem.size)
 
     def sweep(z: np.ndarray, q: np.ndarray) -> None:
-        for i, col, ci, di, dn, ui in steps:
+        for i, row, ci, di, dn, ui in steps:
             zi_old = z.item(i)
             zi = (ci - q.item(i) + di * zi_old) / dn
             if zi < 0.0:
@@ -123,7 +138,7 @@ def _sweeper(problem: BoxQP):
             delta = zi - zi_old
             if delta != 0.0:
                 z[i] = zi
-                np.multiply(col, delta, out=tmp)
+                np.multiply(row, delta, out=tmp)
                 np.add(q, tmp, out=q)
 
     return sweep

@@ -130,6 +130,15 @@ class TestTrainEval:
         cfg.write_text(TRAIN_CONFIG.format(dataset=zeros))
         assert main(["train", "--config", str(cfg)]) == 3
 
+    def test_non_finite_dual_exits_3(self, tmp_path, toy_files, capsys):
+        # width**2 underflows to 0, so the Gram diagonal is 0/0 = NaN: the dual
+        # is reported as a numerical failure at once, with no sweep and no traceback
+        pa, _ = toy_files
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=pa) + "width = 1e-200\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")]) == 3
+        assert "numerical error: Q, c and upper must be finite" in capsys.readouterr().err
+
     def test_missing_seed_exits_4(self, tmp_path, toy_files):
         pa, _ = toy_files
         cfg = tmp_path / "t.ini"
@@ -309,7 +318,8 @@ class TestExperimentNumbers:
         ("width = linear", "width = linear\n[fuzzy]\neta = -1"),
         ("c1 = 0.1, 1", "c1 = -1"),
         ("c1 = 0.1, 1", "c1 = ,"),
-    ], ids=["eta-not-a-number", "eta-negative", "c1-negative", "c1-empty"])
+        ("width = linear", "width = inf"),
+    ], ids=["eta-not-a-number", "eta-negative", "c1-negative", "c1-empty", "width-inf"])
     def test_bad_grid_or_fuzzy_exits_4(self, tmp_path, toy_files, capsys, command,
                                        old, new):
         pa, _ = toy_files
@@ -326,6 +336,40 @@ class TestExperimentNumbers:
         cfg = tmp_path / "t.ini"
         cfg.write_text(TRAIN_CONFIG.format(dataset=pa).replace("seed = 9", "seed = x"))
         assert main(["train", "--config", str(cfg)]) == 4
+
+    def test_infinite_train_width_exits_4(self, tmp_path, toy_files, capsys):
+        pa, _ = toy_files
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=pa) + "width = inf\n")
+        out = tmp_path / "m.bin"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "kernel width must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["benchmark", "noise-study"])
+    @pytest.mark.parametrize("repeat", ["dataset", "model"])
+    def test_repeated_dataset_or_model_exits_4_before_any_cell(
+            self, tmp_path, toy_files, capsys, monkeypatch, command, repeat):
+        # cells are keyed by (dataset name, model, level), so a repeat would
+        # count one file's accuracies twice or rank a model against itself
+        def no_cells(cells, threads):
+            raise AssertionError("cells ran before the repeat was caught")
+
+        monkeypatch.setattr(cli, "_run_cells", no_cells)
+        pa, pb = toy_files
+        if repeat == "dataset":
+            twin = tmp_path / "other" / pa.name
+            twin.parent.mkdir()
+            twin.write_bytes(pa.read_bytes())
+            datasets, models, message = f"{pa}, {twin}, {pb}", "ifutsvm-id", "dataset name: alpha"
+        else:
+            datasets, models, message = f"{pa}, {pb}", "ifutsvm-id, ifutsvm-id", "model: ifutsvm-id"
+        out = tmp_path / "out"
+        cfg = tmp_path / "b.ini"
+        cfg.write_text(BENCH_CONFIG.format(datasets=datasets, models=models, out=out, extra=""))
+        assert main([command, "--config", str(cfg)]) == 4
+        assert f"config error: repeated {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAggregate:

@@ -80,6 +80,14 @@ def test_dataset_rejects_bad_labels():
         Dataset("x", np.zeros((2, 2)), np.array([1, 2]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(value):
+    X = np.zeros((4, 2))
+    X[2, 1] = value
+    with pytest.raises(InvalidDatasetError, match="finite"):
+        Dataset("x", X, np.array([1, 1, -1, -1]))
+
+
 def test_dataset_arrays_immutable(keel_text):
     ds = parse_keel(keel_text)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ifutsvm import Dataset, FuzzyParams, KernelSpec, gram_values, membership
+from ifutsvm import Dataset, FuzzyParams, KernelSpec, assign_scores, gram_values
 from ifutsvm.kernels import center_sq_dists_from_gram
 
 from oracle_utils import gaussian
@@ -26,12 +26,19 @@ def class_memberships(cls, spec, eta):
     """Memberships of cls as the +1 class of a dataset with a far-away -1 class."""
     far = np.full((2, cls.shape[1]), 1e3)
     ds = Dataset("c", np.vstack([cls, far]), np.array([1] * len(cls) + [-1, -1]))
-    return membership(ds, spec, FuzzyParams(eta=eta))[:len(cls)]
+    return assign_scores(ds, spec, FuzzyParams(eta=eta)).memberships[:len(cls)]
 
 
 def test_kernel_spec_requires_positive_width():
     with pytest.raises(ValueError):
         KernelSpec(0.0)
+
+
+@pytest.mark.parametrize("width", [np.inf, np.nan])
+def test_kernel_spec_requires_finite_width(width):
+    # an infinite width would make every kernel value 1
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec(width)
 
 
 class TestGaussian:
@@ -135,7 +142,7 @@ class TestCentroidDistance:
         # the fuzzy geometry refuses an empty class before any distance is taken
         ds = Dataset("d", np.zeros((2, 2)) + np.arange(2)[:, None], np.array([1, 1]))
         with pytest.raises(ValueError, match="empty"):
-            membership(ds, KernelSpec(1.0))
+            assign_scores(ds, KernelSpec(1.0))
 
 
 class TestClassRadius:

@@ -11,8 +11,6 @@ from ifutsvm import (
     FuzzyParams,
     KernelSpec,
     assign_scores,
-    membership,
-    nonmembership,
     score_vector,
     uniform_scores,
 )
@@ -27,6 +25,10 @@ def two_cluster_dataset(seed=0, n_pos=6, n_neg=10, gap=4.0):
     return Dataset("two", X, y)
 
 
+def memberships(ds, spec, params=FuzzyParams()):
+    return assign_scores(ds, spec, params).memberships
+
+
 def brute_center_dist(x, cls, spec):
     """Kernel-space distance from x to the centroid of cls, one kernel value at a time."""
     k_xc = np.mean([gaussian(x, c, spec) for c in cls])
@@ -38,7 +40,7 @@ class TestMembership:
     def test_single_member_class_scores_one(self):
         X = np.array([[0.0, 0.0], [3.0, 3.0], [3.1, 2.9]])
         y = np.array([1, -1, -1])
-        theta = membership(Dataset("d", X, y), KernelSpec(1.0))
+        theta = memberships(Dataset("d", X, y), KernelSpec(1.0))
         assert theta[0] == 1.0
 
     def test_radius_achieving_sample(self):
@@ -47,7 +49,7 @@ class TestMembership:
         y = np.array([1, 1, -1, -1, -1])
         eta = 0.5
         spec = KernelSpec(1.0)
-        theta = membership(Dataset("d", X, y), spec, FuzzyParams(eta=eta))
+        theta = memberships(Dataset("d", X, y), spec, FuzzyParams(eta=eta))
 
         neg = X[2:]
         d = np.array([brute_center_dist(x, neg, spec) for x in neg])
@@ -63,7 +65,7 @@ class TestMembership:
         X = np.vstack([pos, neg])
         y = np.array([1] * 6 + [-1] * 8)
         spec = KernelSpec(1.3)
-        theta = membership(Dataset("d", X, y), spec, FuzzyParams(eta=0.5))
+        theta = memberships(Dataset("d", X, y), spec, FuzzyParams(eta=0.5))
 
         dists = np.array([brute_center_dist(x, pos, spec) for x in pos])
         r = dists.max()
@@ -73,25 +75,26 @@ class TestMembership:
         X = np.random.default_rng(0).normal(size=(3, 2))
         single_class = Dataset("d", X, np.array([1, 1, 1]))
         with pytest.raises(ValueError):
-            membership(single_class, KernelSpec(1.0))
-        with pytest.raises(ValueError):
             assign_scores(single_class, KernelSpec(1.0))
+        with pytest.raises(ValueError):
+            assign_scores(single_class, None)
 
 
 class TestNonmembership:
     def test_homogeneous_neighborhood_gives_zero(self):
         ds = two_cluster_dataset(gap=50.0)
-        spec = KernelSpec(1.0)
-        theta = membership(ds, spec)
         # rho below the inter-cluster kernel distance: only same-label neighbors
-        sigma = nonmembership(ds, spec, FuzzyParams(rho=0.5), theta)
+        sigma = assign_scores(ds, KernelSpec(1.0), FuzzyParams(rho=0.5)).nonmemberships
         assert_array_equal(sigma, 0.0)
 
     def test_full_membership_forces_zero(self):
-        ds = two_cluster_dataset()
-        spec = KernelSpec(1.0)
-        sigma = nonmembership(ds, spec, FuzzyParams(rho=10.0), np.ones(ds.m))
-        assert_array_equal(sigma, 0.0)
+        # each class is one repeated point, so every membership is 1; rho spans
+        # both classes, so every neighborhood is mixed, yet sigma must be 0
+        X = np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 5)
+        ds = Dataset("d", X, np.array([1] * 3 + [-1] * 5))
+        sw = assign_scores(ds, KernelSpec(1.0), FuzzyParams(rho=10.0))
+        assert_array_equal(sw.memberships, 1.0)
+        assert_array_equal(sw.nonmemberships, 0.0)
 
     def test_ratio_matches_direct_counting(self):
         # eight points, rho spanning everything: mu = opposite / total exactly
@@ -99,10 +102,9 @@ class TestNonmembership:
         X = rng.normal(size=(8, 2))
         y = np.array([1, 1, 1, -1, -1, -1, -1, -1])
         ds = Dataset("d", X, y)
-        spec = KernelSpec(1.0)
-        theta = membership(ds, spec)
         rho = 10.0  # kernel distances are bounded by sqrt(2)
-        sigma = nonmembership(ds, spec, FuzzyParams(rho=rho), theta)
+        sw = assign_scores(ds, KernelSpec(1.0), FuzzyParams(rho=rho))
+        theta, sigma = sw.memberships, sw.nonmemberships
         for i in range(8):
             opposite = np.sum(y != y[i])
             assert_allclose(sigma[i], (1.0 - theta[i]) * opposite / 8.0, atol=1e-12)
@@ -201,12 +203,13 @@ def test_fuzzy_invariants_random(seed, eta, rho):
     within = dists <= rho
     mu = (within & (y[:, None] != y[None, :])).sum(axis=1) / within.sum(axis=1)
     assert_array_equal(sigma, (1.0 - theta) * mu)
-    # the pipeline is the composition of the two public degrees, bit for bit
-    params = FuzzyParams(eta=eta, rho=rho)
-    theta_ref = membership(ds, kspec, params)
-    assert_array_equal(theta, theta_ref)
-    assert_array_equal(sigma, nonmembership(ds, kspec, params, theta_ref))
-    assert_array_equal(s, score_vector(theta_ref, sigma))
+    # membership is 1 - d_i / (r + eta) over each class's centroid distances,
+    # and the score composes the two degrees, bit for bit
+    _, center = _geometry(ds, kspec)
+    for label in (1, -1):
+        d = center[y == label]
+        assert_array_equal(theta[y == label], 1.0 - d / (d.max() + eta))
+    assert_array_equal(s, score_vector(theta, sigma))
 
 
 @pytest.mark.parametrize("kspec, calls", [(KernelSpec(1.0), 1), (None, 0)],

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
 
-from ifutsvm import BoxQP, FactorizationError, NonConvergenceError, qp, solve_box_qp
+from ifutsvm import (BoxQP, FactorizationError, NonConvergenceError, NumericalError, qp,
+                     solve_box_qp)
 from ifutsvm.qp import kkt_residual, spd_factor
 
 from oracle_utils import grid_box_qp_oracle, random_box_qp, scalar_cyclic_sweep
@@ -96,6 +97,29 @@ class TestSolveBoxQP:
     def test_rejects_asymmetric_q(self):
         with pytest.raises(ValueError):
             BoxQP(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("part, index", [("Q", (0, 1)), ("Q", (1, 1)), ("c", 0),
+                                             ("upper", 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, part, index, value):
+        # a NaN passes both the symmetry and the sign check and would then run
+        # the solver to its sweep limit; it must be refused up front instead
+        parts = {"Q": np.eye(2), "c": np.ones(2), "upper": np.ones(2)}
+        parts[part][index] = value
+        with pytest.raises(ValueError, match="finite") as err:
+            BoxQP(parts["Q"], parts["c"], parts["upper"])
+        assert isinstance(err.value, NumericalError)
+
+    def test_stores_the_symmetric_part(self):
+        rng = np.random.default_rng(8)
+        B = rng.normal(size=(6, 6))
+        Q = B @ B.T
+        Q_sym = 0.5 * (Q + Q.T)
+        assert_array_equal(BoxQP(Q_sym, np.ones(6), np.ones(6)).Q, Q_sym)
+        near = Q_sym + 1e-13 * np.triu(rng.normal(size=(6, 6)), 1)
+        stored = BoxQP(near, np.ones(6), np.ones(6)).Q
+        assert_array_equal(stored, stored.T)
+        assert_array_equal(stored, 0.5 * (near + near.T))
 
     def test_empty_problem(self):
         sol = solve_box_qp(BoxQP(np.zeros((0, 0)), np.zeros(0), np.zeros(0)))
