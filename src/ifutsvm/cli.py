@@ -2,7 +2,8 @@
 
 Subcommands: train, eval, benchmark, noise-study, aggregate.  Experiments are
 described by an INI config file (sections [experiment], [grid], [fuzzy],
-[train]); command-line flags override file values.  Reports are deterministic
+[train], with the keys of CONFIG_KEYS; anything else is a config error);
+command-line flags override file values.  Reports are deterministic
 JSON/CSV keyed only by (config, seed): stdout carries the report path, all
 diagnostics and timings go to stderr.
 
@@ -19,6 +20,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +76,20 @@ def _info(msg: str) -> None:
 # config handling
 
 
+# every key a config file may set, per section: any other section or key is a
+# typo or a setting the program does not have, and would otherwise be ignored
+CONFIG_KEYS = {
+    "experiment": {"datasets", "dataset_dir", "models", "split_fraction", "folds", "seed",
+                   "threads", "out", "standardize", "noise_levels"},
+    "grid": {"c1", "c3", "cu", "epsilon", "width"},
+    "fuzzy": {"eta", "rho"},
+    "train": {"model", "dataset", "c1", "c3", "cu", "epsilon", "width", "delta"},
+}
+
+
 def _read_config(path: str | None) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    # values are taken literally: a '%' in a path is not an interpolation
+    cp = configparser.ConfigParser(interpolation=None)
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -84,6 +98,15 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
             cp.read(p)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from None
+    if cp.defaults():
+        raise ConfigError("a [DEFAULT] section is not supported: "
+                          "its keys would be copied into every section")
+    for section in cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        unknown = sorted(set(cp.options(section)) - CONFIG_KEYS[section])
+        if unknown:
+            raise ConfigError(f"unknown key in [{section}]: {', '.join(unknown)}")
     return cp
 
 
@@ -99,17 +122,14 @@ def _str_list(raw: str) -> list[str]:
 
 
 def _grid_from_config(cp: configparser.ConfigParser) -> GridSpec:
-    if not cp.has_section("grid"):
-        return GridSpec()
-    sec = cp["grid"]
-    kwargs = {}
+    kwargs = {"fuzzy": _fuzzy_from_config(cp)}
+    sec = cp["grid"] if cp.has_section("grid") else {}
     for key in ("c1", "c3", "cu", "epsilon"):
         if sec.get(key):
             kwargs[key] = tuple(_float_list(sec[key]))
     if "width" in sec:
         raw = sec.get("width", "").strip()
         kwargs["width"] = None if raw in ("", "linear") else tuple(_float_list(raw))
-    kwargs["fuzzy"] = _fuzzy_from_config(cp)
     try:
         return GridSpec(**kwargs)
     except ValueError as exc:
@@ -184,12 +204,16 @@ def _experiment_settings(cp: configparser.ConfigParser, args) -> dict:
         if not 0.0 <= lv <= 0.5:
             raise ConfigError("noise levels must lie in [0, 0.5]")
     out = args.out if args.out is not None else get("out", "runs/report")
+    try:
+        standardize = cp.getboolean("experiment", "standardize", fallback=False)
+    except ValueError as exc:
+        raise ConfigError(f"standardize must be a boolean: {exc}") from None
     return {
         "seed": seed,
         "models": models,
         "split_fraction": split_fraction,
         "folds": folds,
-        "standardize": str(get("standardize", "false")).lower() in ("1", "true", "yes"),
+        "standardize": standardize,
         "noise_levels": levels,
         "threads": threads,
         "out": Path(out),
@@ -200,18 +224,10 @@ def _experiment_settings(cp: configparser.ConfigParser, args) -> dict:
 # deterministic writing
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -221,19 +237,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _confusion_dict(cm) -> dict:
-    return {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn}
-
-
-def _metrics_dict(report) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "sensitivity": report.sensitivity,
-        "specificity": report.specificity,
-        "precision": report.precision,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,7 @@ def cmd_train(args) -> int:
 
     ds = load_dataset(data_path)
     t0 = time.perf_counter()
-    model = fit_model(kind, ds, hp, universum_seed=mix_seed(seed, "universum"))
+    model = fit_model(kind, ds, hp)
     elapsed = time.perf_counter() - t0
 
     out = Path(args.out or "model.twinsvm")
@@ -344,8 +347,8 @@ def cmd_eval(args) -> int:
     payload = {
         "model": str(model_path),
         "dataset": ds.name,
-        "confusion": _confusion_dict(cm),
-        "metrics": _metrics_dict(metrics(cm)),
+        "confusion": asdict(cm),
+        "metrics": asdict(metrics(cm)),
     }
     out = Path(args.out or (model_path.stem + "_eval.json"))
     _write_json(out, payload)
@@ -391,8 +394,8 @@ def _run_dataset_model(payload: dict) -> dict:
             "dataset": name, "kind": kind, "noise_level": level,
             "ok": True, "best": best,
             "cv_accuracy": max(r["mean_accuracy"] for r in cv_table),
-            "metrics": _metrics_dict(rep),
-            "confusion": _confusion_dict(cm),
+            "metrics": asdict(rep),
+            "confusion": asdict(cm),
             "cv_table": cv_table if payload["keep_cv_table"] else None,
             "elapsed": time.perf_counter() - t0,
         }

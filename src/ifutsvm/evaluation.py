@@ -155,7 +155,7 @@ def stratified_kfold(ds: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, n
     return folds
 
 
-def fit_model(kind: str, train: Dataset, hp: Hyperparams, *, uniform: bool = False,
+def fit_model(kind: str, train: Dataset, hp: Hyperparams, *,
               universum_seed: int | None = None, stages: FitStages | None = None):
     """Train one model of the requested kind.
 
@@ -164,7 +164,7 @@ def fit_model(kind: str, train: Dataset, hp: Hyperparams, *, uniform: bool = Fal
     internal memo that consecutive fits share (see models.FitStages).
     """
     if kind == "ifutsvm-id":
-        return fit_ifutsvm_id(train, hp, uniform=uniform, stages=stages)
+        return fit_ifutsvm_id(train, hp, stages=stages)
     if kind == "utsvm":
         count = train.m2 - train.m1
         seed = universum_seed if universum_seed is not None else mix_seed(hp.seed, "universum")
@@ -178,12 +178,12 @@ def _subset(ds: Dataset, idx: np.ndarray, tag: str) -> Dataset:
 
 
 def _fold_score(kind: str, j: int, tr: Dataset, va: Dataset, hp: Hyperparams,
-                uniform: bool, stages: FitStages) -> tuple[float, str | None]:
+                stages: FitStages) -> tuple[float, str | None]:
     """Validation accuracy of one fold fit (NaN if it failed) and its flag."""
     if tr.m1 == 0 or tr.m2 == 0:
         return np.nan, f"fold{j}:single-class"
     try:
-        model = fit_model(kind, tr, hp, uniform=uniform, stages=stages)
+        model = fit_model(kind, tr, hp, stages=stages)
     except (NumericalError, TrainingError) as exc:
         return np.nan, f"fold{j}:{type(exc).__name__}"
     flag = None
@@ -192,8 +192,8 @@ def _fold_score(kind: str, j: int, tr: Dataset, va: Dataset, hp: Hyperparams,
     return float(np.mean(predict(model, va.features) == va.labels)), flag
 
 
-def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int, seed: int,
-                   *, uniform: bool = False) -> tuple[Hyperparams, list[dict]]:
+def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
+                   seed: int) -> tuple[Hyperparams, list[dict]]:
     """Mean CV accuracy per lattice point; argmax with first-in-lattice ties.
 
     Folds that cannot be trained (single-class training part, solver failure)
@@ -228,7 +228,7 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int, seed: int,
         c1, c3, cu, eps, width = (axis[i] for axis, i in zip(axes, point))
         hp = make_hyperparams(c1, c3, cu, eps, width, grid.fuzzy, seed=fold_seeds[j])
         tr, va = fold_sets[j]
-        accs[(*point, j)], flag = _fold_score(kind, j, tr, va, hp, uniform, stages)
+        accs[(*point, j)], flag = _fold_score(kind, j, tr, va, hp, stages)
         if flag is not None:
             flags[point, j] = flag
 

@@ -4,11 +4,13 @@ Each training sample receives a membership degree (closeness to its own class
 centroid), a non-membership degree (heterogeneity of its neighborhood), and a
 combined score used to weight its slack penalty during training.
 `assign_scores` is the one entry point: it returns all three in a
-ScoreWeights.  Both degrees rest on one geometry step: with a Gaussian kernel
-it evaluates the Gram matrix K of the training set once and derives from it
-the pairwise feature-space distances sqrt(2 - 2 K_ij) and each class's
-centroid distances (from that class's diagonal block of K); without a kernel
-it uses plain Euclidean distances in input space.
+ScoreWeights.  Both degrees rest on one geometry step.  Without a kernel it
+uses Euclidean distances in input space.  With a Gaussian kernel it evaluates
+the Gram matrix K of the training set once and never forms the feature map
+psi: pairwise distances are sqrt(2 - 2 K_ij), and a member x of a class of m
+samples lies at ||psi(x) - C||^2 = 1 - (2/m) sum_i K(x, x_i) +
+(1/m^2) sum_ij K(x_i, x_j) from the class centroid C (the class's diagonal
+block of K).  Squared distances are clamped at zero before the root.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .data import Dataset
-from .kernels import KernelSpec, center_sq_dists_from_gram, gram_values, kernel_space_distances
+from .kernels import KernelSpec, gram_values
 
 # Smoothing default when the user supplies no eta: a small multiple of the
 # class radius keeps the minimum membership strictly positive at any scale.
@@ -69,21 +71,24 @@ def _geometry(ds: Dataset, kspec: KernelSpec | None) -> tuple[np.ndarray, np.nda
     In kernel mode both come from the one Gram matrix K of the training set;
     a class's centroid distances use its diagonal block of K.
     """
-    center = np.empty(ds.m)
     X = ds.features
-    K = gram_values(X, X, kspec) if kspec is not None else None
+    if kspec is None:
+        dists = np.sqrt(cdist(X, X, "sqeuclidean"))
+    else:
+        K = gram_values(X, X, kspec)
+        dists = np.sqrt(np.maximum(2.0 - 2.0 * K, 0.0))
+    center = np.empty(ds.m)
     for label in (1, -1):
         idx = np.flatnonzero(ds.labels == label)
         if idx.size == 0:
             raise ValueError(f"class {label:+d} is empty")
-        if K is None:
+        if kspec is None:
             rows = X[idx]
             center[idx] = np.linalg.norm(rows - rows.mean(axis=0), axis=1)
         else:
             K_cc = K[np.ix_(idx, idx)]
-            center[idx] = np.sqrt(center_sq_dists_from_gram(K_cc, float(K_cc.mean()),
-                                                            np.ones(idx.size)))
-    dists = squareform(pdist(X)) if K is None else kernel_space_distances(K)
+            sq = 1.0 - 2.0 * K_cc.mean(axis=1) + float(K_cc.mean())
+            center[idx] = np.sqrt(np.maximum(sq, 0.0))
     return dists, center
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ifutsvm
-from ifutsvm import cli
+from ifutsvm import FuzzyParams, GridSpec, cli
 from ifutsvm.cli import main, read_accuracy_matrix
 
 from conftest import make_blobs, read_model_file, write_model_file
@@ -131,12 +131,17 @@ class TestTrainEval:
         assert main(["train", "--config", str(cfg)]) == 3
 
     def test_non_finite_dual_exits_3(self, tmp_path, toy_files, capsys):
-        # width**2 underflows to 0, so the Gram diagonal is 0/0 = NaN: the dual
-        # is reported as a numerical failure at once, with no sweep and no traceback
-        pa, _ = toy_files
+        # features near 1e155 are finite, but their squares overflow in the
+        # linear dual Hessian: the dual is reported as a numerical failure at
+        # once, with no sweep and no traceback
+        big = tmp_path / "big.dat"
+        ds = make_blobs(10, 30, seed=0, gap=6.0, spread_pos=0.3, spread_neg=0.3)
+        write_dataset(big, ifutsvm.Dataset("big", ds.features * 1e155, ds.labels))
         cfg = tmp_path / "t.ini"
-        cfg.write_text(TRAIN_CONFIG.format(dataset=pa) + "width = 1e-200\n")
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")]) == 3
+        cfg.write_text(TRAIN_CONFIG.format(dataset=big))
+        with pytest.warns(RuntimeWarning):
+            code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")])
+        assert code == 3
         assert "numerical error: Q, c and upper must be finite" in capsys.readouterr().err
 
     def test_missing_seed_exits_4(self, tmp_path, toy_files):
@@ -319,7 +324,10 @@ class TestExperimentNumbers:
         ("c1 = 0.1, 1", "c1 = -1"),
         ("c1 = 0.1, 1", "c1 = ,"),
         ("width = linear", "width = inf"),
-    ], ids=["eta-not-a-number", "eta-negative", "c1-negative", "c1-empty", "width-inf"])
+        ("width = linear", "width = 1 1e200"),
+        ("width = linear", "width = 1e-200"),
+    ], ids=["eta-not-a-number", "eta-negative", "c1-negative", "c1-empty", "width-inf",
+            "width-squared-overflows", "width-squared-underflows"])
     def test_bad_grid_or_fuzzy_exits_4(self, tmp_path, toy_files, capsys, command,
                                        old, new):
         pa, _ = toy_files
@@ -346,6 +354,18 @@ class TestExperimentNumbers:
         assert "kernel width must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("width", ["1e200", "1.5e154", "1e-200"])
+    def test_train_width_whose_square_leaves_float_range_exits_4(self, tmp_path, toy_files,
+                                                                 capsys, width):
+        # gram_values divides by 2 width^2: it would overflow or underflow to 0
+        pa, _ = toy_files
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=pa) + f"width = {width}\n")
+        out = tmp_path / "m.bin"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "so must 2 width^2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["benchmark", "noise-study"])
     @pytest.mark.parametrize("repeat", ["dataset", "model"])
     def test_repeated_dataset_or_model_exits_4_before_any_cell(
@@ -370,6 +390,81 @@ class TestExperimentNumbers:
         assert main([command, "--config", str(cfg)]) == 4
         assert f"config error: repeated {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def no_cells(cells, threads):
+    raise AssertionError("cells ran before the config was checked")
+
+
+class TestConfigFile:
+    def bench_config(self, tmp_path, toy_files, out=None, extra="", grid=True):
+        pa, _ = toy_files
+        text = BENCH_CONFIG.format(datasets=str(pa), models="ifutsvm-id",
+                                   out=out or tmp_path / "out", extra=extra)
+        if not grid:
+            text = text[:text.index("[grid]")]
+        cfg = tmp_path / "b.ini"
+        cfg.write_text(text)
+        return cfg
+
+    def test_percent_in_a_value_is_literal(self, tmp_path, toy_files):
+        out = tmp_path / "50%"
+        cfg = self.bench_config(tmp_path, toy_files, out=out)
+        assert main(["benchmark", "--config", str(cfg)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["out"] == str(out)
+
+    @pytest.mark.parametrize("command", ["benchmark", "noise-study"])
+    @pytest.mark.parametrize("eta", ["abc", "-1"])
+    def test_fuzzy_without_grid_is_checked(self, tmp_path, toy_files, capsys, monkeypatch,
+                                           command, eta):
+        monkeypatch.setattr(cli, "_run_cells", no_cells)
+        cfg = self.bench_config(tmp_path, toy_files, extra=f"[fuzzy]\neta = {eta}\n",
+                                grid=False)
+        assert main([command, "--config", str(cfg)]) == 4
+        assert "config error: bad [fuzzy] values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fuzzy_without_grid_is_kept(self, tmp_path, toy_files):
+        cfg = self.bench_config(tmp_path, toy_files, extra="[fuzzy]\neta = 0.5\nrho = 2\n",
+                                grid=False)
+        grid = cli._grid_from_config(cli._read_config(str(cfg)))
+        assert grid.fuzzy == FuzzyParams(eta=0.5, rho=2.0)
+        assert grid.c1 == GridSpec().c1
+
+    @pytest.mark.parametrize("extra, message", [
+        ("noise_level = 0.3\n", "unknown key in [experiment]: noise_level"),
+        ("fold = 10\n", "unknown key in [experiment]: fold"),
+        ("[train]\nc2 = 50\nwidht = 2\n", "unknown key in [train]: c2, widht"),
+        ("[grids]\nc1 = 1\n", "unknown config section [grids]"),
+        ("[DEFAULT]\nseed = 3\n", "a [DEFAULT] section is not supported"),
+        ("standardize = ture\n", "standardize must be a boolean"),
+    ], ids=["experiment-key", "misspelt-folds", "train-keys", "section", "default",
+            "standardize"])
+    def test_unknown_or_malformed_setting_exits_4(self, tmp_path, toy_files, capsys,
+                                                  monkeypatch, extra, message):
+        monkeypatch.setattr(cli, "_run_cells", no_cells)
+        cfg = self.bench_config(tmp_path, toy_files, extra=extra)
+        assert main(["benchmark", "--config", str(cfg)]) == 4
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_example_config_is_accepted(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cp = cli._read_config(str(cfg))
+        args = cli.build_parser().parse_args(["noise-study", "--config", str(cfg)])
+        assert cli._experiment_settings(cp, args)["noise_levels"] == [0.05, 0.10, 0.15, 0.20]
+        assert cli._grid_from_config(cp).width == (0.03125, 0.125, 0.5, 2, 8, 32)
+
+    @pytest.mark.parametrize("value, expected", [("on", True), ("yes", True), ("1", True),
+                                                 ("off", False), ("false", False)])
+    def test_standardize_is_a_config_boolean(self, tmp_path, toy_files, value, expected):
+        cfg = self.bench_config(tmp_path, toy_files, extra=f"standardize = {value}\n")
+        args = cli.build_parser().parse_args(["benchmark", "--config", str(cfg)])
+        settings = cli._experiment_settings(cli._read_config(str(cfg)), args)
+        assert settings["standardize"] is expected
 
 
 class TestAggregate:

@@ -254,7 +254,7 @@ class TestGridSearchCV:
             grid_search_cv(ds, "svm", SMALL_GRID, k=5, seed=0)
 
 
-def reference_grid_search(train, kind, grid, k, seed, uniform=False):
+def reference_grid_search(train, kind, grid, k, seed):
     """Per-point loop over the lattice, each fold fit on its own (no stages)."""
     folds = stratified_kfold(train, k, mix_seed(seed, "folds"))
     fold_sets = [(_subset(train, tr, f"cv{j}t"), _subset(train, va, f"cv{j}v"))
@@ -270,7 +270,7 @@ def reference_grid_search(train, kind, grid, k, seed, uniform=False):
             fold_seed = mix_seed(seed, "fit", j)
             hp = make_hyperparams(c1, c3, cu, eps, width, grid.fuzzy, seed=fold_seed)
             try:
-                model = fit_model(kind, tr, hp, uniform=uniform,
+                model = fit_model(kind, tr, hp,
                                   universum_seed=mix_seed(fold_seed, "universum"))
             except (NumericalError, TrainingError) as exc:
                 flags.append(f"fold{j}:{type(exc).__name__}")
@@ -294,26 +294,26 @@ def reference_grid_search(train, kind, grid, k, seed, uniform=False):
 class TestStagedGridSearch:
     """The staged search must equal the per-point loop exactly, not approximately."""
 
-    @pytest.mark.parametrize("kind, ds_args, grid, uniform", [
+    @pytest.mark.parametrize("kind, ds_args, grid", [
         # width 0.5 collapses the fuzzy scores of some folds: degenerate planes
         ("ifutsvm-id", (10, 40, 2, 5),
          GridSpec(c1=(10.0, 0.1), c3=(1.0, 0.01), cu=(0.1, 1.0), epsilon=(0.1, 0.5),
-                  width=(2.0, 0.5)), False),
+                  width=(2.0, 0.5))),
         ("ifutsvm-id", (10, 30, 3, 2),
          GridSpec(c1=(0.1, 10.0), c3=(0.01, 1.0), cu=(0.1,), epsilon=(0.1, 0.5),
-                  width=None), False),
+                  width=None)),
         ("ifutsvm-id", (10, 30, 4, 3),
          GridSpec(c1=(0.1, 10.0), c3=(0.1, 1.0), cu=(0.1, 1.0), epsilon=(0.1,),
-                  width=(1.0, 4.0)), True),
+                  width=(1.0, 4.0))),
         ("utsvm", (8, 24, 3, 3),
          GridSpec(c1=(0.1, 1.0), c3=(0.1, 1.0), cu=(0.1,), epsilon=(0.1,),
-                  width=(2.0, 4.0)), False),
-    ], ids=["ifutsvm-kernel-collapse", "ifutsvm-linear", "ifutsvm-uniform", "utsvm-kernel"])
-    def test_equals_per_point_reference(self, kind, ds_args, grid, uniform):
+                  width=(2.0, 4.0))),
+    ], ids=["ifutsvm-kernel-collapse", "ifutsvm-linear", "ifutsvm-kernel", "utsvm-kernel"])
+    def test_equals_per_point_reference(self, kind, ds_args, grid):
         n1, n2, seed, d = ds_args
         ds = make_blobs(n1, n2, seed=seed, d=d)
-        best, table = grid_search_cv(ds, kind, grid, k=3, seed=4, uniform=uniform)
-        ref_best, ref_table = reference_grid_search(ds, kind, grid, 3, 4, uniform)
+        best, table = grid_search_cv(ds, kind, grid, k=3, seed=4)
+        ref_best, ref_table = reference_grid_search(ds, kind, grid, 3, 4)
         assert table == ref_table
         assert best == ref_best
         if grid.width is not None and 0.5 in grid.width:

@@ -3,17 +3,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ifutsvm import Dataset, FuzzyParams, KernelSpec, assign_scores, gram_values
-from ifutsvm.kernels import center_sq_dists_from_gram
+from ifutsvm.membership import _geometry
 
 from oracle_utils import gaussian
 
 
-def centroid_dists(queries, cls, spec):
-    """Kernel-space distances from each query to the centroid of cls."""
-    K_cc_mean = float(gram_values(cls, cls, spec).mean())
-    sq = center_sq_dists_from_gram(gram_values(queries, cls, spec), K_cc_mean,
-                                   np.ones(len(queries)))
-    return np.sqrt(sq)
+def with_far_class(cls):
+    """Dataset with cls as its +1 class and a far-away -1 class."""
+    far = np.full((2, cls.shape[1]), 1e3)
+    return Dataset("c", np.vstack([cls, far]), np.array([1] * len(cls) + [-1, -1]))
+
+
+def member_centroid_dists(cls, spec):
+    """Kernel-space distance from each member of cls to the centroid of cls."""
+    return _geometry(with_far_class(cls), spec)[1][:len(cls)]
 
 
 def brute_centroid_dist(x, cls, spec):
@@ -24,9 +27,7 @@ def brute_centroid_dist(x, cls, spec):
 
 def class_memberships(cls, spec, eta):
     """Memberships of cls as the +1 class of a dataset with a far-away -1 class."""
-    far = np.full((2, cls.shape[1]), 1e3)
-    ds = Dataset("c", np.vstack([cls, far]), np.array([1] * len(cls) + [-1, -1]))
-    return assign_scores(ds, spec, FuzzyParams(eta=eta)).memberships[:len(cls)]
+    return assign_scores(with_far_class(cls), spec, FuzzyParams(eta=eta)).memberships[:len(cls)]
 
 
 def test_kernel_spec_requires_positive_width():
@@ -34,11 +35,18 @@ def test_kernel_spec_requires_positive_width():
         KernelSpec(0.0)
 
 
-@pytest.mark.parametrize("width", [np.inf, np.nan])
+@pytest.mark.parametrize("width", [np.inf, np.nan, 1e200, 1.5e154, 1e-200])
 def test_kernel_spec_requires_finite_width(width):
-    # an infinite width would make every kernel value 1
+    # an infinite width would make every kernel value 1; gram_values divides
+    # by 2 width^2, which overflows for the next two and underflows to 0 for the last
     with pytest.raises(ValueError, match="finite"):
         KernelSpec(width)
+
+
+@pytest.mark.parametrize("width", [1e150, 1e-150])
+def test_extreme_widths_inside_float_range_keep_unit_diagonal(width):
+    A = np.array([[0.0, 1.0], [2.0, -1.0]])
+    assert np.all(np.diag(gram_values(A, A, KernelSpec(width))) == 1.0)
 
 
 class TestGaussian:
@@ -107,36 +115,15 @@ class TestGram:
 class TestCentroidDistance:
     def test_single_member_class_is_zero(self):
         x = np.array([[1.0, 2.0]])
-        assert centroid_dists(x, x, KernelSpec(1.0))[0] == 0.0
+        assert member_centroid_dists(x, KernelSpec(1.0))[0] == 0.0
 
-    def test_two_term_expansion_for_singleton_class(self):
+    def test_two_member_class_is_half_the_pairwise_distance(self):
+        # psi(x) - (psi(x) + psi(y)) / 2 = (psi(x) - psi(y)) / 2
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=3), rng.normal(size=3)
         spec = KernelSpec(1.1)
-        expected = np.sqrt(2.0 - 2.0 * gaussian(x, y, spec))
-        assert_allclose(centroid_dists(y[None, :], x[None, :], spec)[0], expected, rtol=1e-12)
-
-    def test_against_explicit_feature_map_oracle(self):
-        # degree-2 homogeneous polynomial kernel has the explicit feature map
-        # phi(x) = vec(x x'), so the Gram-sum expansion can be checked exactly
-        rng = np.random.default_rng(5)
-        cls = rng.normal(size=(5, 3))
-        queries = rng.normal(size=(4, 3))
-
-        def poly_gram(A, B):
-            return (A @ B.T) ** 2
-
-        def phi(X):
-            return np.stack([np.outer(x, x).ravel() for x in X])
-
-        K_qc = poly_gram(queries, cls)
-        K_cc_mean = poly_gram(cls, cls).mean()
-        diag = np.einsum("ij,ij->i", queries, queries) ** 2  # K(x, x)
-        got = np.sqrt(center_sq_dists_from_gram(K_qc, K_cc_mean, diag))
-
-        center = phi(cls).mean(axis=0)
-        expected = np.linalg.norm(phi(queries) - center, axis=1)
-        assert_allclose(got, expected, atol=1e-10)
+        expected = np.sqrt(2.0 - 2.0 * gaussian(x, y, spec)) / 2.0
+        assert_allclose(member_centroid_dists(np.stack([x, y]), spec), expected, rtol=1e-12)
 
     def test_empty_class_rejected(self):
         # the fuzzy geometry refuses an empty class before any distance is taken
@@ -166,12 +153,14 @@ class TestClassRadius:
             assert_allclose(theta.min(), eta / (r + eta), rtol=1e-12)
 
     def test_batch_distances_match_singles(self):
+        # one Gram matrix serves every member and the pairwise distances;
+        # each must equal its own brute-force kernel sum
         rng = np.random.default_rng(7)
         spec = KernelSpec(1.0)
         cls = rng.normal(size=(12, 2))
-        queries = rng.normal(size=(5, 2))
-        batch = centroid_dists(queries, cls, spec)
-        singles = [centroid_dists(q[None, :], cls, spec)[0] for q in queries]
-        assert_allclose(batch, singles, rtol=1e-12)
-        assert_allclose(batch, [brute_centroid_dist(q, cls, spec) for q in queries],
+        dists, center = _geometry(with_far_class(cls), spec)
+        assert_allclose(center[:12], [brute_centroid_dist(q, cls, spec) for q in cls],
                         atol=1e-12)
+        pairwise = [[np.sqrt(max(2.0 - 2.0 * gaussian(p, q, spec), 0.0)) for q in cls]
+                    for p in cls]
+        assert_allclose(dists[:12, :12], pairwise, atol=1e-12)

@@ -332,11 +332,14 @@ class TestSerialization:
         (KernelSpec(0.7), {"n": True}),
         (KernelSpec(0.7), {"hyperparams": {"width": None}}),
         (KernelSpec(0.7), {"hyperparams": {"width": float("inf")}}),
+        (KernelSpec(0.7), {"hyperparams": {"width": 1e200}}),
+        (KernelSpec(0.7), {"hyperparams": {"width": 1e-200}}),
         (KernelSpec(0.7), "trailing"),
     ], ids=["kind", "mode-case", "negative-coef-len", "coef-len-not-n", "float-coef-len",
             "negative-n", "string-m", "linear-as-kernel", "trailing-linear",
             "coef-len-not-m", "m-not-coef-len", "kernel-as-linear", "bool-n",
-            "kernel-without-width", "infinite-width", "trailing-kernel"])
+            "kernel-without-width", "infinite-width", "overflowing-width",
+            "underflowing-width", "trailing-kernel"])
     def test_header_it_cannot_honour_rejected(self, tmp_path, blobs, kernel, mutation):
         path = tmp_path / "model.bin"
         save_model(fit_ifutsvm_id(blobs(5, 12, seed=16), Hyperparams(**HP, kernel=kernel)),
