@@ -35,6 +35,7 @@ from .data import (
     stratified_split,
 )
 from .evaluation import (
+    AXES,
     MODEL_KINDS,
     GridSpec,
     average_ranks,
@@ -81,9 +82,9 @@ def _info(msg: str) -> None:
 CONFIG_KEYS = {
     "experiment": {"datasets", "dataset_dir", "models", "split_fraction", "folds", "seed",
                    "threads", "out", "standardize", "noise_levels"},
-    "grid": {"c1", "c3", "cu", "epsilon", "width"},
+    "grid": set(AXES),
     "fuzzy": {"eta", "rho"},
-    "train": {"model", "dataset", "c1", "c3", "cu", "epsilon", "width", "delta"},
+    "train": {"model", "dataset", "delta", *AXES},
 }
 
 
@@ -121,17 +122,21 @@ def _str_list(raw: str) -> list[str]:
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
+def _axis_values(cp: configparser.ConfigParser, section: str) -> dict:
+    """Each lattice axis the section sets, as a tuple of floats; a width that
+    is empty or 'linear' is None, the linear model."""
+    values = {}
+    for key in AXES:
+        if cp.has_option(section, key):
+            raw = cp.get(section, key)
+            linear = key == "width" and raw in ("", "linear")
+            values[key] = None if linear else tuple(_float_list(raw))
+    return values
+
+
 def _grid_from_config(cp: configparser.ConfigParser) -> GridSpec:
-    kwargs = {"fuzzy": _fuzzy_from_config(cp)}
-    sec = cp["grid"] if cp.has_section("grid") else {}
-    for key in ("c1", "c3", "cu", "epsilon"):
-        if sec.get(key):
-            kwargs[key] = tuple(_float_list(sec[key]))
-    if "width" in sec:
-        raw = sec.get("width", "").strip()
-        kwargs["width"] = None if raw in ("", "linear") else tuple(_float_list(raw))
     try:
-        return GridSpec(**kwargs)
+        return GridSpec(fuzzy=_fuzzy_from_config(cp), **_axis_values(cp, "grid"))
     except ValueError as exc:
         raise ConfigError(f"bad [grid] values: {exc}") from None
 
@@ -144,9 +149,18 @@ def _fuzzy_from_config(cp: configparser.ConfigParser) -> FuzzyParams:
         raise ConfigError(f"bad [fuzzy] values: {exc}") from None
 
 
+def _experiment_value(cp: configparser.ConfigParser, key: str, default):
+    """The [experiment] value, or the default when the key is absent; a key
+    written with no value is an error, not a silent fallback."""
+    raw = cp.get("experiment", key, fallback=None)
+    if raw == "":
+        raise ConfigError(f"[experiment] {key} has no value")
+    return default if raw is None else raw
+
+
 def _dataset_paths(cp: configparser.ConfigParser) -> list[Path]:
-    datasets = cp.get("experiment", "datasets", fallback="")
-    dataset_dir = cp.get("experiment", "dataset_dir", fallback="")
+    datasets = _experiment_value(cp, "datasets", "")
+    dataset_dir = _experiment_value(cp, "dataset_dir", "")
     paths: list[Path] = []
     if datasets:
         paths = [Path(tok) for tok in _str_list(datasets)]
@@ -180,7 +194,7 @@ def _master_seed(cp: configparser.ConfigParser, args) -> int:
 
 def _experiment_settings(cp: configparser.ConfigParser, args) -> dict:
     def get(key, default):
-        return cp.get("experiment", key, fallback=default)
+        return _experiment_value(cp, key, default)
 
     seed = _master_seed(cp, args)
     split_fraction = _config_number(get("split_fraction", DEFAULT_SPLIT), float,
@@ -195,11 +209,15 @@ def _experiment_settings(cp: configparser.ConfigParser, args) -> dict:
     if threads < 1:
         raise ConfigError("threads must be at least 1")
     models = _str_list(get("models", "ifutsvm-id"))
+    if not models:
+        raise ConfigError("models lists no model kind")
     for kind in models:
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind: {kind!r}")
     levels = get("noise_levels", None)
-    levels = [float(v) for v in _float_list(levels)] if levels else list(DEFAULT_NOISE_LEVELS)
+    levels = _float_list(levels) if levels is not None else list(DEFAULT_NOISE_LEVELS)
+    if not levels:
+        raise ConfigError("noise_levels lists no level")
     for lv in levels:
         if not 0.0 <= lv <= 0.5:
             raise ConfigError("noise levels must lie in [0, 0.5]")
@@ -250,16 +268,14 @@ def _fixed_hyperparams(cp: configparser.ConfigParser, seed: int):
     kind = sec.get("model", "ifutsvm-id")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind: {kind!r}")
+    fixed = {}
+    for key, values in _axis_values(cp, "train").items():
+        if values is not None and len(values) != 1:
+            raise ConfigError(f"[train] {key} takes one number, got {sec[key]!r}")
+        fixed[key] = None if values is None else values[0]
     try:
-        width_raw = sec.get("width", "").strip()
-        width = None if width_raw in ("", "linear") else float(width_raw)
-        delta_raw = sec.get("delta", "").strip()
-        delta = float(delta_raw) if delta_raw else None
-        hp = make_hyperparams(
-            c1=sec.getfloat("c1", 1.0), c3=sec.getfloat("c3", 1.0),
-            cu=sec.getfloat("cu", 1.0), epsilon=sec.getfloat("epsilon", 0.1),
-            width=width, fuzzy=_fuzzy_from_config(cp), seed=seed, delta=delta,
-        )
+        hp = make_hyperparams(**fixed, fuzzy=_fuzzy_from_config(cp), seed=seed,
+                              delta=cp.getfloat("train", "delta", fallback=None))
     except ValueError as exc:
         raise ConfigError(f"bad [train] hyperparameters: {exc}") from None
     return kind, hp
@@ -385,15 +401,12 @@ def _run_dataset_model(payload: dict) -> dict:
         pred = predict(model, test.features)
         cm = confusion(test.labels, pred)
         rep = metrics(cm)
-        best = {
-            "c1": best_hp.c1, "c3": best_hp.c3, "cu": best_hp.cu,
-            "epsilon": best_hp.epsilon,
-            "width": best_hp.kernel.width if best_hp.kernel else None,
-        }
+        # max keeps the first maximum, as the search does: best_hp's row
+        best = max(cv_table, key=lambda row: row["mean_accuracy"])
         return {
             "dataset": name, "kind": kind, "noise_level": level,
-            "ok": True, "best": best,
-            "cv_accuracy": max(r["mean_accuracy"] for r in cv_table),
+            "ok": True, "best": {key: best[key] for key in AXES},
+            "cv_accuracy": best["mean_accuracy"],
             "metrics": asdict(rep),
             "confusion": asdict(cm),
             "cv_table": cv_table if payload["keep_cv_table"] else None,
@@ -490,10 +503,11 @@ def _run_protocol(args, noise: bool) -> int:
     names = [p.stem for p in paths]
     kinds = settings["models"]
     # results are keyed by (dataset name, model, level): a repeat would merge cells
-    for what, values in (("dataset name", names), ("model", kinds)):
+    for what, values in (("dataset name", names), ("model", kinds),
+                         ("noise level", settings["noise_levels"])):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
-            raise ConfigError(f"repeated {what}: {', '.join(repeated)}")
+            raise ConfigError(f"repeated {what}: {', '.join(map(str, repeated))}")
     seed = settings["seed"]
 
     cells = [
@@ -521,13 +535,10 @@ def _run_protocol(args, noise: bool) -> int:
     cv_dir = out_dir / "cv"
     for r in results:
         if r.get("cv_table"):
-            rows = [(row["c1"], row["c3"], row["cu"], row["epsilon"], row["width"],
-                     row["mean_accuracy"], ";".join(row["flags"]))
+            rows = [(*(row[key] for key in AXES), row["mean_accuracy"], ";".join(row["flags"]))
                     for row in r["cv_table"]]
             tag = f"{r['dataset']}_{r['kind']}_{r['noise_level']:g}"
-            _write_csv(cv_dir / f"{tag}.csv",
-                       ["c1", "c3", "cu", "epsilon", "width", "mean_accuracy", "flags"],
-                       rows)
+            _write_csv(cv_dir / f"{tag}.csv", [*AXES, "mean_accuracy", "flags"], rows)
     for r in results:
         r.pop("elapsed", None)
         r.pop("cv_table", None)
@@ -536,11 +547,7 @@ def _run_protocol(args, noise: bool) -> int:
 
     report = {
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in settings.items()},
-        "grid": {
-            "c1": list(grid.c1), "c3": list(grid.c3), "cu": list(grid.cu),
-            "epsilon": list(grid.epsilon),
-            "width": list(grid.width) if grid.width is not None else None,
-        },
+        "grid": {key: getattr(grid, key) for key in AXES},
         "noise_levels": noise_levels,
         "results": sorted(results, key=lambda r: (r["dataset"], r["kind"], r["noise_level"])),
         "aggregate": aggregate,

@@ -1,11 +1,11 @@
 """Confusion metrics, cross-validated grid search, and rank statistics.
 
-The grid search reports its table in a fixed lattice order (c1 outermost,
-then c3, cu, epsilon, width) and keeps the first best point in that order,
-so model selection is reproducible.  It fits the points in another order,
-width -> fold -> c3 -> (c1, cu, epsilon), so that each fold's fuzzy scores,
-sampling plan and Gram blocks are prepared once per width and its dual
-Hessians once per c3.  Every fit still computes the same bits as a
+The grid search reports its table in a fixed lattice order (AXES: c1
+outermost, then c3, cu, epsilon, width) and keeps the first best point in
+that order, so model selection is reproducible.  It fits the points in
+another order, width -> fold -> c3 -> (c1, cu, epsilon), so that each
+fold's fuzzy scores, sampling plan and Gram blocks are prepared once per
+width and its dual Hessians once per c3.  Every fit still computes the same bits as a
 standalone fit, so the table does not depend on that order.  Rank
 aggregation uses average ranks with tie averaging (best accuracy = rank 1)
 and feeds the Friedman chi-square, its F-form correction, and the Nemenyi
@@ -93,42 +93,44 @@ PENALTY_RANGE = tuple(10.0**k for k in range(-5, 6))
 EPSILON_RANGE = (0.1, 0.3, 0.5, 0.6)
 WIDTH_RANGE = tuple(2.0**k for k in range(-5, 6))
 
+# the lattice axes in table order, c1 outermost; c2 is tied to c1 and c4 to c3
+AXES = ("c1", "c3", "cu", "epsilon", "width")
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Hyperparameter lattice; c2 is tied to c1 and c4 to c3 when expanded."""
+    """Hyperparameter lattice over AXES; a None width is the linear model."""
 
     c1: tuple = PENALTY_RANGE
     c3: tuple = PENALTY_RANGE
     cu: tuple = PENALTY_RANGE
     epsilon: tuple = EPSILON_RANGE
-    width: tuple | None = WIDTH_RANGE  # None -> linear models
+    width: tuple | None = WIDTH_RANGE
     fuzzy: FuzzyParams = FuzzyParams()
 
     def __post_init__(self):
         # each axis value must pass the Hyperparams/KernelSpec checks on its own,
-        # with the other settings held at valid values
-        valid = {"c1": 1.0, "c3": 1.0, "cu": 1.0, "epsilon": 0.1, "width": None}
-        for name, values in zip(valid, self.axes()):
+        # with the other axes at make_hyperparams' defaults
+        for name, values in zip(AXES, self.axes()):
             if not values:
                 raise ValueError(f"grid axis {name} is empty")
             for value in values:
-                make_hyperparams(**{**valid, name: value})
+                make_hyperparams(**{name: value})
 
     def axes(self) -> tuple[list, ...]:
-        """Sorted (c1, c3, cu, epsilon, width) values; the lattice is their product."""
-        widths = sorted(self.width) if self.width is not None else [None]
-        return (sorted(self.c1), sorted(self.c3), sorted(self.cu), sorted(self.epsilon),
-                widths)
+        """Sorted values of each axis in AXES order; the lattice is their product."""
+        return tuple([None] if values is None else sorted(values)
+                     for values in (getattr(self, name) for name in AXES))
 
     def size(self) -> int:
-        w = len(self.width) if self.width is not None else 1
-        return len(self.c1) * len(self.c3) * len(self.cu) * len(self.epsilon) * w
+        return math.prod(map(len, self.axes()))
 
 
-def make_hyperparams(c1: float, c3: float, cu: float, epsilon: float,
-                     width: float | None, fuzzy: FuzzyParams = FuzzyParams(),
-                     seed: int = 0, delta: float | None = None) -> Hyperparams:
+def make_hyperparams(c1: float = 1.0, c3: float = 1.0, cu: float = 1.0,
+                     epsilon: float = 0.1, width: float | None = None,
+                     fuzzy: FuzzyParams = FuzzyParams(), seed: int = 0,
+                     delta: float | None = None) -> Hyperparams:
+    """One lattice point, c2 = c1 and c4 = c3; the defaults are [train]'s."""
     kernel = KernelSpec(width) if width is not None else None
     return Hyperparams(c1=c1, c2=c1, c3=c3, c4=c3, cu=cu, epsilon=epsilon,
                        kernel=kernel, delta=delta, fuzzy=fuzzy, seed=seed)
@@ -201,12 +203,14 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
     folds all fail are never selected.
 
     The table rows follow the lattice order of `GridSpec.axes` (c1 outermost,
-    width innermost) and ties go to the first row.  The fits run width ->
-    fold -> c3 -> (c1, cu, epsilon) instead, sharing one stage memo: each
-    (fold, width) preparation (scores, sampling plan, Gram blocks, universum)
-    is built once and each (fold, width, c3) pair of dual Hessians is formed
-    once, and only the current ones are kept.  Every fold fit is still one
-    call to `fit_model` and computes the same bits as a standalone fit.
+    width innermost), each keyed by the AXES names, and ties go to the first
+    row.  The fits run width -> fold -> c3 -> (c1, cu, epsilon) instead,
+    sharing one stage memo: each (fold, width) preparation (scores, sampling
+    plan, Gram blocks, universum) is built once and each (fold, width, c3)
+    pair of dual Hessians is formed once, and only the current ones are kept.
+    UTSVM reads neither c3 nor c4, so it fits the first c3 only and every
+    other c3 row repeats that row's folds.  Every fold fit is still one call
+    to `fit_model` and computes the same bits as a standalone fit.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
@@ -223,33 +227,31 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
     flags: dict[tuple, str] = {}
     stages = FitStages()
     n1, n3, nu, ne, nw = shape
-    for iw, j, i3, i1, iu, ie in np.ndindex(nw, k, n3, n1, nu, ne):
+    fitted_c3 = 1 if kind == "utsvm" else n3
+    for iw, j, i3, i1, iu, ie in np.ndindex(nw, k, fitted_c3, n1, nu, ne):
         point = (i1, i3, iu, ie, iw)
-        c1, c3, cu, eps, width = (axis[i] for axis, i in zip(axes, point))
-        hp = make_hyperparams(c1, c3, cu, eps, width, grid.fuzzy, seed=fold_seeds[j])
+        values = {name: axis[i] for name, axis, i in zip(AXES, axes, point)}
+        hp = make_hyperparams(**values, fuzzy=grid.fuzzy, seed=fold_seeds[j])
         tr, va = fold_sets[j]
         accs[(*point, j)], flag = _fold_score(kind, j, tr, va, hp, stages)
         if flag is not None:
             flags[point, j] = flag
 
     table: list[dict] = []
-    best_row = None
-    best_hp = None
     for point in np.ndindex(shape):
-        c1, c3, cu, eps, width = (axis[i] for axis, i in zip(axes, point))
-        fold_accs = accs[point]
+        values = {name: axis[i] for name, axis, i in zip(AXES, axes, point)}
+        fitted = (point[0], 0, *point[2:]) if kind == "utsvm" else point
+        fold_accs = accs[fitted]
         mean = float(np.nanmean(fold_accs)) if np.any(~np.isnan(fold_accs)) else float("-inf")
-        row = {
-            "c1": c1, "c3": c3, "cu": cu, "epsilon": eps, "width": width,
+        table.append({
+            **values,
             "mean_accuracy": mean,
             "fold_accuracies": [None if np.isnan(a) else float(a) for a in fold_accs],
-            "flags": [flags[point, j] for j in range(k) if (point, j) in flags],
-        }
-        table.append(row)
-        if best_row is None or mean > best_row["mean_accuracy"]:
-            best_row = row
-            best_hp = make_hyperparams(c1, c3, cu, eps, width, grid.fuzzy,
-                                       seed=mix_seed(seed, "refit"))
+            "flags": [flags[fitted, j] for j in range(k) if (fitted, j) in flags],
+        })
+    best = max(table, key=lambda row: row["mean_accuracy"])  # the first of equal rows
+    best_hp = make_hyperparams(**{name: best[name] for name in AXES}, fuzzy=grid.fuzzy,
+                               seed=mix_seed(seed, "refit"))
     return best_hp, table
 
 

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +10,11 @@ import numpy as np
 import pytest
 
 import ifutsvm
-from ifutsvm import FuzzyParams, GridSpec, cli
+from ifutsvm import (FuzzyParams, GridSpec, cli, grid_search_cv, load_dataset, standardize,
+                     stratified_split)
 from ifutsvm.cli import main, read_accuracy_matrix
+from ifutsvm.evaluation import AXES
+from ifutsvm.seeds import mix_seed
 
 from conftest import make_blobs, read_model_file, write_model_file
 
@@ -235,6 +240,50 @@ class TestBenchmark:
         a2 = (d2 / "runs/z/accuracies.csv").read_bytes()
         assert a1 == a2
 
+    def test_cv_tables_and_selected_row_match_the_search(self, tmp_path, toy_files):
+        # each cell rebuilt in-process from the CLI's seed tags: the kept CSV
+        # is the search table in order, and best / cv_accuracy are its first top row
+        pa, pb = toy_files
+        out = tmp_path / "cvt"
+        cfg = tmp_path / "cvt.ini"
+        cfg.write_text(BENCH_CONFIG.format(datasets=f"{pa}, {pb}", models="ifutsvm-id, utsvm",
+                                           out=out, extra="standardize = true\n")
+                       .replace("c3 = 0.1", "c3 = 1, 0.1").replace("linear", "4, 1"))
+        assert main(["benchmark", "--config", str(cfg), "--keep-cv-tables"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        grid = GridSpec(c1=(0.1, 1.0), c3=(1.0, 0.1), cu=(0.1,), epsilon=(0.1,), width=(4.0, 1.0))
+        assert report["grid"] == {"c1": [0.1, 1.0], "c3": [1.0, 0.1], "cu": [0.1],
+                                  "epsilon": [0.1], "width": [4.0, 1.0]}
+        assert len(report["results"]) == 4
+        for cell in report["results"]:
+            name, kind = cell["dataset"], cell["kind"]
+            split = stratified_split(load_dataset(tmp_path / f"{name}.dat"), 0.7,
+                                     mix_seed(77, name, "split"))
+            train, _ = standardize(*split)
+            best_hp, table = grid_search_cv(train, kind, grid, 3, mix_seed(77, name, kind, "cv"))
+            with open(out / "cv" / f"{name}_{kind}_0.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["c1", "c3", "cu", "epsilon", "width", "mean_accuracy", "flags"]
+            assert rows[1:] == [[str(row[key]) for key in AXES]
+                                + [str(row["mean_accuracy"]), ";".join(row["flags"])]
+                                for row in table]
+            assert cell["best"] == {"c1": best_hp.c1, "c3": best_hp.c3, "cu": best_hp.cu,
+                                    "epsilon": best_hp.epsilon, "width": best_hp.kernel.width}
+            assert cell["cv_accuracy"] == max(row["mean_accuracy"] for row in table)
+
+    def test_dataset_dir_runs_its_files_in_name_order(self, tmp_path, toy_files):
+        listed = self.run(tmp_path, toy_files, out="runs/listed")
+        pa, _ = toy_files
+        cfg = tmp_path / "dir.ini"
+        cfg.write_text(BENCH_CONFIG.replace("datasets = {datasets}", "dataset_dir = {datasets}")
+                       .format(datasets=pa.parent, models="ifutsvm-id, utsvm",
+                               out=tmp_path / "runs/dir", extra=""))
+        assert main(["benchmark", "--config", str(cfg)]) == 0
+        found = json.loads((tmp_path / "runs/dir/report.json").read_text())
+        assert [r["dataset"] for r in found["results"]] == ["alpha", "alpha", "beta", "beta"]
+        assert found["results"] == listed["results"]
+        assert found["aggregate"] == listed["aggregate"]
+
 
 class TestNoiseStudy:
     def test_levels_produce_rows_and_zero_matches_benchmark(self, tmp_path, toy_files):
@@ -367,7 +416,7 @@ class TestExperimentNumbers:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["benchmark", "noise-study"])
-    @pytest.mark.parametrize("repeat", ["dataset", "model"])
+    @pytest.mark.parametrize("repeat", ["dataset", "model", "level"])
     def test_repeated_dataset_or_model_exits_4_before_any_cell(
             self, tmp_path, toy_files, capsys, monkeypatch, command, repeat):
         # cells are keyed by (dataset name, model, level), so a repeat would
@@ -377,16 +426,20 @@ class TestExperimentNumbers:
 
         monkeypatch.setattr(cli, "_run_cells", no_cells)
         pa, pb = toy_files
+        datasets, models, extra = f"{pa}, {pb}", "ifutsvm-id", ""
         if repeat == "dataset":
             twin = tmp_path / "other" / pa.name
             twin.parent.mkdir()
             twin.write_bytes(pa.read_bytes())
-            datasets, models, message = f"{pa}, {twin}, {pb}", "ifutsvm-id", "dataset name: alpha"
+            datasets, message = f"{pa}, {twin}, {pb}", "dataset name: alpha"
+        elif repeat == "model":
+            models, message = "ifutsvm-id, ifutsvm-id", "model: ifutsvm-id"
         else:
-            datasets, models, message = f"{pa}, {pb}", "ifutsvm-id, ifutsvm-id", "model: ifutsvm-id"
+            extra, message = "noise_levels = 0.1, 0.2, 0.10\n", "noise level: 0.1"
         out = tmp_path / "out"
         cfg = tmp_path / "b.ini"
-        cfg.write_text(BENCH_CONFIG.format(datasets=datasets, models=models, out=out, extra=""))
+        cfg.write_text(BENCH_CONFIG.format(datasets=datasets, models=models, out=out,
+                                           extra=extra))
         assert main([command, "--config", str(cfg)]) == 4
         assert f"config error: repeated {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -448,6 +501,49 @@ class TestConfigFile:
         assert main(["benchmark", "--config", str(cfg)]) == 4
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("benchmark", "c1", ""),
+        ("noise-study", "models", ""),
+        ("noise-study", "models", ","),
+        ("noise-study", "noise_levels", ""),
+        ("noise-study", "noise_levels", ","),
+        ("benchmark", "out", ""),
+        ("benchmark", "datasets", ""),
+    ], ids=["grid-c1", "models", "models-comma", "noise_levels", "noise_levels-comma",
+            "out", "datasets"])
+    def test_key_without_value_exits_4(self, tmp_path, toy_files, capsys, monkeypatch,
+                                       command, key, value):
+        # an empty value used to mean the default (for out the working
+        # directory, for datasets dataset_dir); only width keeps "empty means linear"
+        monkeypatch.setattr(cli, "_run_cells", no_cells)
+        monkeypatch.chdir(tmp_path)
+        cfg = self.bench_config(tmp_path, toy_files,
+                                extra=f"dataset_dir = {tmp_path}\nnoise_levels = 0.1\n")
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", cfg.read_text(),
+                              flags=re.M))
+        assert main([command, "--config", str(cfg)]) == 4
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "report.json").exists()
+
+    def test_train_delta_without_value_exits_4(self, tmp_path, toy_files, capsys):
+        pa, _ = toy_files
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=pa) + "delta =\n")
+        out = tmp_path / "m.bin"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "config error: bad [train] hyperparameters" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_known_keys_match_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listing = readme.split("The known keys are:", 1)[1].strip().split("\n\n", 1)[0]
+        documented = {}
+        for item in listing.split("\n- "):
+            section, body = re.match(r"-? *`\[(\w+)\]`:(.*)", item, re.S).groups()
+            body = re.sub(r"\([^)]*\)", "", body)
+            documented[section] = set(re.findall(r"\w+", body)) - {"and"}
+        assert documented == cli.CONFIG_KEYS
 
     def test_readme_example_config_is_accepted(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

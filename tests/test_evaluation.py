@@ -308,7 +308,11 @@ class TestStagedGridSearch:
         ("utsvm", (8, 24, 3, 3),
          GridSpec(c1=(0.1, 1.0), c3=(0.1, 1.0), cu=(0.1,), epsilon=(0.1,),
                   width=(2.0, 4.0))),
-    ], ids=["ifutsvm-kernel-collapse", "ifutsvm-linear", "ifutsvm-kernel", "utsvm-kernel"])
+        ("utsvm", (10, 30, 5, 3),
+         GridSpec(c1=(0.1, 10.0), c3=(1.0, 0.01, 0.1), cu=(0.1, 1.0), epsilon=(0.1, 0.5),
+                  width=None)),
+    ], ids=["ifutsvm-kernel-collapse", "ifutsvm-linear", "ifutsvm-kernel", "utsvm-kernel",
+            "utsvm-linear"])
     def test_equals_per_point_reference(self, kind, ds_args, grid):
         n1, n2, seed, d = ds_args
         ds = make_blobs(n1, n2, seed=seed, d=d)
@@ -355,3 +359,20 @@ class TestStagedGridSearch:
         assert calls["assign_scores"] == folds_widths
         assert calls["spd_factor"] == 2 * folds_widths * len(grid.c3)
         assert calls["fit_model"] == grid.size() * k
+
+    def test_utsvm_fits_one_c3(self, monkeypatch):
+        # fit_utsvm reads neither c3 nor c4, so the other c3 rows reuse the first's folds
+        calls = 0
+        original = evaluation.fit_model
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(evaluation, "fit_model", counted)
+        grid = GridSpec(c1=(0.1, 10.0), c3=(0.01, 0.1, 1.0), cu=(0.1, 1.0), epsilon=(0.1,),
+                        width=(1.0, 4.0))
+        k = 3
+        _, table = grid_search_cv(make_blobs(10, 30, seed=2, d=3), "utsvm", grid, k=k, seed=4)
+        assert len(table) == grid.size()
+        assert calls == grid.size() // len(grid.c3) * k
