@@ -421,12 +421,13 @@ def _run_dataset_model(payload: dict) -> dict:
 
 
 def _run_cells(cells: list[dict], threads: int) -> list[dict]:
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_dataset_model, cells))
-    else:
-        results = [_run_dataset_model(c) for c in cells]
-    return results
+    # a forking pool starts all its workers at the first submit, so never
+    # ask for more than there are cells
+    workers = min(threads, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_dataset_model, cells))
+    return [_run_dataset_model(c) for c in cells]
 
 
 def _statistics_block(names: list[str], kinds: list[str], acc: np.ndarray,

@@ -16,7 +16,9 @@ against the stacked training matrix D = [X1; X2].
 A fit runs in three stages: prepare (scores, sampling plan or universum, and
 the M/H blocks), hessian (per plane, the Cholesky factor of M'M + ridge I and
 Q) and solve (per lattice point, the box QP and the recovery of (w; b)).
-A FitStages memo lets consecutive fits share the first two.
+A FitStages memo lets consecutive fits share the first two.  All three run
+with OpenBLAS on one thread (qp._one_blas_thread), and the caller gets its
+own thread count back when the fit returns or raises.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from scipy.linalg import cho_solve
 from .data import Dataset, ParseError
 from .kernels import KernelSpec, gram_values
 from .membership import FuzzyParams, ScoreWeights, assign_scores, uniform_scores
-from .qp import DEFAULT_TOL, BoxQP, QPSolution, solve_box_qp, spd_factor
+from .qp import DEFAULT_TOL, BoxQP, QPSolution, _one_blas_thread, solve_box_qp, spd_factor
 from .sampling import SamplingPlan, build_plan
 
 MAGIC = b"TWINSVM1"
@@ -303,13 +305,20 @@ def _split_coefficients(z: np.ndarray, which: str) -> tuple[np.ndarray, float]:
 
 def _fit(train: Dataset, hp: Hyperparams, key: tuple, prepare,
          stages: FitStages | None) -> TwinModel:
-    """Solve stage: both box QPs of one lattice point on memoized blocks and Hessians."""
+    """Prepare, hessian and solve stages of one lattice point, on memoized
+    blocks and Hessians.
+
+    Every fit passes here, and its linear algebra runs on one OpenBLAS thread:
+    the duals are too small to gain from more, and parallel work comes from
+    worker processes.  The caller's thread counts come back on return or raise.
+    """
     stages = stages if stages is not None else FitStages()
-    blocks = stages.blocks(train, key, prepare)
-    (z1, sol1), (z2, sol2) = [_solve_plane(plane, stages.hessian(i, plane))
-                              for i, plane in enumerate(_planes(blocks, hp))]
-    w1, b1 = _split_coefficients(z1, "1")
-    w2, b2 = _split_coefficients(z2, "2")
+    with _one_blas_thread():
+        blocks = stages.blocks(train, key, prepare)
+        (z1, sol1), (z2, sol2) = [_solve_plane(plane, stages.hessian(i, plane))
+                                  for i, plane in enumerate(_planes(blocks, hp))]
+        w1, b1 = _split_coefficients(z1, "1")
+        w2, b2 = _split_coefficients(z2, "2")
     k1, k2 = (weights.shape[0] for weights in blocks.weights)
     report = DualReport(
         alpha=sol1.z[:k1], beta=sol1.z[k1:],

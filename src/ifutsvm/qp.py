@@ -12,10 +12,18 @@ linear term favours.  Convergence is certified by the projected-gradient KKT
 residual
 
     max_i | clip(z_i - g_i, 0, upper_i) - z_i |,   g = Qz - c.
+
+The duals are small (order m + 1, a few hundred on KEEL-sized sets), so
+OpenBLAS's thread hand-offs cost more than they save: every fit runs its
+linear algebra inside _one_blas_thread, which sets each OpenBLAS loaded into
+the process to one thread and gives the caller back the counts it had.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,3 +227,92 @@ def spd_factor(M: np.ndarray, ridge: float):
         raise FactorizationError(
             f"matrix is not positive definite ({exc}); increase the ridge"
         ) from None
+
+
+_OPENBLAS_CONTROLS = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                      for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+
+
+def _find_openblas() -> list[tuple]:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this process.
+
+    numpy and scipy each ship their own build (numpy's `@` and lstsq run on
+    one, scipy's cho_factor/cho_solve on the other).  Empty where no OpenBLAS
+    is loaded or the platform has no /proc.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_CONTROLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+class _BlasThreads:
+    """The process's OpenBLAS thread counts, which every library shares
+    process-wide: found once, on first use, and changed under one lock.
+
+    A depth count spans nested and concurrent scopes: the first to enter saves
+    the counts and sets one thread, and the last to leave restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._controls = None
+        self._depth = 0
+        self._saved: list[int] = []
+
+    def _found(self) -> list[tuple]:
+        if self._controls is None:
+            self._controls = _find_openblas()
+        return self._controls
+
+    def counts(self) -> list[int]:
+        with self._lock:
+            return [get() for get, _ in self._found()]
+
+    def enter(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [get() for get, _ in self._found()]
+                for _, set_ in self._controls:
+                    set_(1)
+            self._depth += 1
+
+    def leave(self) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (_, set_), count in zip(self._controls, self._saved):
+                    set_(count)
+
+
+_BLAS_THREADS = _BlasThreads()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS in the process on one thread, then
+    restore the counts the caller had, also when the block raises, nests or
+    runs on several Python threads at once.  Does nothing where no OpenBLAS
+    is found.  Parallelism comes from worker processes, not BLAS threads.
+    """
+    _BLAS_THREADS.enter()
+    try:
+        yield
+    finally:
+        _BLAS_THREADS.leave()

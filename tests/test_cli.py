@@ -342,6 +342,36 @@ class TestNoiseStudy:
         assert one == reports[2][0]
         assert reports[1][1:] == reports[2][1:]
 
+    @pytest.mark.parametrize("datasets, cells, pool", [(2, 2, [2]), (1, 1, [])])
+    def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, toy_files, monkeypatch,
+                                                  datasets, cells, pool):
+        # a forking pool starts every worker it is asked for at the first
+        # submit; a fake pool records the request and runs the cells in process
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "capped"
+        cfg = tmp_path / "capped.ini"
+        cfg.write_text(BENCH_CONFIG.format(
+            datasets=", ".join(str(p) for p in toy_files[:datasets]), models="ifutsvm-id",
+            out=out, extra="noise_levels = 0.1\n"))
+        assert main(["noise-study", "--config", str(cfg), "--threads", "1000"]) == 0
+        assert requested == pool
+        assert len(json.loads((out / "report.json").read_text())["results"]) == cells
+
 
 class TestExperimentNumbers:
     @pytest.mark.parametrize("old, new, flags", [

@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,11 +22,13 @@ from ifutsvm import (
     duality_gaps,
     fit_ifutsvm_id,
     fit_utsvm,
+    generate_universum,
     load_model,
     predict,
     save_model,
     solve_box_qp,
 )
+from ifutsvm import models, qp
 from ifutsvm.models import _ifutsvm_blocks, _planes
 from ifutsvm.membership import uniform_scores
 
@@ -385,3 +390,146 @@ class TestHyperparams:
     def test_boundary_values_accepted(self):
         Hyperparams(**{**HP, "cu": 0.0}, delta=1e-12)
         Hyperparams(**{**HP, "c1": 1e300})
+
+
+def blas_counts():
+    return qp._BLAS_THREADS.counts()
+
+
+@contextlib.contextmanager
+def blas_counts_set_to(count):
+    controls = qp._find_openblas()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(count)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, saved):
+            set_(n)
+
+
+@pytest.fixture
+def start_counts():
+    counts = blas_counts()
+    if not counts:
+        pytest.skip("no OpenBLAS found in this process")
+    return counts
+
+
+@pytest.fixture
+def counts_in_solves(monkeypatch):
+    """The OpenBLAS thread counts seen by every box-QP solve of a fit."""
+    seen = []
+    solve = models.solve_box_qp
+
+    def observed(*args, **kwargs):
+        seen.append(blas_counts())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(models, "solve_box_qp", observed)
+    return seen
+
+
+# train m = 140 with 7 features and IR 6, like one cv-kernel training split:
+# its kernel products pass OpenBLAS's threading thresholds
+KEEL_SHAPED = make_blobs(20, 120, seed=0, d=7)
+
+
+class TestOneBlasThread:
+    def test_fit_runs_on_one_thread_and_restores(self, start_counts, counts_in_solves):
+        fit_ifutsvm_id(KEEL_SHAPED, Hyperparams(**HP, kernel=KernelSpec(2.0)))
+        assert counts_in_solves and all(c == [1] * len(start_counts) for c in counts_in_solves)
+        assert blas_counts() == start_counts
+
+    def test_restored_after_a_fit_that_raises(self, start_counts, counts_in_solves):
+        with pytest.raises(TrainingError, match="degenerate plane 2"):
+            fit_ifutsvm_id(KEEL_SHAPED, Hyperparams(**HP, kernel=KernelSpec(0.5)))
+        assert counts_in_solves  # it raised after the solves, inside the scope
+        assert blas_counts() == start_counts
+
+    def test_restored_after_a_nested_fit(self, start_counts):
+        with qp._one_blas_thread():
+            fit_ifutsvm_id(KEEL_SHAPED, Hyperparams(**HP))
+            assert blas_counts() == [1] * len(start_counts)  # the outer scope still holds
+        assert blas_counts() == start_counts
+
+    def test_restored_after_concurrent_fits(self, monkeypatch, start_counts,
+                                            counts_in_solves):
+        # the two fits meet at their first solve, so both are inside the scope
+        # at once; the kernel fit makes its second solve only after the linear
+        # fit has left, so it sees the counts one scope leaves to the other
+        both_inside = threading.Barrier(2, timeout=60)
+        linear_left = threading.Event()
+        solves = {"linear": 0, "kernel": 0}
+        solve = models.solve_box_qp
+
+        def meet_then_solve(*args, **kwargs):
+            name = threading.current_thread().name
+            solves[name] += 1
+            if solves[name] == 1:
+                both_inside.wait()
+            elif name == "kernel":
+                linear_left.wait(timeout=60)
+            return solve(*args, **kwargs)
+
+        def fit(kernel):
+            fit_utsvm(KEEL_SHAPED, None, Hyperparams(**HP, kernel=kernel))
+            if kernel is None:
+                linear_left.set()
+
+        monkeypatch.setattr(models, "solve_box_qp", meet_then_solve)
+        threads = [threading.Thread(target=fit, args=(kernel,), name=name)
+                   for name, kernel in (("linear", None), ("kernel", KernelSpec(2.0)))]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert linear_left.is_set() and solves == {"linear": 2, "kernel": 2}
+        assert counts_in_solves == [[1] * len(start_counts)] * 4
+        assert blas_counts() == start_counts
+
+    @pytest.mark.parametrize("kind", ["ifutsvm-id", "utsvm"])
+    @pytest.mark.parametrize("kernel", [None, KernelSpec(2.0)])
+    def test_outputs_independent_of_the_callers_thread_count(self, tmp_path, monkeypatch,
+                                                             start_counts, kind, kernel):
+        hp = Hyperparams(**HP, kernel=kernel, seed=3)
+        universum, _ = generate_universum(KEEL_SHAPED, 28, seed=3)
+        test = make_blobs(10, 60, seed=100, d=7)
+
+        def fit():
+            if kind == "ifutsvm-id":
+                return fit_ifutsvm_id(KEEL_SHAPED, hp)
+            return fit_utsvm(KEEL_SHAPED, universum, hp)
+
+        def outputs(model):
+            save_model(model, tmp_path / "model.bin")
+            rep = model.dual_report
+            return ((tmp_path / "model.bin").read_bytes(), rep.iterations_1, rep.iterations_2,
+                    [z.tobytes() for z in (rep.alpha, rep.beta, rep.eta, rep.theta)])
+
+        scoped = fit()
+        monkeypatch.setattr(models, "_one_blas_thread", contextlib.nullcontext)
+        with blas_counts_set_to(1):
+            one_thread = fit()
+        callers = fit()
+        assert outputs(scoped) == outputs(one_thread)
+        if kernel is None or max(start_counts) == 1:
+            assert outputs(scoped) == outputs(callers)
+        else:
+            # OpenBLAS factors an order >= 64 matrix (here M'M, order 141) with
+            # its threaded blocked Cholesky when it has more than one thread,
+            # which rounds differently: the same sweeps and labels, last bits apart
+            a, b = scoped.dual_report, callers.dual_report
+            assert (a.iterations_1, a.iterations_2) == (b.iterations_1, b.iterations_2)
+            assert_array_equal(predict(scoped, test.features), predict(callers, test.features))
+            for x, y in [(scoped.w1, callers.w1), (scoped.w2, callers.w2),
+                         (a.alpha, b.alpha), (a.beta, b.beta), (a.eta, b.eta),
+                         (a.theta, b.theta)]:
+                assert_allclose(x, y, rtol=1e-9, atol=1e-9)
