@@ -614,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI experiment config")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output path or directory (overrides config)")
-        p.add_argument("--threads", type=int, help="dataset-level worker count")
 
     def statistics_flags(p):
         p.add_argument("--q-alpha", type=float, default=2.850,
@@ -641,6 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=hlp)
         common(p)
+        p.add_argument("--threads", type=int, help="dataset-level worker count")
         p.add_argument("--keep-cv-tables", action="store_true",
                        help="write per-cell CV tables as CSV")
         statistics_flags(p)

@@ -182,15 +182,11 @@ def _subset(ds: Dataset, idx: np.ndarray, tag: str) -> Dataset:
 def _fold_score(kind: str, j: int, tr: Dataset, va: Dataset, hp: Hyperparams,
                 stages: FitStages) -> tuple[float, str | None]:
     """Validation accuracy of one fold fit (NaN if it failed) and its flag."""
-    if tr.m1 == 0 or tr.m2 == 0:
-        return np.nan, f"fold{j}:single-class"
     try:
         model = fit_model(kind, tr, hp, stages=stages)
     except (NumericalError, TrainingError) as exc:
         return np.nan, f"fold{j}:{type(exc).__name__}"
-    flag = None
-    if model.dual_report is not None and model.dual_report.balanced_fallback:
-        flag = f"fold{j}:balanced-fallback"
+    flag = f"fold{j}:balanced-fallback" if model.dual_report.balanced_fallback else None
     return float(np.mean(predict(model, va.features) == va.labels)), flag
 
 
@@ -198,9 +194,9 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
                    seed: int) -> tuple[Hyperparams, list[dict]]:
     """Mean CV accuracy per lattice point; argmax with first-in-lattice ties.
 
-    Folds that cannot be trained (single-class training part, solver failure)
-    score NaN and are flagged; a point's mean ignores NaN folds.  Points whose
-    folds all fail are never selected.
+    Folds that cannot be trained (solver failure, degenerate plane) score NaN
+    and are flagged; a point's mean ignores NaN folds.  Points whose folds all
+    fail are never selected.
 
     The table rows follow the lattice order of `GridSpec.axes` (c1 outermost,
     width innermost), each keyed by the AXES names, and ties go to the first

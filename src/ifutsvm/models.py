@@ -11,7 +11,8 @@ IFUTSVM-ID weights the slack bounds with intuitionistic fuzzy scores, builds
 the minority plane from an undersampled majority subset plus a reduced
 universum, and builds the majority plane from the full classes plus the full
 universum.  In kernel mode every block is replaced by its Gaussian Gram rows
-against the stacked training matrix D = [X1; X2].
+against the stacked training matrix D = [X1; X2]; a fit's blocks all come
+from one Gram evaluation of its stacked class and universum rows.
 
 A fit runs in three stages: prepare (scores, sampling plan or universum, and
 the M/H blocks), hessian (per plane, the Cholesky factor of M'M + ridge I and
@@ -196,11 +197,6 @@ class FitStages:
         return held[1]
 
 
-def _augment(X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
 def _hessian(plane: _Plane) -> _Hessian:
     MtM = plane.M.T @ plane.M
     factor = spd_factor(MtM, plane.ridge)
@@ -223,23 +219,25 @@ def primal_value(plane: _Plane, z: np.ndarray) -> float:
     return float(0.5 * (Mz @ Mz) + 0.5 * plane.ridge * (z @ z) + plane.upper @ slack)
 
 
-def _empty_block(width: int) -> np.ndarray:
-    return np.zeros((0, width))
+def _augmented(train: Dataset, kernel: KernelSpec | None,
+               *extra: np.ndarray) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """D and the rows of X1, X2 and each extra row set, in that order, each
+    augmented with a column of ones.
 
-
-def _mapper(kernel: KernelSpec | None, D: np.ndarray | None):
-    if kernel is None:
-        return lambda X: np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return lambda X: gram_values(X, D, kernel)
+    The row sets are stacked once; in kernel mode one Gram evaluation maps the
+    stack against D = [X1; X2], in linear mode the rows are used as they are.
+    """
+    X1, X2 = train.positives(), train.negatives()
+    D = np.vstack([X1, X2]) if kernel is not None else None
+    rows = np.vstack([X1, X2, *extra])
+    if kernel is not None:
+        rows = gram_values(rows, D, kernel)
+    bounds = np.cumsum([X.shape[0] for X in (X1, X2, *extra)])[:-1]
+    return D, [np.hstack([R, np.ones((R.shape[0], 1))]) for R in np.split(rows, bounds)]
 
 
 def _utsvm_blocks(train: Dataset, universum: np.ndarray, kernel: KernelSpec | None) -> _Blocks:
-    X1, X2 = train.positives(), train.negatives()
-    D = np.vstack([X1, X2]) if kernel is not None else None
-    mp = _mapper(kernel, D)
-    Gp = _augment(mp(X1))
-    En = _augment(mp(X2))
-    Fu = _augment(mp(universum)) if universum.shape[0] else _empty_block(Gp.shape[1])
+    D, (Gp, En, Fu) = _augmented(train, kernel, universum)
     # in kernel mode M is wide (m1 rows, m+1 columns): delta is then the
     # only regularizer acting on null(M), and a vanishing default makes
     # the dual unsolvable; linear-mode normal matrices are full rank and
@@ -256,20 +254,11 @@ def _utsvm_blocks(train: Dataset, universum: np.ndarray, kernel: KernelSpec | No
 
 def _ifutsvm_blocks(train: Dataset, plan: SamplingPlan, scores: ScoreWeights,
                     kernel: KernelSpec | None) -> _Blocks:
-    X1, X2 = train.positives(), train.negatives()
-    D = np.vstack([X1, X2]) if kernel is not None else None
-    mp = _mapper(kernel, D)
-    E = _augment(mp(X1))
-    F = _augment(mp(X2))
-    Fs = _augment(mp(plan.x2_star))
-    if plan.balanced:
-        G = Gs = _empty_block(E.shape[1])
-    else:
-        G = _augment(mp(plan.universum))
-        Gs = _augment(mp(plan.universum_star))
+    # x2_star is a row subset of X2, so its block is a row subset of F
+    D, (E, F, G, Gs) = _augmented(train, kernel, plan.universum, plan.universum_star)
     return _Blocks(
         kind="ifutsvm-id", D=D, M=(E, F),
-        H=(np.vstack([Fs, -Gs]), np.vstack([E, G])),
+        H=(np.vstack([F[plan.x2_star_indices], -Gs]), np.vstack([E, G])),
         weights=(scores.s2[plan.x2_star_indices], scores.s1),
         plan=plan, scores=scores,
     )
@@ -313,7 +302,7 @@ def _fit(train: Dataset, hp: Hyperparams, key: tuple, prepare,
     worker processes.  The caller's thread counts come back on return or raise.
     """
     stages = stages if stages is not None else FitStages()
-    with _one_blas_thread():
+    with _one_blas_thread:
         blocks = stages.blocks(train, key, prepare)
         (z1, sol1), (z2, sol2) = [_solve_plane(plane, stages.hessian(i, plane))
                                   for i, plane in enumerate(_planes(blocks, hp))]
@@ -347,7 +336,7 @@ def fit_utsvm(train: Dataset, universum: np.ndarray | None, hp: Hyperparams,
     if universum is None:
         universum = np.zeros((0, train.n))
     universum = np.atleast_2d(np.asarray(universum, dtype=np.float64))
-    if universum.shape[0] and universum.shape[1] != train.n:
+    if universum.shape[1] != train.n:
         raise ValueError("universum feature dimension does not match the data")
     key = ("utsvm", hp.kernel, universum.shape, universum.tobytes())
     return _fit(train, hp, key, lambda: _utsvm_blocks(train, universum, hp.kernel), stages)

@@ -15,15 +15,15 @@ residual
 
 The duals are small (order m + 1, a few hundred on KEEL-sized sets), so
 OpenBLAS's thread hand-offs cost more than they save: every fit runs its
-linear algebra inside _one_blas_thread, which sets each OpenBLAS loaded into
-the process to one thread and gives the caller back the counts it had.
+linear algebra inside `with _one_blas_thread:`, one scope object that finds
+each OpenBLAS loaded into the process at import, sets them to one thread and
+gives the caller back the counts it had.
 """
 
 from __future__ import annotations
 
 import ctypes
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,38 +262,38 @@ def _find_openblas() -> list[tuple]:
     return controls
 
 
-class _BlasThreads:
-    """The process's OpenBLAS thread counts, which every library shares
-    process-wide: found once, on first use, and changed under one lock.
+class _OneBlasThread:
+    """Context manager that runs its block with every OpenBLAS in the process
+    on one thread, then restores the counts the caller had, also when the
+    block raises, nests or runs on several Python threads at once.
 
-    A depth count spans nested and concurrent scopes: the first to enter saves
-    the counts and sets one thread, and the last to leave restores them.
+    The counts are process-wide, so one instance owns them: the libraries are
+    found once, at import (numpy and scipy.linalg are loaded by then), and
+    changed under one lock.  A depth count spans nested and concurrent
+    scopes: the first to enter saves the counts and sets one thread, and the
+    last to leave restores them.  Does nothing where no OpenBLAS is found.
+    Parallelism comes from worker processes, not BLAS threads.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._controls = None
+        self._controls = _find_openblas()
         self._depth = 0
         self._saved: list[int] = []
 
-    def _found(self) -> list[tuple]:
-        if self._controls is None:
-            self._controls = _find_openblas()
-        return self._controls
-
     def counts(self) -> list[int]:
         with self._lock:
-            return [get() for get, _ in self._found()]
+            return [get() for get, _ in self._controls]
 
-    def enter(self) -> None:
+    def __enter__(self) -> None:
         with self._lock:
             if self._depth == 0:
-                self._saved = [get() for get, _ in self._found()]
+                self._saved = [get() for get, _ in self._controls]
                 for _, set_ in self._controls:
                     set_(1)
             self._depth += 1
 
-    def leave(self) -> None:
+    def __exit__(self, *exc_info) -> None:
         with self._lock:
             self._depth -= 1
             if self._depth == 0:
@@ -301,18 +301,4 @@ class _BlasThreads:
                     set_(count)
 
 
-_BLAS_THREADS = _BlasThreads()
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with every OpenBLAS in the process on one thread, then
-    restore the counts the caller had, also when the block raises, nests or
-    runs on several Python threads at once.  Does nothing where no OpenBLAS
-    is found.  Parallelism comes from worker processes, not BLAS threads.
-    """
-    _BLAS_THREADS.enter()
-    try:
-        yield
-    finally:
-        _BLAS_THREADS.leave()
+_one_blas_thread = _OneBlasThread()

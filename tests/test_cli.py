@@ -86,6 +86,15 @@ class TestTrainEval:
         report = json.loads(out.read_text())
         assert report["metrics"]["accuracy"] == 1.0
 
+    def test_threads_flag_is_a_usage_error(self, tmp_path, toy_files):
+        # train fits one model in process: only benchmark and noise-study
+        # take a worker count
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=toy_files[0]))
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", str(cfg), "--threads", "2"])
+        assert info.value.code == 2
+
     def test_rerun_byte_identical_model(self, tmp_path, toy_files):
         pa, _ = toy_files
         cfg = tmp_path / "train.ini"
@@ -214,6 +223,31 @@ class TestBenchmark:
         assert ranks.shape == (2, 2)
         np.testing.assert_allclose(ranks.sum(axis=1), 3.0)
         assert len(report["results"]) == 4
+
+    def test_failing_cell_is_reported_and_leaves_the_statistics(self, tmp_path, toy_files):
+        # 3 minority rows keep 2 after the 70 % split, fewer than the 3 folds
+        few = tmp_path / "few.dat"
+        write_dataset(few, make_blobs(3, 20, seed=2, gap=6.0, name="few"))
+        cfg = tmp_path / "bench.ini"
+        cfg.write_text(BENCH_CONFIG.format(datasets=f"{toy_files[0]}, {few}",
+                                           models="ifutsvm-id, utsvm", out=tmp_path / "f",
+                                           extra=""))
+        assert main(["benchmark", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "f" / "report.json").read_text())
+        error = "ValueError: each class needs at least k samples for k folds"
+        failed = [r for r in report["results"] if r["dataset"] == "few"]
+        assert [(r["kind"], r["ok"], r["error"]) for r in failed] == [
+            ("ifutsvm-id", False, error), ("utsvm", False, error)]
+        assert all(r["ok"] for r in report["results"] if r["dataset"] == "alpha")
+        aggregate = report["aggregate"]
+        assert aggregate["complete_datasets"] == ["alpha"]
+        assert aggregate["notice"] == ("statistics block omitted: "
+                                       "needs at least 2 complete datasets")
+        assert "statistics" not in aggregate
+        with open(tmp_path / "f" / "accuracies.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["dataset"] == "few"]
+        assert [(row["accuracy"], row["error"]) for row in rows] == [("", error)] * 2
+        assert not (tmp_path / "f" / "ranks.csv").exists()
 
     def test_single_model_omits_statistics(self, tmp_path, toy_files):
         report = self.run(tmp_path, toy_files, models="ifutsvm-id", out="runs/y")

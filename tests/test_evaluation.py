@@ -253,6 +253,19 @@ class TestGridSearchCV:
         with pytest.raises(ValueError):
             grid_search_cv(ds, "svm", SMALL_GRID, k=5, seed=0)
 
+    def test_balanced_training_parts_are_flagged(self):
+        # stratified folds of a 10 + 10 set leave 5 + 5 rows to train on, so
+        # every fold fit falls back to a universum-free plan
+        ds = make_blobs(10, 10, seed=9)
+        for width in (None, (2.0,)):
+            grid = GridSpec(c1=(0.1, 1.0), c3=(0.1,), cu=(0.1,), epsilon=(0.1,),
+                            width=width)
+            _, table = grid_search_cv(ds, "ifutsvm-id", grid, k=2, seed=0)
+            assert len(table) == 2
+            for row in table:
+                assert row["flags"] == ["fold0:balanced-fallback", "fold1:balanced-fallback"]
+                assert None not in row["fold_accuracies"]
+
 
 def reference_grid_search(train, kind, grid, k, seed):
     """Per-point loop over the lattice, each fold fit on its own (no stages)."""

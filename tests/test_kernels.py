@@ -76,6 +76,11 @@ class TestGaussian:
         with pytest.raises(ValueError):
             gram_values(np.zeros((1, 2)), np.zeros((1, 3)), KernelSpec(1.0))
 
+    @pytest.mark.parametrize("p, q", [(0, 5), (4, 0), (0, 0)])
+    def test_empty_row_sets_give_empty_blocks(self, p, q):
+        K = gram_values(np.ones((p, 3)), np.ones((q, 3)), KernelSpec(1.0))
+        assert K.shape == (p, q) and K.dtype == np.float64
+
 
 class TestGram:
     def test_self_gram_unit_diagonal(self):

@@ -23,14 +23,15 @@ from ifutsvm import (
     fit_ifutsvm_id,
     fit_utsvm,
     generate_universum,
+    gram_values,
     load_model,
     predict,
     save_model,
     solve_box_qp,
 )
 from ifutsvm import models, qp
-from ifutsvm.models import _ifutsvm_blocks, _planes
-from ifutsvm.membership import uniform_scores
+from ifutsvm.models import _ifutsvm_blocks, _planes, _utsvm_blocks
+from ifutsvm.membership import assign_scores, uniform_scores
 
 from conftest import make_blobs, read_model_file, write_model_file
 from oracle_utils import gaussian
@@ -76,6 +77,38 @@ class TestFitUTSVM:
         w_or, b_or = normalized(direct.w2, direct.b2)
         assert_allclose(w_sw, w_or, atol=1e-6)
         assert_allclose(b_sw, b_or, atol=1e-6)
+
+    def test_duality_gaps_close(self):
+        # criterion 4's sets and bound, on UTSVM: linear and kernel, a
+        # universum of m2 - m1 rows or none, the trace-scaled or a fixed delta
+        worst = 0.0
+        for t in range(40):
+            rng = np.random.default_rng(100 + t)
+            m1 = int(rng.integers(4, 12))
+            m2 = int(rng.integers(12, min(40, 60 - m1)))
+            gap = rng.uniform(2.0, 3.5)
+            X = np.vstack([rng.normal(0, 0.6, (m1, 3)), rng.normal(gap, 0.8, (m2, 3))])
+            ds = Dataset(f"gap{t}", X, np.array([1] * m1 + [-1] * m2))
+            kernel = KernelSpec(float(rng.uniform(1.0, 4.0))) if t % 2 else None
+            universum = generate_universum(ds, m2 - m1, seed=t)[0] if t % 4 < 2 else None
+            c = float(rng.uniform(0.05, 5.0))
+            hp = Hyperparams(c1=c, c2=c, c3=1.0, c4=1.0, cu=float(rng.uniform(0.0, 1.0)),
+                             epsilon=float(rng.choice([0.1, 0.3, 0.5])), kernel=kernel,
+                             delta=None if t % 8 < 4 else 1e-3, seed=t)
+            model = fit_utsvm(ds, universum, hp)
+            g1, g2 = duality_gaps(model, ds)
+            rep = model.dual_report
+            worst = max(worst, g1 / (1.0 + abs(rep.dual_objective_1)),
+                        g2 / (1.0 + abs(rep.dual_objective_2)))
+        assert worst <= 1e-4
+
+    def test_degenerate_plane_message(self):
+        # a failed refit writes this text into report.json
+        X = np.zeros((8, 2))  # all-zero features force w = 0
+        y = np.array([1, 1] + [-1] * 6)
+        with pytest.raises(TrainingError) as info:
+            fit_utsvm(Dataset("z", X, y), None, Hyperparams(**HP, seed=0))
+        assert str(info.value) == "degenerate plane 1: ||w|| < 1e-12"
 
     def test_empty_class_rejected(self):
         ds = Dataset("one", np.zeros((3, 2)) + np.arange(3)[:, None],
@@ -223,6 +256,75 @@ class TestFitIFUTSVM:
         y = np.array([1, 1] + [-1] * 6)
         with pytest.raises(TrainingError, match="degenerate"):
             fit_ifutsvm_id(Dataset("z", X, y), Hyperparams(**HP, seed=0))
+
+    def test_collapsed_minority_scores_leave_plane_2_degenerate(self):
+        # at width 0.5 every minority fuzzy score of this set is 0, so plane 2
+        # has no class multiplier left and its w vanishes
+        hp = Hyperparams(**HP, kernel=KernelSpec(0.5))
+        assert not np.any(assign_scores(KEEL_SHAPED, hp.kernel, hp.fuzzy).s1 > 0)
+        with pytest.raises(TrainingError) as info:
+            fit_ifutsvm_id(KEEL_SHAPED, hp)
+        assert str(info.value) == "degenerate plane 2: ||w|| < 1e-12"
+
+
+class TestOneGramPerPrepare:
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        calls = []
+        gram = models.gram_values
+
+        def counted(A, B, spec):
+            calls.append((A.shape, B.shape))
+            return gram(A, B, spec)
+
+        monkeypatch.setattr(models, "gram_values", counted)
+        return calls
+
+    @pytest.mark.parametrize("m2", [20, 34])  # balanced plan and a universum
+    @pytest.mark.parametrize("kind", ["ifutsvm-id", "utsvm"])
+    def test_one_kernel_evaluation_per_fit(self, gram_calls, kind, m2):
+        ds = make_blobs(20, m2, seed=1, d=3)
+        hp = Hyperparams(**HP, kernel=KernelSpec(2.0), seed=1)
+        if kind == "ifutsvm-id":
+            model = fit_ifutsvm_id(ds, hp)
+            plan = model.dual_report.plan
+            extra = plan.universum.shape[0] + plan.universum_star.shape[0]
+        else:
+            model = fit_utsvm(ds, generate_universum(ds, m2 - 20, seed=1)[0], hp)
+            extra = m2 - 20
+        assert gram_calls == [((ds.m + extra, 3), (ds.m, 3))]
+        duality_gaps(model, ds)  # rebuilds the blocks with one more evaluation
+        assert len(gram_calls) == 2
+
+    @pytest.mark.parametrize("m2", [8, 20])
+    @pytest.mark.parametrize("kernel", [None, KernelSpec(2.0)])
+    def test_blocks_equal_one_evaluation_per_row_set(self, kernel, m2):
+        ds = make_blobs(8, m2, seed=3, d=3)
+        X1, X2 = ds.positives(), ds.negatives()
+
+        def block(X):
+            R = X if kernel is None else gram_values(X, np.vstack([X1, X2]), kernel)
+            return np.hstack([R, np.ones((R.shape[0], 1))])
+
+        plan = build_plan(ds, 3)
+        blocks = _ifutsvm_blocks(ds, plan, uniform_scores(ds), kernel)
+        E, F, Fs, G, Gs = map(block, (X1, X2, plan.x2_star, plan.universum,
+                                      plan.universum_star))
+        for got, want in zip((*blocks.M, *blocks.H),
+                             (E, F, np.vstack([Fs, -Gs]), np.vstack([E, G]))):
+            assert_array_equal(got, want)
+        blocks = _utsvm_blocks(ds, plan.universum, kernel)
+        for got, want in zip((*blocks.M, *blocks.H),
+                             (E, F, np.vstack([F, -G]), np.vstack([E, -G]))):
+            assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["ifutsvm-id", "utsvm"])
+    def test_no_kernel_evaluation_in_linear_mode(self, gram_calls, kind):
+        ds = make_blobs(8, 20, seed=2, d=3)
+        hp = Hyperparams(**HP, seed=2)
+        model = fit_ifutsvm_id(ds, hp) if kind == "ifutsvm-id" else fit_utsvm(ds, None, hp)
+        duality_gaps(model, ds)
+        assert gram_calls == []
 
 
 class TestDecision:
@@ -393,7 +495,7 @@ class TestHyperparams:
 
 
 def blas_counts():
-    return qp._BLAS_THREADS.counts()
+    return qp._one_blas_thread.counts()
 
 
 @contextlib.contextmanager
@@ -449,7 +551,7 @@ class TestOneBlasThread:
         assert blas_counts() == start_counts
 
     def test_restored_after_a_nested_fit(self, start_counts):
-        with qp._one_blas_thread():
+        with qp._one_blas_thread:
             fit_ifutsvm_id(KEEL_SHAPED, Hyperparams(**HP))
             assert blas_counts() == [1] * len(start_counts)  # the outer scope still holds
         assert blas_counts() == start_counts
@@ -515,7 +617,7 @@ class TestOneBlasThread:
                     [z.tobytes() for z in (rep.alpha, rep.beta, rep.eta, rep.theta)])
 
         scoped = fit()
-        monkeypatch.setattr(models, "_one_blas_thread", contextlib.nullcontext)
+        monkeypatch.setattr(models, "_one_blas_thread", contextlib.nullcontext())
         with blas_counts_set_to(1):
             one_thread = fit()
         callers = fit()
