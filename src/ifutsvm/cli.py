@@ -49,6 +49,7 @@ from .evaluation import (
     pairwise_significance,
     predict,
     read_accuracy_matrix,
+    repeated_values,
 )
 from .membership import FuzzyParams
 from .models import TrainingError, load_model, save_model
@@ -506,8 +507,7 @@ def _run_protocol(args, noise: bool) -> int:
     # results are keyed by (dataset name, model, level): a repeat would merge cells
     for what, values in (("dataset name", names), ("model", kinds),
                          ("noise level", settings["noise_levels"])):
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
+        if repeated := repeated_values(values):
             raise ConfigError(f"repeated {what}: {', '.join(map(str, repeated))}")
     seed = settings["seed"]
 

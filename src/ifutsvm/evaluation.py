@@ -97,6 +97,12 @@ WIDTH_RANGE = tuple(2.0**k for k in range(-5, 6))
 AXES = ("c1", "c3", "cu", "epsilon", "width")
 
 
+def repeated_values(values) -> list:
+    """The values that occur more than once, sorted."""
+    values = list(values)
+    return sorted({v for v in values if values.count(v) > 1})
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Hyperparameter lattice over AXES; a None width is the linear model."""
@@ -116,6 +122,9 @@ class GridSpec:
                 raise ValueError(f"grid axis {name} is empty")
             for value in values:
                 make_hyperparams(**{name: value})
+            # a repeated value would fit the same lattice point twice
+            if repeated := repeated_values(values):
+                raise ValueError(f"grid axis {name} repeats {', '.join(map(str, repeated))}")
 
     def axes(self) -> tuple[list, ...]:
         """Sorted values of each axis in AXES order; the lattice is their product."""
@@ -316,8 +325,8 @@ def read_accuracy_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
     """CSV with a header row naming the models and one row per dataset.
 
     Returns (dataset names, model names, accuracy matrix); raises DatasetError
-    on a missing header, a row of the wrong length or a non-numeric or
-    non-finite value.
+    on a missing header, a row of the wrong length, a non-numeric or
+    non-finite value, or a repeated dataset or model name.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -338,6 +347,10 @@ def read_accuracy_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
         if not all(map(math.isfinite, values)):
             raise DatasetError(f"line {lineno}: accuracies must be finite numbers")
         data.append(values)
+    # a repeated dataset would be ranked twice and a repeated model reported twice
+    for what, labels in (("dataset", names), ("model", models)):
+        if repeated := repeated_values(labels):
+            raise DatasetError(f"repeated {what} name: {', '.join(repeated)}")
     return names, models, np.asarray(data)
 
 

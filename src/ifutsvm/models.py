@@ -16,7 +16,8 @@ from one Gram evaluation of its stacked class and universum rows.
 
 A fit runs in three stages: prepare (scores, sampling plan or universum, and
 the M/H blocks), hessian (per plane, the Cholesky factor of M'M + ridge I and
-Q) and solve (per lattice point, the box QP and the recovery of (w; b)).
+the checked Q) and solve (per lattice point, the box QP on that Q with the
+point's own bounds, and the recovery of (w; b)).
 A FitStages memo lets consecutive fits share the first two.  All three run
 with OpenBLAS on one thread (qp._one_blas_thread), and the caller gets its
 own thread count back when the fit returns or raises.
@@ -163,10 +164,12 @@ class _Blocks:
 @dataclass(frozen=True)
 class _Hessian:
     """Hessian stage of one plane: the Cholesky factor of M'M + ridge I and
-    the dual Hessian Q = H (M'M + ridge I)^{-1} H' (BoxQP symmetrises it)."""
+    the dual of the plane it was built for, whose Q = H (M'M + ridge I)^{-1} H'
+    is checked and symmetrised once; each lattice point swaps in its own
+    linear term and box (BoxQP.with_bounds)."""
 
     factor: tuple
-    Q: np.ndarray
+    problem: BoxQP
 
 
 class FitStages:
@@ -201,13 +204,13 @@ def _hessian(plane: _Plane) -> _Hessian:
     MtM = plane.M.T @ plane.M
     factor = spd_factor(MtM, plane.ridge)
     S = cho_solve(factor, plane.H.T, check_finite=False)
-    return _Hessian(factor, plane.H @ S)
+    return _Hessian(factor, BoxQP(plane.H @ S, plane.lin, plane.upper))
 
 
 def _solve_plane(plane: _Plane, hess: _Hessian) -> tuple[np.ndarray, QPSolution]:
     # residual tolerance scales with the box so huge penalty grids stay solvable
     tol = DEFAULT_TOL * max(1.0, float(plane.upper.max(initial=0.0)))
-    sol = solve_box_qp(BoxQP(hess.Q, plane.lin, plane.upper), tol=tol)
+    sol = solve_box_qp(hess.problem.with_bounds(plane.lin, plane.upper), tol=tol)
     z = plane.sign * cho_solve(hess.factor, plane.H.T @ sol.z, check_finite=False)
     return z, sol
 

@@ -13,6 +13,13 @@ residual
 
     max_i | clip(z_i - g_i, 0, upper_i) - z_i |,   g = Qz - c.
 
+The sweep is a Python loop over coordinates, so its cost is per-coordinate
+overhead: it reads and writes z and q through memoryviews, and updates q
+with one multiply and one add per moved coordinate (the same two roundings
+as the scalar loop).  BoxQP checks, symmetrises and lays out the rows of Q
+once; with_bounds gives that Q another c and upper, so the lattice points
+that share a dual Hessian share one checked Q.
+
 The duals are small (order m + 1, a few hundred on KEEL-sized sets), so
 OpenBLAS's thread hand-offs cost more than they save: every fit runs its
 linear algebra inside `with _one_blas_thread:`, one scope object that finds
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
@@ -64,32 +71,55 @@ class BoxQP:
 
     Q, c and upper must be finite (NonFiniteError, which fits report as a
     numerical failure) and Q symmetric to a relative 1e-10; Q is stored as
-    (Q + Q')/2, which keeps the bits of an exactly symmetric Q.
+    (Q + Q')/2, which keeps the bits of an exactly symmetric Q.  with_bounds
+    gives the same Q another c and upper without checking Q again.
     """
 
     Q: np.ndarray
     c: np.ndarray
     upper: np.ndarray
+    # the sweep's row views of Q, its diagonal and floored diagonal, built once per Q
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.ascontiguousarray(self.Q, dtype=np.float64)
-        c = np.ascontiguousarray(self.c, dtype=np.float64)
-        upper = np.ascontiguousarray(self.upper, dtype=np.float64)
-        k = c.shape[0]
+        k = np.shape(self.c)[0]
         if Q.shape != (k, k):
             raise ValueError("Q must be square and match the linear term")
-        if upper.shape != (k,):
-            raise ValueError("upper bounds must match the linear term")
         scale = float(np.max(np.abs(Q), initial=0.0))  # NaN or inf if Q has one
-        if not (np.isfinite(scale) and np.all(np.isfinite(c)) and np.all(np.isfinite(upper))):
+        if not np.isfinite(scale):
             raise NonFiniteError("Q, c and upper must be finite")
         if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-10 * max(1.0, scale):
             raise ValueError("Q must be symmetric")
-        if np.any(upper < 0):
-            raise ValueError("upper bounds must be nonnegative")
         Q_sym = Q + Q.T
         Q_sym *= 0.5
+        diag = Q_sym.diagonal().tolist()
         object.__setattr__(self, "Q", Q_sym)
+        object.__setattr__(self, "_rows", (list(Q_sym), diag,
+                                           [max(d, DIAG_FLOOR) for d in diag]))
+        self._set_bounds(self.c, self.upper)
+
+    def with_bounds(self, c, upper) -> "BoxQP":
+        """This problem's Q and sweep rows with another linear term and box;
+        only c and upper are checked."""
+        problem = object.__new__(BoxQP)
+        object.__setattr__(problem, "Q", self.Q)
+        object.__setattr__(problem, "_rows", self._rows)
+        problem._set_bounds(c, upper)
+        return problem
+
+    def _set_bounds(self, c, upper) -> None:
+        c = np.ascontiguousarray(c, dtype=np.float64)
+        upper = np.ascontiguousarray(upper, dtype=np.float64)
+        k = self.Q.shape[0]
+        if c.shape != (k,):
+            raise ValueError("the linear term must be a vector that matches Q")
+        if upper.shape != (k,):
+            raise ValueError("upper bounds must match the linear term")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(upper))):
+            raise NonFiniteError("Q, c and upper must be finite")
+        if np.any(upper < 0):
+            raise ValueError("upper bounds must be nonnegative")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "upper", upper)
 
@@ -108,8 +138,10 @@ class QPSolution:
 
 def _kkt_residual(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
     """KKT residual of z given q = Q @ z."""
-    g = q - problem.c
-    return float(np.max(np.abs(np.clip(z - g, 0.0, problem.upper) - z), initial=0.0))
+    # np.clip and np.max spelled as the ufuncs they wrap: the same bits, less call overhead
+    r = np.minimum(np.maximum(z - (q - problem.c), 0.0), problem.upper)
+    r -= z
+    return float(np.maximum.reduce(np.abs(r, out=r), initial=0.0))
 
 
 def kkt_residual(problem: BoxQP, z: np.ndarray) -> float:
@@ -124,30 +156,35 @@ def _objective(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
 def _sweeper(problem: BoxQP):
     """Return sweep(z, q): one cyclic pass of exact per-coordinate maximization.
 
-    z and q (= Q @ z, maintained incrementally) are updated in place.  The
-    coordinate step runs on Python floats; each gradient update is one
-    multiply and one add over a row of the symmetric Q, so every element gets
-    the two roundings of the scalar q[j] += delta * Q[i, j] (a fused update
-    would round once and change the bits).
+    z and q (= Q @ z, maintained incrementally) are float64 vectors updated
+    in place.  The coordinate step runs on Python floats read and written
+    through memoryviews (the same floats as ndarray.item, at less cost per
+    access); each gradient update is one multiply and one add over a row of
+    the symmetric Q, so every element gets the two roundings of the scalar
+    q[j] += delta * Q[i, j] (a fused update would round once and change the
+    bits).  The rows and diagonals come with the problem's Q; only c and upper
+    are read per problem.
     """
-    diag = problem.Q.diagonal().tolist()
-    steps = list(zip(range(problem.size), problem.Q, problem.c.tolist(), diag,
-                     [max(d, DIAG_FLOOR) for d in diag], problem.upper.tolist()))
+    rows, diag, floored = problem._rows
+    steps = list(zip(range(problem.size), rows, problem.c.tolist(), diag, floored,
+                     problem.upper.tolist()))
     tmp = np.empty(problem.size)
+    mul, add = np.multiply, np.add
 
     def sweep(z: np.ndarray, q: np.ndarray) -> None:
+        zv, qv = memoryview(z), memoryview(q)
         for i, row, ci, di, dn, ui in steps:
-            zi_old = z.item(i)
-            zi = (ci - q.item(i) + di * zi_old) / dn
+            zi_old = zv[i]
+            zi = (ci - qv[i] + di * zi_old) / dn
             if zi < 0.0:
                 zi = 0.0
             elif zi > ui:
                 zi = ui
             delta = zi - zi_old
             if delta != 0.0:
-                z[i] = zi
-                np.multiply(row, delta, out=tmp)
-                np.add(q, tmp, out=q)
+                zv[i] = zi
+                mul(row, delta, tmp)
+                add(q, tmp, q)
 
     return sweep
 

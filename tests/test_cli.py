@@ -13,7 +13,7 @@ import ifutsvm
 from ifutsvm import (FuzzyParams, GridSpec, cli, grid_search_cv, load_dataset, standardize,
                      stratified_split)
 from ifutsvm.cli import main, read_accuracy_matrix
-from ifutsvm.evaluation import AXES
+from ifutsvm.evaluation import AXES, load_benchmark_matrix
 from ifutsvm.seeds import mix_seed
 
 from conftest import make_blobs, read_model_file, write_model_file
@@ -618,6 +618,16 @@ class TestConfigFile:
         assert cli._experiment_settings(cp, args)["noise_levels"] == [0.05, 0.10, 0.15, 0.20]
         assert cli._grid_from_config(cp).width == (0.03125, 0.125, 0.5, 2, 8, 32)
 
+    def test_repeated_grid_value_exits_4(self, tmp_path, toy_files, capsys, monkeypatch):
+        # "c1 = 1 1" would fit every point of that c1 twice
+        monkeypatch.setattr(cli, "_run_cells", no_cells)
+        cfg = self.bench_config(tmp_path, toy_files)
+        cfg.write_text(cfg.read_text().replace("c1 = 0.1, 1", "c1 = 1 1"))
+        assert main(["benchmark", "--config", str(cfg)]) == 4
+        assert ("config error: bad [grid] values: grid axis c1 repeats 1.0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value, expected", [("on", True), ("yes", True), ("1", True),
                                                  ("off", False), ("false", False)])
     def test_standardize_is_a_config_boolean(self, tmp_path, toy_files, value, expected):
@@ -648,6 +658,12 @@ class TestAggregate:
         with pytest.raises(Exception):
             read_accuracy_matrix(bad)
 
+    def test_bundled_matrix_names_are_distinct(self):
+        names, kinds, acc = load_benchmark_matrix()
+        assert len(set(names)) == len(names) == 46
+        assert len(set(kinds)) == len(kinds) == 6
+        assert acc.shape == (46, 6)
+
     def test_missing_matrix_exits_4(self):
         assert main(["aggregate", "--matrix", "/does/not/exist.csv"]) == 4
 
@@ -655,7 +671,12 @@ class TestAggregate:
         ("dataset,a,b\nrow1,80,nan\nrow2,70,75\n", "line 2"),
         ("dataset,a,b\nrow1,80,90\nrow2,inf,75\n", "line 3"),
         ("dataset,a,b\nrow1,80,90\n", "1 datasets"),
-    ], ids=["nan-cell", "inf-cell", "single-dataset"])
+        ("dataset,A,A\nd1,80,90\nd2,70,75\n", "repeated model name: A"),
+        ("dataset,a,b\nd2,80,90\nd1,70,75\nd2,60,65\nd1,1,2\n",
+         "repeated dataset name: d1, d2"),
+        ("dataset,A,A\nd1,80,90\nd1,70,75\n", "repeated dataset name: d1"),
+    ], ids=["nan-cell", "inf-cell", "single-dataset", "repeated-model", "repeated-dataset",
+            "repeated-both"])
     def test_bad_matrix_exits_2(self, tmp_path, capsys, text, message):
         matrix = tmp_path / "m.csv"
         matrix.write_text(text)

@@ -207,13 +207,16 @@ class TestGridSearchCV:
         assert best.c1 == 1.0 and best.kernel is None
         assert 0.0 <= table[0]["mean_accuracy"] <= 1.0
 
-    def test_duplicate_point_keeps_winner(self):
-        ds = make_blobs(10, 30, seed=3)
-        twice = GridSpec(c1=(1.0, 1.0), c3=(0.1,), cu=(0.1,), epsilon=(0.1,),
-                         width=None)
-        a, _ = grid_search_cv(ds, "ifutsvm-id", SMALL_GRID, k=5, seed=0)
-        b, _ = grid_search_cv(ds, "ifutsvm-id", twice, k=5, seed=0)
-        assert a.c1 == b.c1 and a.epsilon == b.epsilon
+    def test_repeated_axis_value_is_rejected(self):
+        # a repeated value would fit the same lattice point twice and give the
+        # CV table a duplicate row
+        with pytest.raises(ValueError, match="grid axis c1 repeats 1.0"):
+            GridSpec(c1=(1.0, 0.1, 1.0), c3=(0.1,), cu=(0.1,), epsilon=(0.1,), width=None)
+        with pytest.raises(ValueError, match="grid axis width repeats 0.5, 2.0"):
+            GridSpec(c1=(1.0,), c3=(0.1,), cu=(0.1,), epsilon=(0.1,),
+                     width=(2.0, 0.5, 8.0, 0.5, 2.0))
+        assert GridSpec(c1=(1.0, 0.1), c3=(0.1,), cu=(0.1,), epsilon=(0.1,),
+                        width=(2.0, 0.5)).size() == 4
 
     def test_separable_data_reaches_perfect_test_accuracy(self):
         from ifutsvm import fit_model, predict, stratified_split

@@ -29,7 +29,7 @@ from ifutsvm import (
     save_model,
     solve_box_qp,
 )
-from ifutsvm import models, qp
+from ifutsvm import GridSpec, evaluation, grid_search_cv, models, qp
 from ifutsvm.models import _ifutsvm_blocks, _planes, _utsvm_blocks
 from ifutsvm.membership import assign_scores, uniform_scores
 
@@ -325,6 +325,64 @@ class TestOneGramPerPrepare:
         model = fit_ifutsvm_id(ds, hp) if kind == "ifutsvm-id" else fit_utsvm(ds, None, hp)
         duality_gaps(model, ds)
         assert gram_calls == []
+
+
+class TestOneBoxQPPerHessian:
+    """Q is checked, symmetrised and sliced into sweep rows once per dual
+    Hessian; each lattice point attaches only its own linear term and box."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"BoxQP": 0, "spd_factor": 0, "solve_box_qp": 0, "fit_model": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("BoxQP", "spd_factor", "solve_box_qp"):
+            counted(models, name)
+        counted(evaluation, "fit_model")
+        return calls
+
+    @pytest.mark.parametrize("kind", ["ifutsvm-id", "utsvm"])
+    def test_one_problem_per_hessian_in_a_kernel_search(self, calls, kind):
+        grid = GridSpec(c1=(0.1, 10.0), c3=(0.01, 1.0), cu=(0.1, 1.0), epsilon=(0.1, 0.5),
+                        width=(1.0, 4.0))
+        _, table = grid_search_cv(make_blobs(10, 40, seed=0, d=4), kind, grid, k=3, seed=4)
+        assert not any(row["flags"] for row in table)
+        assert calls["BoxQP"] == calls["spd_factor"]
+        # every fold fit still solves both of its duals
+        assert calls["solve_box_qp"] == 2 * calls["fit_model"]
+        assert calls["BoxQP"] < calls["solve_box_qp"]
+
+    def test_lattice_points_share_one_checked_q(self, monkeypatch):
+        problems = []
+        solve = models.solve_box_qp
+
+        def observed(problem, **kwargs):
+            problems.append(problem)
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(models, "solve_box_qp", observed)
+        ds = make_blobs(10, 30, seed=5, d=3)
+        stages = models.FitStages()
+        points = [dict(HP, c1=c1, c2=c1, cu=cu, epsilon=eps)
+                  for c1, cu, eps in ((0.1, 0.5, 0.1), (10.0, 0.0, 0.4), (1.0, 2.0, 0.2))]
+        fits = [fit_ifutsvm_id(ds, Hyperparams(**point, kernel=KernelSpec(2.0), seed=5),
+                               stages=stages) for point in points]
+        for plane in (0, 1):
+            first, *rest = problems[plane::2]
+            for problem in rest:
+                assert problem.Q is first.Q and problem._rows is first._rows
+        # and the shared Q gives the bits of a fit that checks its own
+        for point, shared in zip(points, fits):
+            alone = fit_ifutsvm_id(ds, Hyperparams(**point, kernel=KernelSpec(2.0), seed=5))
+            for name in ("w1", "b1", "w2", "b2"):
+                assert_array_equal(getattr(shared, name), getattr(alone, name))
 
 
 class TestDecision:

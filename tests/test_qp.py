@@ -5,7 +5,7 @@ from scipy.linalg import cho_solve
 
 from ifutsvm import (BoxQP, FactorizationError, NonConvergenceError, NumericalError, qp,
                      solve_box_qp)
-from ifutsvm.qp import kkt_residual, spd_factor
+from ifutsvm.qp import NonFiniteError, kkt_residual, spd_factor
 
 from oracle_utils import grid_box_qp_oracle, random_box_qp, scalar_cyclic_sweep
 
@@ -208,6 +208,77 @@ class TestVectorisedSweep:
         monkeypatch.setattr(qp, "_sweeper", scalar_sweeper)
         assert [solution_bits(p, max_iter) for p in problems] == fast
         assert swept == problems
+
+
+class TestWithBounds:
+    """A problem with another c and upper on an already checked Q."""
+
+    @staticmethod
+    def base(k=5, seed=20):
+        return psd_box_qp(np.random.default_rng(seed), k, k, asymmetry=1e-13)
+
+    def test_shares_q_and_matches_a_full_construction(self):
+        rng = np.random.default_rng(21)
+        base = self.base(k=12)
+        for _ in range(10):
+            c = rng.normal(size=12) * rng.uniform(0.1, 5.0)
+            upper = rng.uniform(0.0, 3.0, size=12)
+            upper[rng.random(12) < 0.2] = 0.0
+            problem = base.with_bounds(c, upper)
+            assert problem.Q is base.Q and problem._rows is base._rows
+            assert_array_equal(problem.c, c)
+            assert_array_equal(problem.upper, upper)
+            assert (solution_bits(problem, 10_000)
+                    == solution_bits(BoxQP(base.Q, c, upper), 10_000))
+        assert base.with_bounds(base.c, base.upper) == base
+
+    @pytest.mark.parametrize("part", ["c", "upper"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bounds(self, part, value):
+        base = self.base()
+        parts = {"c": np.ones(5), "upper": np.ones(5)}
+        parts[part][3] = value
+        with pytest.raises(NonFiniteError, match="finite"):
+            base.with_bounds(parts["c"], parts["upper"])
+
+    @pytest.mark.parametrize("c, upper, message", [
+        (np.ones(5), np.array([1.0, 1.0, -1e-300, 1.0, 1.0]), "nonnegative"),
+        (np.ones(4), np.ones(5), "match"),
+        (np.ones(5), np.ones(6), "match"),
+        (np.ones((5, 1)), np.ones(5), "match"),
+        (np.ones(5), np.ones((1, 5)), "match"),
+    ], ids=["negative-upper", "short-c", "long-upper", "column-c", "row-upper"])
+    def test_rejects_bad_bounds(self, c, upper, message):
+        with pytest.raises(ValueError, match=message):
+            self.base().with_bounds(c, upper)
+
+
+def old_kkt_residual(z, q, c, upper):
+    """The np.clip/np.max form of the projected-gradient residual."""
+    return float(np.max(np.abs(np.clip(z - (q - c), 0.0, upper) - z), initial=0.0))
+
+
+def test_kkt_residual_matches_clip_formula_bit_for_bit():
+    rng = np.random.default_rng(22)
+    problems = {k: BoxQP(np.eye(k), np.zeros(k), np.zeros(k)) for k in range(0, 13)}
+    signed_zeros = np.array([0.0, -0.0])
+    for _ in range(2_000):
+        k = int(rng.integers(0, 13))
+        upper = rng.uniform(0.0, 3.0, size=k) * 10.0 ** rng.integers(-3, 4)
+        upper[rng.random(k) < 0.25] = 0.0  # zero boxes
+        pick = rng.integers(0, 4, size=k)  # z at 0, -0, its upper bound or inside
+        z = np.select([pick == 0, pick == 1, pick == 2],
+                      [0.0, -0.0, upper], rng.uniform(0.0, 1.0, size=k) * upper)
+        c = rng.normal(size=k) * 10.0 ** rng.integers(-3, 4)
+        q = rng.normal(size=k) * 10.0 ** rng.integers(-3, 4)
+        for v in (c, q):
+            zeroed = rng.random(k) < 0.1
+            v[zeroed] = rng.choice(signed_zeros, size=int(zeroed.sum()))
+        same = rng.random(k) < 0.2
+        q[same] = c[same]  # zero gradient
+        problem = problems[k].with_bounds(c, upper)
+        assert (qp._kkt_residual(problem, z, q).hex()
+                == old_kkt_residual(z, q, c, upper).hex())
 
 
 def test_grid_oracle_stays_in_box():
