@@ -23,6 +23,7 @@ from .data import (
     stratified_split,
 )
 from .evaluation import (
+    NEMENYI_Q,
     ConfusionMatrix,
     FriedmanResult,
     GridSpec,
@@ -32,6 +33,7 @@ from .evaluation import (
     confusion,
     fit_model,
     friedman,
+    friedman_f_critical,
     grid_search_cv,
     load_benchmark_matrix,
     make_hyperparams,

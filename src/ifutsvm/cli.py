@@ -16,7 +16,6 @@ import argparse
 import configparser
 import csv
 import json
-import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,11 +36,13 @@ from .data import (
 from .evaluation import (
     AXES,
     MODEL_KINDS,
+    NEMENYI_Q,
     GridSpec,
     average_ranks,
     confusion,
     fit_model,
     friedman,
+    friedman_f_critical,
     grid_search_cv,
     make_hyperparams,
     metrics,
@@ -431,13 +432,16 @@ def _run_cells(cells: list[dict], threads: int) -> list[dict]:
     return [_run_dataset_model(c) for c in cells]
 
 
-def _statistics_block(names: list[str], kinds: list[str], acc: np.ndarray,
-                      q_alpha: float, f_critical: float | None) -> dict:
+def _statistics_block(names: list[str], kinds: list[str], acc: np.ndarray) -> dict:
+    """Ranks, Friedman test and Nemenyi CD at alpha = 0.05 for 2 to 10 models."""
+    N, p = acc.shape
     table = average_ranks(acc)
-    fr = friedman(table.average_ranks, acc.shape[0], acc.shape[1])
-    cd = nemenyi_cd(acc.shape[1], acc.shape[0], q_alpha)
+    fr = friedman(table.average_ranks, N, p)
+    q_alpha = NEMENYI_Q[p]
+    cd = nemenyi_cd(p, N, q_alpha)
     sig = pairwise_significance(table.average_ranks, cd)
-    block = {
+    f_critical = friedman_f_critical(p, N)
+    return {
         "datasets": names,
         "models": kinds,
         "average_accuracy": acc.mean(axis=0).tolist(),
@@ -448,15 +452,12 @@ def _statistics_block(names: list[str], kinds: list[str], acc: np.ndarray,
         "q_alpha": q_alpha,
         "critical_difference": cd,
         "pairwise_significant": sig.tolist(),
+        "f_critical": f_critical,
+        "significant": None if fr.f_stat is None else bool(fr.f_stat > f_critical),
     }
-    if f_critical is not None:
-        block["f_critical"] = f_critical
-        block["significant"] = None if fr.f_stat is None else bool(fr.f_stat > f_critical)
-    return block
 
 
-def _aggregate_results(results: list[dict], names: list[str], kinds: list[str],
-                       q_alpha: float, f_critical: float | None) -> dict:
+def _aggregate_results(results: list[dict], names: list[str], kinds: list[str]) -> dict:
     by_key = {(r["dataset"], r["kind"], r["noise_level"]): r for r in results}
     levels = sorted({r["noise_level"] for r in results})
     complete_rows = []
@@ -475,8 +476,7 @@ def _aggregate_results(results: list[dict], names: list[str], kinds: list[str],
     aggregate: dict = {"complete_datasets": complete_rows}
     if acc_rows and len(kinds) >= 2 and len(acc_rows) >= 2:
         acc = np.asarray(acc_rows) * 100.0
-        aggregate["statistics"] = _statistics_block(complete_rows, kinds, acc,
-                                                    q_alpha, f_critical)
+        aggregate["statistics"] = _statistics_block(complete_rows, kinds, acc)
     elif len(kinds) < 2:
         aggregate["notice"] = "statistics block omitted: needs at least 2 models"
     elif len(acc_rows) < 2:
@@ -484,19 +484,8 @@ def _aggregate_results(results: list[dict], names: list[str], kinds: list[str],
     return aggregate
 
 
-def _statistics_settings(args) -> tuple[float, float | None]:
-    """--q-alpha and --f-critical, checked before any work starts."""
-    q_alpha, f_critical = args.q_alpha, args.f_critical
-    if not (math.isfinite(q_alpha) and q_alpha >= 0.0):
-        raise ConfigError(f"--q-alpha must be finite and nonnegative, got {q_alpha}")
-    if f_critical is not None and not math.isfinite(f_critical):
-        raise ConfigError(f"--f-critical must be finite, got {f_critical}")
-    return q_alpha, f_critical
-
-
 def _run_protocol(args, noise: bool) -> int:
     """Benchmark (noise=False) or noise study over the configured noise levels."""
-    q_alpha, f_critical = _statistics_settings(args)
     cp = _read_config(args.config)
     settings = _experiment_settings(cp, args)
     noise_levels = list(settings["noise_levels"]) if noise else [0.0]
@@ -544,7 +533,7 @@ def _run_protocol(args, noise: bool) -> int:
         r.pop("elapsed", None)
         r.pop("cv_table", None)
 
-    aggregate = _aggregate_results(results, names, kinds, q_alpha, f_critical)
+    aggregate = _aggregate_results(results, names, kinds)
 
     report = {
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in settings.items()},
@@ -585,14 +574,15 @@ def cmd_noise_study(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    q_alpha, f_critical = _statistics_settings(args)
     if not Path(args.matrix).is_file():
         raise ConfigError(f"accuracy matrix not found: {args.matrix}")
     names, kinds, acc = read_accuracy_matrix(args.matrix)
-    if len(names) < 2 or len(kinds) < 2:
+    # the Nemenyi q is tabulated for 2 to 10 models
+    if len(names) < 2 or not 2 <= len(kinds) <= max(NEMENYI_Q):
         raise DatasetError(f"accuracy matrix has {len(names)} datasets and {len(kinds)} "
-                           "models; rank statistics need at least 2 of each")
-    block = _statistics_block(names, kinds, acc, q_alpha, f_critical)
+                           f"models; rank statistics need at least 2 datasets and "
+                           f"2 to {max(NEMENYI_Q)} models")
+    block = _statistics_block(names, kinds, acc)
     out = Path(args.out or "aggregate.json")
     _write_json(out, block)
     print(out)
@@ -614,12 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI experiment config")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output path or directory (overrides config)")
-
-    def statistics_flags(p):
-        p.add_argument("--q-alpha", type=float, default=2.850,
-                       help="Nemenyi critical value (default: two-tailed, 6 models, 5%%)")
-        p.add_argument("--f-critical", type=float, default=None,
-                       help="F-distribution critical value for the significance flag")
 
     p_train = sub.add_parser("train", help="fit one model with fixed hyperparameters")
     common(p_train)
@@ -643,13 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, help="dataset-level worker count")
         p.add_argument("--keep-cv-tables", action="store_true",
                        help="write per-cell CV tables as CSV")
-        statistics_flags(p)
         p.set_defaults(func=fn)
 
     p_agg = sub.add_parser("aggregate",
                            help="rank statistics from an external accuracy matrix")
     p_agg.add_argument("--matrix", required=True, help="CSV accuracy matrix")
-    statistics_flags(p_agg)
     p_agg.add_argument("--out")
     p_agg.set_defaults(func=cmd_aggregate)
     return parser

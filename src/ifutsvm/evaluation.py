@@ -9,7 +9,8 @@ width and its dual Hessians once per c3.  Every fit still computes the same bits
 standalone fit, so the table does not depend on that order.  Rank
 aggregation uses average ranks with tie averaging (best accuracy = rank 1)
 and feeds the Friedman chi-square, its F-form correction, and the Nemenyi
-critical difference.
+critical difference; both critical values are the alpha = 0.05 ones for the
+number of models and datasets (Demsar, JMLR 2006).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+from scipy.special import fdtri
 
 from .data import Dataset, DatasetError
 from .kernels import KernelSpec
@@ -308,6 +310,18 @@ def friedman(avg_ranks: np.ndarray, N: int, p: int) -> FriedmanResult:
     return FriedmanResult(chi_sq, f_stat)
 
 
+# two-tailed Nemenyi critical values q at alpha = 0.05, by number of models
+# (Demsar, JMLR 2006, Table 5a)
+NEMENYI_Q = {2: 1.960, 3: 2.343, 4: 2.569, 5: 2.728, 6: 2.850, 7: 2.949, 8: 3.031,
+             9: 3.102, 10: 3.164}
+
+
+def friedman_f_critical(p: int, N: int) -> float:
+    """The alpha = 0.05 critical value F(p - 1, (p - 1)(N - 1)) of the F form,
+    for p >= 2 models and N >= 2 datasets."""
+    return float(fdtri(p - 1, (p - 1) * (N - 1), 0.95))
+
+
 def nemenyi_cd(p: int, N: int, q_alpha: float) -> float:
     """Critical difference q_alpha * sqrt(p (p+1) / (6 N))."""
     if p <= 0 or N <= 0 or q_alpha < 0:
@@ -326,19 +340,23 @@ def read_accuracy_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
 
     Returns (dataset names, model names, accuracy matrix); raises DatasetError
     on a missing header, a row of the wrong length, a non-numeric or
-    non-finite value, or a repeated dataset or model name.
+    non-finite value, or an empty or repeated dataset or model name.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2 or len(rows[0]) < 3:
         raise DatasetError("accuracy matrix needs a header and at least 2 columns")
     models = rows[0][1:]
+    if not all(name.strip() for name in models):
+        raise DatasetError("line 1: empty model name")
     names, data = [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(models) + 1:
             raise DatasetError(f"line {lineno}: expected {len(models) + 1} fields")
+        if not row[0].strip():
+            raise DatasetError(f"line {lineno}: empty dataset name")
         names.append(row[0])
         try:
             values = [float(v) for v in row[1:]]

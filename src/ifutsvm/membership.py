@@ -43,10 +43,12 @@ class FuzzyParams:
     rho: float | None = None
 
     def __post_init__(self):
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError("rho must be positive")
+        # an infinite eta would set every membership and score to 1, and an
+        # infinite rho would make each neighbourhood the whole training set
+        for name in ("eta", "rho"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

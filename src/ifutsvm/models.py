@@ -78,6 +78,8 @@ class Hyperparams:
             raise ValueError("epsilon must lie in [0, 1)")
         if self.delta is not None and not 0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
+        if self.seed < 0:  # numpy's generators take nonnegative seeds only
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

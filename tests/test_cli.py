@@ -223,6 +223,11 @@ class TestBenchmark:
         assert ranks.shape == (2, 2)
         np.testing.assert_allclose(ranks.sum(axis=1), 3.0)
         assert len(report["results"]) == 4
+        # alpha = 0.05 values for p = 2 models over N = 2 datasets
+        assert stats["q_alpha"] == 1.96
+        np.testing.assert_allclose(stats["critical_difference"], 1.96 * np.sqrt(1 / 2))
+        np.testing.assert_allclose(stats["f_critical"], 161.4476, rtol=1e-6)
+        assert stats["significant"] is (stats["f_stat"] > stats["f_critical"])
 
     def test_failing_cell_is_reported_and_leaves_the_statistics(self, tmp_path, toy_files):
         # 3 minority rows keep 2 after the 70 % split, fewer than the 3 folds
@@ -439,8 +444,10 @@ class TestExperimentNumbers:
         ("width = linear", "width = inf"),
         ("width = linear", "width = 1 1e200"),
         ("width = linear", "width = 1e-200"),
+        ("width = linear", "width = linear\n[fuzzy]\neta = inf"),
+        ("width = linear", "width = linear\n[fuzzy]\nrho = inf"),
     ], ids=["eta-not-a-number", "eta-negative", "c1-negative", "c1-empty", "width-inf",
-            "width-squared-overflows", "width-squared-underflows"])
+            "width-squared-overflows", "width-squared-underflows", "eta-inf", "rho-inf"])
     def test_bad_grid_or_fuzzy_exits_4(self, tmp_path, toy_files, capsys, command,
                                        old, new):
         pa, _ = toy_files
@@ -457,6 +464,16 @@ class TestExperimentNumbers:
         cfg = tmp_path / "t.ini"
         cfg.write_text(TRAIN_CONFIG.format(dataset=pa).replace("seed = 9", "seed = x"))
         assert main(["train", "--config", str(cfg)]) == 4
+
+    def test_negative_train_seed_exits_4(self, tmp_path, toy_files, capsys):
+        pa, _ = toy_files
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=pa))
+        out = tmp_path / "m.bin"
+        assert main(["train", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 4
+        assert ("config error: bad [train] hyperparameters: seed must be nonnegative"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_infinite_train_width_exits_4(self, tmp_path, toy_files, capsys):
         pa, _ = toy_files
@@ -618,6 +635,16 @@ class TestConfigFile:
         assert cli._experiment_settings(cp, args)["noise_levels"] == [0.05, 0.10, 0.15, 0.20]
         assert cli._grid_from_config(cp).width == (0.03125, 0.125, 0.5, 2, 8, 32)
 
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1]
+        lines = block.split("```", 1)[0].splitlines()
+        assert [line.split()[1] for line in lines] == [
+            "train", "eval", "benchmark", "noise-study", "aggregate"]
+        for line in lines:
+            argv = line.replace("[", "").replace("]", "").split()[1:]
+            cli.build_parser().parse_args(argv)
+
     def test_repeated_grid_value_exits_4(self, tmp_path, toy_files, capsys, monkeypatch):
         # "c1 = 1 1" would fit every point of that c1 twice
         monkeypatch.setattr(cli, "_run_cells", no_cells)
@@ -643,13 +670,14 @@ class TestAggregate:
 
         src = resources.files("ifutsvm.resources") / "keel_benchmark_accuracies.csv"
         out = tmp_path / "agg.json"
-        assert main(["aggregate", "--matrix", str(src), "--q-alpha", "2.850",
-                     "--f-critical", "2.2542", "--out", str(out)]) == 0
+        assert main(["aggregate", "--matrix", str(src), "--out", str(out)]) == 0
         block = json.loads(out.read_text())
         np.testing.assert_allclose(
             block["average_accuracy"],
             [83.52, 81.15, 80.61, 79.44, 86.19, 87.70], atol=0.01)
+        assert block["q_alpha"] == 2.85
         assert abs(block["critical_difference"] - 1.11) <= 0.005
+        assert abs(block["f_critical"] - 2.2542) <= 1e-4
         assert block["significant"] is True
 
     def test_matrix_reader_validates(self, tmp_path):
@@ -675,8 +703,14 @@ class TestAggregate:
         ("dataset,a,b\nd2,80,90\nd1,70,75\nd2,60,65\nd1,1,2\n",
          "repeated dataset name: d1, d2"),
         ("dataset,A,A\nd1,80,90\nd1,70,75\n", "repeated dataset name: d1"),
+        ("dataset,,B\nd1,80,90\nd2,70,75\n", "line 1: empty model name"),
+        ("dataset,a,b\n,80,90\nd2,70,75\n", "line 2: empty dataset name"),
+        ("dataset," + ",".join(f"m{j}" for j in range(11)) + "\n"
+         + "".join(f"d{i}," + ",".join(str(50 + i + j) for j in range(11)) + "\n"
+                   for i in range(3)),
+         "11 models; rank statistics need at least 2 datasets and 2 to 10 models"),
     ], ids=["nan-cell", "inf-cell", "single-dataset", "repeated-model", "repeated-dataset",
-            "repeated-both"])
+            "repeated-both", "empty-model-name", "empty-dataset-name", "eleven-models"])
     def test_bad_matrix_exits_2(self, tmp_path, capsys, text, message):
         matrix = tmp_path / "m.csv"
         matrix.write_text(text)
@@ -687,16 +721,12 @@ class TestAggregate:
 
 
 class TestStatisticsFlags:
+    # the critical values follow from the numbers of models and datasets
     @pytest.mark.parametrize("command", ["benchmark", "noise-study", "aggregate"])
-    @pytest.mark.parametrize("flags", [
-        ["--q-alpha", "-1"], ["--q-alpha", "nan"], ["--q-alpha", "inf"],
-        ["--f-critical", "nan"], ["--f-critical=-inf"],
-    ], ids=["q-negative", "q-nan", "q-inf", "f-nan", "f-inf"])
-    def test_bad_value_exits_4_before_any_cell(self, tmp_path, toy_files, capsys,
-                                               monkeypatch, command, flags):
-        def no_cells(cells, threads):
-            raise AssertionError("cells ran before the flags were checked")
-
+    @pytest.mark.parametrize("flags", [["--q-alpha", "2.85"], ["--f-critical", "2.2542"]],
+                             ids=["q-alpha", "f-critical"])
+    def test_removed_flag_does_not_parse(self, tmp_path, toy_files, capsys, monkeypatch,
+                                         command, flags):
         monkeypatch.setattr(cli, "_run_cells", no_cells)
         pa, pb = toy_files
         out = tmp_path / "out"
@@ -710,8 +740,10 @@ class TestStatisticsFlags:
                                                models="ifutsvm-id, utsvm", out=out,
                                                extra=""))
             argv = [command, "--config", str(cfg)]
-        assert main(argv + flags) == 4
-        assert "config error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not out.exists()
 
 

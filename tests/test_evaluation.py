@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import ifutsvm.evaluation as evaluation
 import ifutsvm.models as models
 from ifutsvm import (
+    NEMENYI_Q,
     ConfusionMatrix,
     GridSpec,
     Hyperparams,
@@ -17,6 +18,7 @@ from ifutsvm import (
     confusion,
     fit_ifutsvm_id,
     friedman,
+    friedman_f_critical,
     grid_search_cv,
     load_benchmark_matrix,
     metrics,
@@ -157,6 +159,12 @@ class TestFriedman:
         with pytest.raises(ValueError):
             friedman(np.array([0.5, 2.0]), N=5, p=2)
 
+    def test_published_f_critical(self):
+        from scipy.special import fdtri
+
+        assert friedman_f_critical(6, 46) == fdtri(5, 225, 0.95)
+        assert abs(friedman_f_critical(6, 46) - 2.2542) <= 1e-4
+
 
 class TestNemenyi:
     def test_published_value(self):
@@ -174,6 +182,11 @@ class TestNemenyi:
         assert sig.shape == (6, 6)
         assert not sig[0, 0]
         assert sig[-1, 2]  # 4.47 vs 1.54 clears the 1.11 threshold
+
+    def test_tabulated_q(self):
+        # Demsar (JMLR 2006), Table 5a, two-tailed at alpha = 0.05
+        assert NEMENYI_Q == {2: 1.960, 3: 2.343, 4: 2.569, 5: 2.728, 6: 2.850, 7: 2.949,
+                             8: 3.031, 9: 3.102, 10: 3.164}
 
 
 class TestStratifiedKFold:

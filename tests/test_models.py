@@ -500,11 +500,12 @@ class TestSerialization:
         (KernelSpec(0.7), {"hyperparams": {"width": 1e200}}),
         (KernelSpec(0.7), {"hyperparams": {"width": 1e-200}}),
         (KernelSpec(0.7), "trailing"),
+        (None, {"hyperparams": {"seed": -1}}),
     ], ids=["kind", "mode-case", "negative-coef-len", "coef-len-not-n", "float-coef-len",
             "negative-n", "string-m", "linear-as-kernel", "trailing-linear",
             "coef-len-not-m", "m-not-coef-len", "kernel-as-linear", "bool-n",
             "kernel-without-width", "infinite-width", "overflowing-width",
-            "underflowing-width", "trailing-kernel"])
+            "underflowing-width", "trailing-kernel", "negative-seed"])
     def test_header_it_cannot_honour_rejected(self, tmp_path, blobs, kernel, mutation):
         path = tmp_path / "model.bin"
         save_model(fit_ifutsvm_id(blobs(5, 12, seed=16), Hyperparams(**HP, kernel=kernel)),
@@ -542,6 +543,7 @@ class TestHyperparams:
         ("c1", np.nan), ("c1", np.inf), ("c3", np.inf), ("c4", -1.0), ("c2", 0.0),
         ("cu", np.nan), ("cu", np.inf), ("cu", -1.0),
         ("delta", np.nan), ("delta", np.inf), ("delta", 0.0), ("delta", -1e-6),
+        ("seed", -1),
     ])
     def test_non_finite_or_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
