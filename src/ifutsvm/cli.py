@@ -605,13 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output path or directory (overrides config)")
 
-    def removed_flags(p):
-        # the critical values follow from the numbers of models and datasets; the
-        # flags that once set them are kept only to be refused with exit 4
-        for flag in ("--q-alpha", "--f-critical"):
-            p.add_argument(flag, dest="removed_flag", type=lambda _, f=flag: f,
-                           help=argparse.SUPPRESS)
-
     p_train = sub.add_parser("train", help="fit one model with fixed hyperparameters")
     common(p_train)
     p_train.add_argument("--data", help="dataset file (.dat or .csv)")
@@ -634,14 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, help="dataset-level worker count")
         p.add_argument("--keep-cv-tables", action="store_true",
                        help="write per-cell CV tables as CSV")
-        removed_flags(p)
         p.set_defaults(func=fn)
 
     p_agg = sub.add_parser("aggregate",
                            help="rank statistics from an external accuracy matrix")
     p_agg.add_argument("--matrix", required=True, help="CSV accuracy matrix")
     p_agg.add_argument("--out")
-    removed_flags(p_agg)
     p_agg.set_defaults(func=cmd_aggregate)
     return parser
 
@@ -650,9 +641,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "removed_flag", None):
-            raise ConfigError(f"{args.removed_flag} was removed: the critical values "
-                              "follow from the numbers of models and datasets")
         return args.func(args)
     except DatasetError as exc:
         _info(f"parse error: {exc}")

@@ -721,14 +721,14 @@ class TestAggregate:
 
 
 class TestStatisticsFlags:
-    # the critical values follow from the numbers of models and datasets, so any
-    # value of the removed flags is refused
+    # the critical values follow from the numbers of models and datasets, so the
+    # flags that once set them are gone and argparse rejects them with exit 2;
+    # the test keeps the name it had when a bad value exited 4
     @pytest.mark.parametrize("command", ["benchmark", "noise-study", "aggregate"])
     @pytest.mark.parametrize("flags", [
         ["--q-alpha", "-1"], ["--q-alpha", "nan"], ["--q-alpha", "inf"],
         ["--f-critical", "nan"], ["--f-critical=-inf"],
-        ["--q-alpha", "2.85"], ["--f-critical", "2.2542"],
-    ], ids=["q-negative", "q-nan", "q-inf", "f-nan", "f-inf", "q-paper", "f-paper"])
+    ], ids=["q-negative", "q-nan", "q-inf", "f-nan", "f-inf"])
     def test_bad_value_exits_4_before_any_cell(self, tmp_path, toy_files, capsys,
                                                monkeypatch, command, flags):
         monkeypatch.setattr(cli, "_run_cells", no_cells)
@@ -744,18 +744,11 @@ class TestStatisticsFlags:
                                                models="ifutsvm-id, utsvm", out=out,
                                                extra=""))
             argv = [command, "--config", str(cfg)]
-        assert main(argv + flags) == 4
-        flag = flags[0].split("=")[0]
-        assert (f"config error: {flag} was removed: the critical values follow from the "
-                "numbers of models and datasets") in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_removed_flags_are_hidden_from_help(self, capsys):
-        for command in ("benchmark", "noise-study", "aggregate"):
-            with pytest.raises(SystemExit):
-                main([command, "--help"])
-            out = capsys.readouterr().out
-            assert "--q-alpha" not in out and "--f-critical" not in out
 
 
 def test_import_does_not_load_scipy_stats():
