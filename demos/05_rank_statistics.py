@@ -11,12 +11,12 @@ difference.  Both critical values are the alpha = 0.05 ones for the table's
 import numpy as np
 
 from ifutsvm import (
-    NEMENYI_Q,
     average_ranks,
     friedman,
     friedman_f_critical,
     load_benchmark_matrix,
     nemenyi_cd,
+    nemenyi_q,
     pairwise_significance,
 )
 
@@ -30,8 +30,8 @@ for j, model in enumerate(models):
 
 N, p = acc.shape
 fr = friedman(table.average_ranks, N=N, p=p)
-q = NEMENYI_Q[p]
-cd = nemenyi_cd(p, N, q_alpha=q)
+q = nemenyi_q(p)
+cd = nemenyi_cd(p, N)
 f_critical = friedman_f_critical(p, N)
 print(f"\nFriedman chi-square: {fr.chi_sq:.2f}   F form: {fr.f_stat:.2f}")
 print(f"5% F critical value for ({p - 1}, {(p - 1) * (N - 1)}) dof: {f_critical:.4f} -> "

@@ -39,6 +39,7 @@ from .evaluation import (
     make_hyperparams,
     metrics,
     nemenyi_cd,
+    nemenyi_q,
     pairwise_significance,
     stratified_kfold,
 )

@@ -36,7 +36,6 @@ from .data import (
 from .evaluation import (
     AXES,
     MODEL_KINDS,
-    NEMENYI_Q,
     GridSpec,
     average_ranks,
     confusion,
@@ -47,6 +46,7 @@ from .evaluation import (
     make_hyperparams,
     metrics,
     nemenyi_cd,
+    nemenyi_q,
     pairwise_significance,
     predict,
     read_accuracy_matrix,
@@ -423,13 +423,34 @@ def _run_dataset_model(payload: dict) -> dict:
 
 
 def _run_cells(cells: list[dict], threads: int) -> list[dict]:
+    """Every cell's result, in cell order, from `threads` processes that run
+    cells: this one and a pool of the others."""
     # a forking pool starts all its workers at the first submit, so never
     # ask for more than there are cells
-    workers = min(threads, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_dataset_model, cells))
-    return [_run_dataset_model(c) for c in cells]
+    workers = min(threads, len(cells)) - 1
+    if workers < 1:
+        return [_run_dataset_model(c) for c in cells]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # submit everything before this process starts a fit: a fork taken
+        # during a fit would copy the locks it holds
+        futures = [pool.submit(_run_dataset_model, c) for c in cells]
+        here, results = {}, []
+        back = len(cells) - 1
+        try:
+            for i, future in enumerate(futures):
+                # while result i is not ready, run here the cells the pool has
+                # not started, from the back
+                while back >= i and not future.done():
+                    if futures[back].cancel():
+                        here[back] = _run_dataset_model(cells[back])
+                    back -= 1
+                results.append(here.pop(i) if i in here else future.result())
+        except BaseException:
+            # an error or Ctrl-C: start no further cell
+            for future in futures:
+                future.cancel()
+            raise
+    return results
 
 
 def _statistics_block(names: list[str], kinds: list[str], acc: np.ndarray) -> dict:
@@ -437,7 +458,7 @@ def _statistics_block(names: list[str], kinds: list[str], acc: np.ndarray) -> di
     N, p = acc.shape
     table = average_ranks(acc)
     fr = friedman(table.average_ranks, N, p)
-    q_alpha = NEMENYI_Q[p]
+    q_alpha = nemenyi_q(p)
     cd = nemenyi_cd(p, N, q_alpha)
     sig = pairwise_significance(table.average_ranks, cd)
     f_critical = friedman_f_critical(p, N)
@@ -577,12 +598,12 @@ def cmd_aggregate(args) -> int:
     if not Path(args.matrix).is_file():
         raise ConfigError(f"accuracy matrix not found: {args.matrix}")
     names, kinds, acc = read_accuracy_matrix(args.matrix)
-    # the Nemenyi q is tabulated for 2 to 10 models
-    if len(names) < 2 or not 2 <= len(kinds) <= max(NEMENYI_Q):
+    try:
+        block = _statistics_block(names, kinds, acc)
+    except ValueError as exc:
+        # friedman needs 2 datasets, nemenyi_q 2 to 10 models
         raise DatasetError(f"accuracy matrix has {len(names)} datasets and {len(kinds)} "
-                           f"models; rank statistics need at least 2 datasets and "
-                           f"2 to {max(NEMENYI_Q)} models")
-    block = _statistics_block(names, kinds, acc)
+                           f"models: {exc}") from None
     out = Path(args.out or "aggregate.json")
     _write_json(out, block)
     print(out)
@@ -624,7 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=hlp)
         common(p)
-        p.add_argument("--threads", type=int, help="dataset-level worker count")
+        p.add_argument("--threads", type=int,
+                       help="processes that run cells, this one included "
+                            "(2 starts one pool worker)")
         p.add_argument("--keep-cv-tables", action="store_true",
                        help="write per-cell CV tables as CSV")
         p.set_defaults(func=fn)

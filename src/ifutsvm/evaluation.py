@@ -322,8 +322,20 @@ def friedman_f_critical(p: int, N: int) -> float:
     return float(fdtri(p - 1, (p - 1) * (N - 1), 0.95))
 
 
-def nemenyi_cd(p: int, N: int, q_alpha: float) -> float:
-    """Critical difference q_alpha * sqrt(p (p+1) / (6 N))."""
+def nemenyi_q(p: int) -> float:
+    """The tabulated alpha = 0.05 Nemenyi q for p models; ValueError outside
+    2 to 10 models."""
+    if p not in NEMENYI_Q:
+        raise ValueError(f"the Nemenyi q is tabulated for 2 to {max(NEMENYI_Q)} models, "
+                         f"not {p}")
+    return NEMENYI_Q[p]
+
+
+def nemenyi_cd(p: int, N: int, q_alpha: float | None = None) -> float:
+    """Critical difference q_alpha * sqrt(p (p+1) / (6 N)), at alpha = 0.05
+    (`nemenyi_q(p)`) unless q_alpha is given."""
+    if q_alpha is None:
+        q_alpha = nemenyi_q(p)
     if p <= 0 or N <= 0 or q_alpha < 0:
         raise ValueError("arguments must be positive (q_alpha nonnegative)")
     return q_alpha * float(np.sqrt(p * (p + 1) / (6.0 * N)))

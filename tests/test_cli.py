@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -368,7 +369,7 @@ class TestNoiseStudy:
             datasets=f"{pa}, {pb}", models="ifutsvm-id, utsvm", out=out,
             extra="noise_levels = 0.1, 0.2\n"))
         reports = {}
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             assert main(["noise-study", "--config", str(cfg),
                          "--threads", str(threads)]) == 0
             reports[threads] = ((out / "report.json").read_bytes(),
@@ -376,16 +377,18 @@ class TestNoiseStudy:
                                 (out / "ranks.csv").read_bytes())
         # the config block records the thread count; everything else must match
         # byte for byte
-        one = reports[1][0].replace(b'"threads": 1', b'"threads": 2', 1)
-        assert one != reports[1][0]
-        assert one == reports[2][0]
-        assert reports[1][1:] == reports[2][1:]
+        for threads in (2, 3):
+            one = reports[1][0].replace(b'"threads": 1', b'"threads": %d' % threads, 1)
+            assert one != reports[1][0]
+            assert one == reports[threads][0]
+            assert reports[1][1:] == reports[threads][1:]
 
-    @pytest.mark.parametrize("datasets, cells, pool", [(2, 2, [2]), (1, 1, [])])
+    @pytest.mark.parametrize("datasets, cells, pool", [(2, 2, [1]), (1, 1, [])])
     def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, toy_files, monkeypatch,
                                                   datasets, cells, pool):
         # a forking pool starts every worker it is asked for at the first
-        # submit; a fake pool records the request and runs the cells in process
+        # submit, and this process runs cells too; a fake pool records the
+        # request and runs each cell in process when it is submitted
         requested = []
 
         class RecordingPool:
@@ -398,8 +401,10 @@ class TestNoiseStudy:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         out = tmp_path / "capped"
@@ -410,6 +415,57 @@ class TestNoiseStudy:
         assert main(["noise-study", "--config", str(cfg), "--threads", "1000"]) == 0
         assert requested == pool
         assert len(json.loads((out / "report.json").read_text())["results"]) == cells
+
+    def test_cells_the_pool_never_starts_run_here_in_order(self, monkeypatch):
+        # no future of this fake pool ever starts, so every cancel succeeds and
+        # this process runs every cell, from the back of the list
+        class IdlePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return Future()
+
+        ran = []
+
+        def cell(payload):
+            ran.append(payload)
+            return {"cell": payload}
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", IdlePool)
+        monkeypatch.setattr(cli, "_run_dataset_model", cell)
+        assert cli._run_cells(list(range(6)), 3) == [{"cell": i} for i in range(6)]
+        assert ran == [5, 4, 3, 2, 1, 0]
+
+    def test_failing_cells_stop_the_run_early(self, tmp_path, toy_files, monkeypatch):
+        # real forked workers; every cell records that it started, then fails
+        # with an error the cell runner does not expect
+        monkeypatch.setattr(cli, "_run_dataset_model", touch_and_raise)
+        levels = [f"{i / 25:g}" for i in range(12)]
+        cfg = tmp_path / "fail.ini"
+        cfg.write_text(BENCH_CONFIG.format(
+            datasets=", ".join(map(str, toy_files)), models="ifutsvm-id, utsvm",
+            out=tmp_path / "out", extra=f"noise_levels = {', '.join(levels)}\n"))
+        with pytest.raises(RuntimeError, match="cell failed"):
+            main(["noise-study", "--config", str(cfg), "--threads", "2"])
+        started = list(tmp_path.glob("started-*"))
+        # 48 cells; the cells not yet started are cancelled
+        assert 1 <= len(started) < 48 // 4
+        assert not (tmp_path / "out").exists()
+
+
+def touch_and_raise(payload):
+    """A cell that leaves a marker next to its dataset file and fails; defined
+    at module level so that a pool worker can unpickle it by name."""
+    path = Path(payload["path"])
+    path.with_name(f"started-{path.stem}-{payload['kind']}-{payload['noise_level']}").touch()
+    raise RuntimeError("cell failed")
 
 
 class TestExperimentNumbers:
@@ -708,7 +764,7 @@ class TestAggregate:
         ("dataset," + ",".join(f"m{j}" for j in range(11)) + "\n"
          + "".join(f"d{i}," + ",".join(str(50 + i + j) for j in range(11)) + "\n"
                    for i in range(3)),
-         "11 models; rank statistics need at least 2 datasets and 2 to 10 models"),
+         "3 datasets and 11 models: the Nemenyi q is tabulated for 2 to 10 models"),
     ], ids=["nan-cell", "inf-cell", "single-dataset", "repeated-model", "repeated-dataset",
             "repeated-both", "empty-model-name", "empty-dataset-name", "eleven-models"])
     def test_bad_matrix_exits_2(self, tmp_path, capsys, text, message):

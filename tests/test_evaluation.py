@@ -23,6 +23,7 @@ from ifutsvm import (
     load_benchmark_matrix,
     metrics,
     nemenyi_cd,
+    nemenyi_q,
     pairwise_significance,
     predict,
     stratified_kfold,
@@ -168,17 +169,17 @@ class TestFriedman:
 
 class TestNemenyi:
     def test_published_value(self):
-        assert abs(nemenyi_cd(6, 46, 2.850) - 1.11) <= 0.005
+        assert abs(nemenyi_cd(6, 46) - 1.11) <= 0.005
+        assert nemenyi_cd(6, 46) == nemenyi_cd(6, 46, 2.850)
 
     def test_zero_q(self):
         assert nemenyi_cd(6, 46, 0.0) == 0.0
 
     def test_inverse_sqrt_scaling(self):
-        assert_allclose(nemenyi_cd(6, 92, 2.850),
-                        nemenyi_cd(6, 46, 2.850) / np.sqrt(2.0))
+        assert_allclose(nemenyi_cd(6, 92), nemenyi_cd(6, 46) / np.sqrt(2.0))
 
     def test_pairwise_matrix(self):
-        sig = pairwise_significance(PUBLISHED_RANKS, nemenyi_cd(6, 46, 2.850))
+        sig = pairwise_significance(PUBLISHED_RANKS, nemenyi_cd(6, 46))
         assert sig.shape == (6, 6)
         assert not sig[0, 0]
         assert sig[-1, 2]  # 4.47 vs 1.54 clears the 1.11 threshold
@@ -187,6 +188,14 @@ class TestNemenyi:
         # Demsar (JMLR 2006), Table 5a, two-tailed at alpha = 0.05
         assert NEMENYI_Q == {2: 1.960, 3: 2.343, 4: 2.569, 5: 2.728, 6: 2.850, 7: 2.949,
                              8: 3.031, 9: 3.102, 10: 3.164}
+        assert [nemenyi_q(p) for p in range(2, 11)] == list(NEMENYI_Q.values())
+
+    @pytest.mark.parametrize("p", [0, 1, 11])
+    def test_untabulated_model_count_rejected(self, p):
+        with pytest.raises(ValueError, match="2 to 10 models"):
+            nemenyi_q(p)
+        with pytest.raises(ValueError, match="2 to 10 models"):
+            nemenyi_cd(p, 46)
 
 
 class TestStratifiedKFold:
