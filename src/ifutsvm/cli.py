@@ -293,6 +293,10 @@ def cmd_train(args) -> int:
         raise ConfigError(f"dataset file not found: {data_path}")
     seed = _master_seed(cp, args)
     kind, hp = _fixed_hyperparams(cp, seed)
+    for flag, path in (("--dump-scores", args.dump_scores), ("--dump-plan", args.dump_plan)):
+        if path and kind != "ifutsvm-id":
+            raise ConfigError(f"{flag} needs model ifutsvm-id: {kind} has no fuzzy scores "
+                              "or sampling plan")
 
     ds = load_dataset(data_path)
     t0 = time.perf_counter()
@@ -327,13 +331,13 @@ def cmd_train(args) -> int:
     _write_json(out.with_suffix(out.suffix + ".log.json"), log)
     _info(f"trained {kind} on {ds.name} in {elapsed:.2f}s")
 
-    if args.dump_scores and rep.scores is not None:
+    if args.dump_scores:
         sc = rep.scores
         rows = [(i, int(ds.labels[i]), sc.memberships[i], sc.nonmemberships[i], sc.scores[i])
                 for i in range(ds.m)]
         _write_csv(Path(args.dump_scores),
                    ["index", "label", "membership", "nonmembership", "score"], rows)
-    if args.dump_plan and rep.plan is not None:
+    if args.dump_plan:
         plan = rep.plan
         rows = []
         for r, idx in enumerate(plan.x2_star_indices):
@@ -459,7 +463,7 @@ def _statistics_block(names: list[str], kinds: list[str], acc: np.ndarray) -> di
     table = average_ranks(acc)
     fr = friedman(table.average_ranks, N, p)
     q_alpha = nemenyi_q(p)
-    cd = nemenyi_cd(p, N, q_alpha)
+    cd = nemenyi_cd(p, N)
     sig = pairwise_significance(table.average_ranks, cd)
     f_critical = friedman_f_critical(p, N)
     return {

@@ -331,13 +331,12 @@ def nemenyi_q(p: int) -> float:
     return NEMENYI_Q[p]
 
 
-def nemenyi_cd(p: int, N: int, q_alpha: float | None = None) -> float:
-    """Critical difference q_alpha * sqrt(p (p+1) / (6 N)), at alpha = 0.05
-    (`nemenyi_q(p)`) unless q_alpha is given."""
-    if q_alpha is None:
-        q_alpha = nemenyi_q(p)
-    if p <= 0 or N <= 0 or q_alpha < 0:
-        raise ValueError("arguments must be positive (q_alpha nonnegative)")
+def nemenyi_cd(p: int, N: int) -> float:
+    """Critical difference q_alpha * sqrt(p (p+1) / (6 N)) at alpha = 0.05,
+    with q_alpha = `nemenyi_q(p)`."""
+    q_alpha = nemenyi_q(p)
+    if N <= 0:
+        raise ValueError("the number of datasets must be positive")
     return q_alpha * float(np.sqrt(p * (p + 1) / (6.0 * N)))
 
 

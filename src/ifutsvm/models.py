@@ -7,12 +7,21 @@ plane.  Every dual here has the shape
 
 where M collects the proximal (own-class) rows and H the signed constraint
 rows; the plane is recovered as (w; b) = sign * (M'M + ridge I)^{-1} H' z.
-IFUTSVM-ID weights the slack bounds with intuitionistic fuzzy scores, builds
-the minority plane from an undersampled majority subset plus a reduced
-universum, and builds the majority plane from the full classes plus the full
-universum.  In kernel mode every block is replaced by its Gaussian Gram rows
-against the stacked training matrix D = [X1; X2]; a fit's blocks all come
-from one Gram evaluation of its stacked class and universum rows.
+Plane 1 has M = [X1 1] and plane 2 M = [X2 1] in both models; one builder
+(_blocks) makes the rest, and the two models differ only in these choices:
+
+    choice                  UTSVM                    IFUTSVM-ID
+    majority rows of H1     all m2 rows of X2        the m1 undersampled X2*
+    universum rows of H1    -U, all of it            -G*, the ceil(m1/2) reduced
+    universum rows of H2    -U                       +G, all m2 - m1 rows
+    class weights           ones                     fuzzy scores s2[X2*], s1
+    ridge                   delta, or trace-scaled   c3, c4
+    universum drawn by      fit_model's seed stream  the sampling plan
+
+Plane 2's +G is this repository's reading of the paper, not checked against
+its equations.  In kernel mode every block is replaced by its Gaussian Gram
+rows against the stacked training matrix D = [X1; X2]; a fit's blocks all
+come from one Gram evaluation of its stacked class and universum rows.
 
 A fit runs in three stages: prepare (scores, sampling plan or universum, and
 the M/H blocks), hessian (per plane, the Cholesky factor of M'M + ridge I and
@@ -152,12 +161,10 @@ class _Blocks:
     by its penalty times weights[i] and the universum rows by cu.
     """
 
-    kind: str
     D: np.ndarray | None
     M: tuple[np.ndarray, np.ndarray]
     H: tuple[np.ndarray, np.ndarray]
     weights: tuple[np.ndarray, np.ndarray]
-    trace_ridges: tuple[float, float] | None = None  # UTSVM's default delta per plane
     plan: SamplingPlan | None = None
     scores: ScoreWeights | None = None
     universum: np.ndarray | None = None
@@ -224,59 +231,50 @@ def primal_value(plane: _Plane, z: np.ndarray) -> float:
     return float(0.5 * (Mz @ Mz) + 0.5 * plane.ridge * (z @ z) + plane.upper @ slack)
 
 
-def _augmented(train: Dataset, kernel: KernelSpec | None,
-               *extra: np.ndarray) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """D and the rows of X1, X2 and each extra row set, in that order, each
-    augmented with a column of ones.
+def _blocks(train: Dataset, kernel: KernelSpec | None, universum: np.ndarray | None = None,
+            plan: SamplingPlan | None = None, scores: ScoreWeights | None = None) -> _Blocks:
+    """Prepare stage of either model: UTSVM's with its universum, IFUTSVM-ID's
+    with its sampling plan and fuzzy scores (see the module docstring's table).
 
-    The row sets are stacked once; in kernel mode one Gram evaluation maps the
+    The rows of X1, X2 and the universum (IFUTSVM-ID: then the reduced
+    universum) are stacked once; in kernel mode one Gram evaluation maps the
     stack against D = [X1; X2], in linear mode the rows are used as they are.
+    Each block gets a column of ones.
     """
     X1, X2 = train.positives(), train.negatives()
+    extra = [universum] if plan is None else [plan.universum, plan.universum_star]
     D = np.vstack([X1, X2]) if kernel is not None else None
     rows = np.vstack([X1, X2, *extra])
     if kernel is not None:
         rows = gram_values(rows, D, kernel)
     bounds = np.cumsum([X.shape[0] for X in (X1, X2, *extra)])[:-1]
-    return D, [np.hstack([R, np.ones((R.shape[0], 1))]) for R in np.split(rows, bounds)]
+    E, F, G, *reduced = [np.hstack([R, np.ones((R.shape[0], 1))])
+                         for R in np.split(rows, bounds)]
+    if plan is None:  # UTSVM: all of X2, the universum on both planes, unit weights
+        H = (np.vstack([F, -G]), np.vstack([E, -G]))
+        weights = (np.ones(F.shape[0]), np.ones(E.shape[0]))
+    else:  # IFUTSVM-ID: the undersampled X2*, the reduced universum, +G, fuzzy scores
+        (Gs,) = reduced
+        # x2_star is a row subset of X2, so its block is a row subset of F
+        H = (np.vstack([F[plan.x2_star_indices], -Gs]), np.vstack([E, G]))
+        weights = (scores.s2[plan.x2_star_indices], scores.s1)
+    return _Blocks(D=D, M=(E, F), H=H, weights=weights, plan=plan, scores=scores,
+                   universum=universum)
 
 
-def _utsvm_blocks(train: Dataset, universum: np.ndarray, kernel: KernelSpec | None) -> _Blocks:
-    D, (Gp, En, Fu) = _augmented(train, kernel, universum)
-    # in kernel mode M is wide (m1 rows, m+1 columns): delta is then the
-    # only regularizer acting on null(M), and a vanishing default makes
-    # the dual unsolvable; linear-mode normal matrices are full rank and
-    # tolerate a much smaller stabilization
-    scale = 1e-7 if kernel is None else 1e-3
-    return _Blocks(
-        kind="utsvm", D=D, M=(Gp, En),
-        H=(np.vstack([En, -Fu]), np.vstack([Gp, -Fu])),
-        weights=(np.ones(En.shape[0]), np.ones(Gp.shape[0])),
-        trace_ridges=tuple(scale * float(np.sum(M * M)) / M.shape[1] for M in (Gp, En)),
-        universum=universum,
-    )
-
-
-def _ifutsvm_blocks(train: Dataset, plan: SamplingPlan, scores: ScoreWeights,
-                    kernel: KernelSpec | None) -> _Blocks:
-    # x2_star is a row subset of X2, so its block is a row subset of F
-    D, (E, F, G, Gs) = _augmented(train, kernel, plan.universum, plan.universum_star)
-    return _Blocks(
-        kind="ifutsvm-id", D=D, M=(E, F),
-        H=(np.vstack([F[plan.x2_star_indices], -Gs]), np.vstack([E, G])),
-        weights=(scores.s2[plan.x2_star_indices], scores.s1),
-        plan=plan, scores=scores,
-    )
-
-
-def _planes(blocks: _Blocks, hp: Hyperparams) -> tuple[_Plane, _Plane]:
+def _planes(blocks: _Blocks, hp: Hyperparams, kind: str) -> tuple[_Plane, _Plane]:
     """Both duals of one lattice point, assembled on prepared blocks."""
-    if blocks.kind == "ifutsvm-id":
+    if kind == "ifutsvm-id":
         ridges = (hp.c3, hp.c4)
     elif hp.delta is not None:
         ridges = (hp.delta, hp.delta)
     else:
-        ridges = blocks.trace_ridges
+        # in kernel mode M is wide (m1 rows, m+1 columns): delta is then the
+        # only regularizer acting on null(M), and a vanishing default makes
+        # the dual unsolvable; linear-mode normal matrices are full rank and
+        # tolerate a much smaller stabilization
+        scale = 1e-7 if hp.kernel is None else 1e-3
+        ridges = [scale * float(np.sum(M * M)) / M.shape[1] for M in blocks.M]
     planes = []
     for M, H, weights, penalty, ridge, sign in zip(
             blocks.M, blocks.H, blocks.weights, (hp.c1, hp.c2), ridges, (-1.0, 1.0)):
@@ -297,10 +295,11 @@ def _split_coefficients(z: np.ndarray, which: str) -> tuple[np.ndarray, float]:
     return w, b
 
 
-def _fit(train: Dataset, hp: Hyperparams, key: tuple, prepare,
+def _fit(kind: str, train: Dataset, hp: Hyperparams, key: tuple, prepare,
          stages: FitStages | None) -> TwinModel:
     """Prepare, hessian and solve stages of one lattice point, on memoized
-    blocks and Hessians.
+    blocks and Hessians; `key` holds what else besides the kind and kernel
+    the prepare stage depends on.
 
     Every fit passes here, and its linear algebra runs on one OpenBLAS thread:
     the duals are too small to gain from more, and parallel work comes from
@@ -308,9 +307,9 @@ def _fit(train: Dataset, hp: Hyperparams, key: tuple, prepare,
     """
     stages = stages if stages is not None else FitStages()
     with _one_blas_thread:
-        blocks = stages.blocks(train, key, prepare)
+        blocks = stages.blocks(train, (kind, hp.kernel, *key), prepare)
         (z1, sol1), (z2, sol2) = [_solve_plane(plane, stages.hessian(i, plane))
-                                  for i, plane in enumerate(_planes(blocks, hp))]
+                                  for i, plane in enumerate(_planes(blocks, hp, kind))]
         w1, b1 = _split_coefficients(z1, "1")
         w2, b2 = _split_coefficients(z2, "2")
     k1, k2 = (weights.shape[0] for weights in blocks.weights)
@@ -324,7 +323,7 @@ def _fit(train: Dataset, hp: Hyperparams, key: tuple, prepare,
         plan=blocks.plan, scores=blocks.scores, universum=blocks.universum,
     )
     return TwinModel(
-        kind=blocks.kind, mode="kernel" if hp.kernel else "linear",
+        kind=kind, mode="kernel" if hp.kernel else "linear",
         w1=w1, b1=b1, w2=w2, b2=b2, reference=blocks.D, hyperparams=hp,
         dual_report=report,
     )
@@ -343,8 +342,8 @@ def fit_utsvm(train: Dataset, universum: np.ndarray | None, hp: Hyperparams,
     universum = np.atleast_2d(np.asarray(universum, dtype=np.float64))
     if universum.shape[1] != train.n:
         raise ValueError("universum feature dimension does not match the data")
-    key = ("utsvm", hp.kernel, universum.shape, universum.tobytes())
-    return _fit(train, hp, key, lambda: _utsvm_blocks(train, universum, hp.kernel), stages)
+    return _fit("utsvm", train, hp, (universum.shape, universum.tobytes()),
+                lambda: _blocks(train, hp.kernel, universum), stages)
 
 
 def fit_ifutsvm_id(train: Dataset, hp: Hyperparams, *, uniform: bool = False,
@@ -362,27 +361,23 @@ def fit_ifutsvm_id(train: Dataset, hp: Hyperparams, *, uniform: bool = False,
 
     def prepare() -> _Blocks:
         scores = uniform_scores(train) if uniform else assign_scores(train, hp.kernel, hp.fuzzy)
-        return _ifutsvm_blocks(train, build_plan(train, hp.seed), scores, hp.kernel)
+        return _blocks(train, hp.kernel, plan=build_plan(train, hp.seed), scores=scores)
 
-    key = ("ifutsvm-id", hp.kernel, hp.fuzzy, hp.seed, uniform)
-    return _fit(train, hp, key, prepare, stages)
+    return _fit("ifutsvm-id", train, hp, (hp.fuzzy, hp.seed, uniform), prepare, stages)
 
 
 def duality_gaps(model: TwinModel, train: Dataset) -> tuple[float, float]:
     """Reassemble both primals and return |primal - dual| per plane.
 
-    For UTSVM the comparison is against the delta-regularized primal actually
-    solved (the stabilization ridge enters the objective as delta/2 ||(w;b)||^2).
+    The comparison is against the ridge-regularized primal actually solved:
+    each plane's ridge (UTSVM's delta or its trace-scaled default,
+    IFUTSVM-ID's c3 or c4) enters its objective as ridge/2 ||(w;b)||^2.
     """
     if model.dual_report is None:
         raise ValueError("model carries no dual report")
     rep = model.dual_report
-    kernel = model.hyperparams.kernel
-    if model.kind == "ifutsvm-id":
-        blocks = _ifutsvm_blocks(train, rep.plan, rep.scores, kernel)
-    else:
-        blocks = _utsvm_blocks(train, rep.universum, kernel)
-    plane1, plane2 = _planes(blocks, model.hyperparams)
+    blocks = _blocks(train, model.hyperparams.kernel, rep.universum, rep.plan, rep.scores)
+    plane1, plane2 = _planes(blocks, model.hyperparams, model.kind)
     z1 = np.concatenate([model.w1, [model.b1]])
     z2 = np.concatenate([model.w2, [model.b2]])
     gap1 = abs(primal_value(plane1, z1) - rep.dual_objective_1)

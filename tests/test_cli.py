@@ -117,6 +117,23 @@ class TestTrainEval:
         assert scores_csv.read_text().startswith("index,label,membership")
         assert "universum" in plan_csv.read_text()
 
+    @pytest.mark.parametrize("flag", ["--dump-scores", "--dump-plan"])
+    def test_dump_flag_on_utsvm_exits_4_before_reading_the_data(self, tmp_path, monkeypatch,
+                                                                capsys, flag):
+        # UTSVM has neither fuzzy scores nor a sampling plan to dump
+        def no_load(path):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=tmp_path / "alpha.dat")
+                       .replace("model = ifutsvm-id", "model = utsvm"))
+        (tmp_path / "alpha.dat").write_text("")
+        out, dump = tmp_path / "m.bin", tmp_path / "dump.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(out), flag, str(dump)]) == 4
+        assert f"config error: {flag} needs model ifutsvm-id" in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
+
     def test_missing_dataset_exits_4(self, tmp_path):
         cfg = tmp_path / "train.ini"
         cfg.write_text(TRAIN_CONFIG.format(dataset=tmp_path / "nope.dat"))

@@ -170,10 +170,7 @@ class TestFriedman:
 class TestNemenyi:
     def test_published_value(self):
         assert abs(nemenyi_cd(6, 46) - 1.11) <= 0.005
-        assert nemenyi_cd(6, 46) == nemenyi_cd(6, 46, 2.850)
-
-    def test_zero_q(self):
-        assert nemenyi_cd(6, 46, 0.0) == 0.0
+        assert nemenyi_cd(6, 46) == 2.850 * float(np.sqrt(6 * 7 / (6.0 * 46)))
 
     def test_inverse_sqrt_scaling(self):
         assert_allclose(nemenyi_cd(6, 92), nemenyi_cd(6, 46) / np.sqrt(2.0))

@@ -5,7 +5,9 @@ where the trace expects it, so a refactor cannot silently blind the trace."""
 import sys
 from pathlib import Path
 
-from ifutsvm import Hyperparams, KernelSpec, fit_ifutsvm_id
+import pytest
+
+from ifutsvm import Hyperparams, KernelSpec, evaluation, fit_ifutsvm_id
 
 from conftest import make_blobs
 
@@ -28,3 +30,27 @@ def test_install_wraps_every_layer_and_nests_scoring_gram(tmp_path):
             "models.hessian", "models.recover"} <= names
     assert any(s["name"] == "kernels.gram" and s["parent"] == "membership.scores"
                for s in spans)
+
+
+@pytest.mark.parametrize("kind", ["ifutsvm-id", "utsvm"])
+def test_fit_model_spans_of_both_kinds(tmp_path, kind):
+    # fold fits and refits enter through evaluation.fit_model, which
+    # dispatches to the fit of each kind and draws UTSVM's universum (at
+    # width 1 this UTSVM dual does not converge, at width 4 it does)
+    rec, patches = tracing.Recorder(tmp_path), tracing.Patches()
+    tracing.install(rec, patches)
+    try:
+        hp = Hyperparams(c1=1.0, c2=1.0, c3=0.1, c4=0.1, cu=0.5,
+                         kernel=KernelSpec(4.0), seed=0)
+        evaluation.fit_model(kind, make_blobs(6, 14, seed=0), hp)
+    finally:
+        patches.restore()
+    parents = {(span["name"], span["parent"]) for span in rec.spans}
+    expected = {("evaluation.fit", None), ("models.fit", "evaluation.fit"),
+                ("kernels.gram", "models.fit"), ("models.hessian", "models.fit"),
+                ("qp.solve", "models.fit"), ("models.recover", "models.fit")}
+    if kind == "utsvm":
+        expected |= {("sampling.universum", "evaluation.fit")}
+    else:
+        expected |= {("membership.scores", "models.fit"), ("sampling.plan", "models.fit")}
+    assert expected <= parents
