@@ -51,6 +51,7 @@ from .evaluation import (
     predict,
     read_accuracy_matrix,
     repeated_values,
+    selected_row,
 )
 from .membership import FuzzyParams
 from .models import TrainingError, load_model, save_model
@@ -402,13 +403,11 @@ def _run_dataset_model(payload: dict) -> dict:
             train, test = standardize(train, test)
         best_hp, cv_table = grid_search_cv(
             train, kind, grid, payload["folds"], mix_seed(seed, name, kind, "cv"))
-        model = fit_model(kind, train, best_hp,
-                          universum_seed=mix_seed(seed, name, kind, "universum"))
+        model = fit_model(kind, train, best_hp)
         pred = predict(model, test.features)
         cm = confusion(test.labels, pred)
         rep = metrics(cm)
-        # max keeps the first maximum, as the search does: best_hp's row
-        best = max(cv_table, key=lambda row: row["mean_accuracy"])
+        best = selected_row(cv_table)
         return {
             "dataset": name, "kind": kind, "noise_level": level,
             "ok": True, "best": {key: best[key] for key in AXES},

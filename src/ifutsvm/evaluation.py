@@ -168,20 +168,18 @@ def stratified_kfold(ds: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, n
     return folds
 
 
-def fit_model(kind: str, train: Dataset, hp: Hyperparams, *,
-              universum_seed: int | None = None, stages: FitStages | None = None):
+def fit_model(kind: str, train: Dataset, hp: Hyperparams, *, stages: FitStages | None = None):
     """Train one model of the requested kind.
 
     For the UTSVM baseline the universum is generated here by random
-    averaging, m2 - m1 points, from its own seed stream.  `stages` is an
+    averaging, m2 - m1 points, from the seed stream mix_seed(hp.seed,
+    "universum"); fold fits and refits alike draw it there.  `stages` is an
     internal memo that consecutive fits share (see models.FitStages).
     """
     if kind == "ifutsvm-id":
         return fit_ifutsvm_id(train, hp, stages=stages)
     if kind == "utsvm":
-        count = train.m2 - train.m1
-        seed = universum_seed if universum_seed is not None else mix_seed(hp.seed, "universum")
-        univ, _ = generate_universum(train, count, seed)
+        univ, _ = generate_universum(train, train.m2 - train.m1, mix_seed(hp.seed, "universum"))
         return fit_utsvm(train, univ, hp, stages=stages)
     raise ValueError(f"unknown model kind: {kind!r}")
 
@@ -201,13 +199,29 @@ def _fold_score(kind: str, j: int, tr: Dataset, va: Dataset, hp: Hyperparams,
     return float(np.mean(predict(model, va.features) == va.labels)), flag
 
 
+def selected_row(table: list[dict]) -> dict:
+    """The row a search selects: the first with the highest mean_accuracy.
+
+    Raises TrainingError when no row trained on any fold (every mean is
+    -inf), naming the causes the folds were flagged with.
+    """
+    best = max(table, key=lambda row: row["mean_accuracy"])  # the first of equal rows
+    if best["mean_accuracy"] == -np.inf:
+        causes = sorted({flag.split(":", 1)[1] for row in table for flag in row["flags"]})
+        raise TrainingError(f"no lattice point of {len(table)} trained on any fold: every "
+                            f"fold fit failed ({', '.join(causes)})")
+    return best
+
+
 def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
                    seed: int) -> tuple[Hyperparams, list[dict]]:
     """Mean CV accuracy per lattice point; argmax with first-in-lattice ties.
 
     Folds that cannot be trained (solver failure, degenerate plane) score NaN
-    and are flagged; a point's mean ignores NaN folds.  Points whose folds all
-    fail are never selected.
+    and are flagged; a point's mean ignores NaN folds, and a point whose folds
+    all fail has mean -inf and is never selected.  A search in which no point
+    trained on any fold raises TrainingError (see `selected_row`): no CV
+    accuracy backs any point, so refitting one would only look like a result.
 
     The table rows follow the lattice order of `GridSpec.axes` (c1 outermost,
     width innermost), each keyed by the AXES names, and ties go to the first
@@ -256,7 +270,7 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
             "fold_accuracies": [None if np.isnan(a) else float(a) for a in fold_accs],
             "flags": [flags[fitted, j] for j in range(k) if (fitted, j) in flags],
         })
-    best = max(table, key=lambda row: row["mean_accuracy"])  # the first of equal rows
+    best = selected_row(table)
     best_hp = make_hyperparams(**{name: best[name] for name in AXES}, fuzzy=grid.fuzzy,
                                seed=mix_seed(seed, "refit"))
     return best_hp, table

@@ -109,10 +109,15 @@ class DualReport:
     dual_objective_2: float
     iterations_1: int
     iterations_2: int
-    balanced_fallback: bool
     plan: SamplingPlan | None = None
     scores: ScoreWeights | None = None
     universum: np.ndarray | None = None
+
+    @property
+    def balanced_fallback(self) -> bool:
+        """True when the sampling plan found the classes balanced and drew no
+        universum; UTSVM has no plan."""
+        return self.plan is not None and self.plan.balanced
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,6 @@ class TwinModel:
     """
 
     kind: str  # "utsvm" | "ifutsvm-id"
-    mode: str  # "linear" | "kernel"
     w1: np.ndarray
     b1: float
     w2: np.ndarray
@@ -132,6 +136,11 @@ class TwinModel:
     reference: np.ndarray | None
     hyperparams: Hyperparams
     dual_report: DualReport | None = None
+
+    @property
+    def mode(self) -> str:
+        """Read off the hyperparameters: "kernel" when they name a kernel, else "linear"."""
+        return "linear" if self.hyperparams.kernel is None else "kernel"
 
     @property
     def n_features(self) -> int:
@@ -319,14 +328,10 @@ def _fit(kind: str, train: Dataset, hp: Hyperparams, key: tuple, prepare,
         kkt_residual_1=sol1.kkt_residual, kkt_residual_2=sol2.kkt_residual,
         dual_objective_1=sol1.objective, dual_objective_2=sol2.objective,
         iterations_1=sol1.iterations, iterations_2=sol2.iterations,
-        balanced_fallback=blocks.plan is not None and blocks.plan.balanced,
         plan=blocks.plan, scores=blocks.scores, universum=blocks.universum,
     )
-    return TwinModel(
-        kind=kind, mode="kernel" if hp.kernel else "linear",
-        w1=w1, b1=b1, w2=w2, b2=b2, reference=blocks.D, hyperparams=hp,
-        dual_report=report,
-    )
+    return TwinModel(kind=kind, w1=w1, b1=b1, w2=w2, b2=b2, reference=blocks.D,
+                     hyperparams=hp, dual_report=report)
 
 
 def fit_utsvm(train: Dataset, universum: np.ndarray | None, hp: Hyperparams,
@@ -407,13 +412,9 @@ def decision_distances(model: TwinModel, x: np.ndarray):
 
 def predict(model: TwinModel, x: np.ndarray):
     """Label of the nearer plane; ties resolve to +1 (the minority class)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    d1, d2 = decision_distances(model, np.atleast_2d(x))
+    d1, d2 = decision_distances(model, x)
     labels = np.where(d1 <= d2, 1, -1).astype(np.int64)
-    if single:
-        return int(labels[0])
-    return labels
+    return int(labels) if labels.ndim == 0 else labels
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +457,9 @@ def load_model(path) -> TwinModel:
     Raises ParseError for any content it cannot decode or honour: wrong
     magic, a truncated header, a header with missing or invalid fields (an
     unknown kind or mode, sizes that are not nonnegative integers or do not
-    fit together, rkhs_norm other than false), or a payload that is not
-    exactly the size the header announces.
+    fit together, rkhs_norm other than false), a payload that is not
+    exactly the size the header announces, or a payload holding a NaN or an
+    infinity, which would make every distance and so every label meaningless.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -500,25 +502,16 @@ def _decode_model(blob: bytes) -> TwinModel:
     size = 8 * (2 * coef_len + 2 + (m * n if kernel else 0))
     if len(blob) - off != size:
         raise ValueError(f"payload has {len(blob) - off} bytes, the header announces {size}")
-
-    def take(count: int) -> np.ndarray:
-        nonlocal off
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy()
-        off += 8 * count
-        return arr
-
-    w1 = take(coef_len)
-    b1 = float(take(1)[0])
-    w2 = take(coef_len)
-    b2 = float(take(1)[0])
-    reference = take(m * n).reshape(m, n) if kernel else None
+    payload = np.frombuffer(blob, dtype="<f8", offset=off).copy()
+    if not np.all(np.isfinite(payload)):
+        raise ValueError("a coefficient, intercept or reference value is not finite")
+    w1, b1, w2, b2, reference = np.split(payload, np.cumsum([coef_len, 1, coef_len, 1]))
     hp = header["hyperparams"]
     hyperparams = Hyperparams(
         c1=hp["c1"], c2=hp["c2"], c3=hp["c3"], c4=hp["c4"], cu=hp["cu"],
         epsilon=hp["epsilon"], kernel=KernelSpec(hp["width"]) if hp["width"] is not None else None,
         delta=hp["delta"], fuzzy=FuzzyParams(eta=hp["eta"], rho=hp["rho"]), seed=hp["seed"],
     )
-    return TwinModel(
-        kind=header["kind"], mode=header["mode"], w1=w1, b1=b1, w2=w2, b2=b2,
-        reference=reference, hyperparams=hyperparams,
-    )
+    return TwinModel(kind=header["kind"], w1=w1, b1=float(b1[0]), w2=w2, b2=float(b2[0]),
+                     reference=reference.reshape(m, n) if kernel else None,
+                     hyperparams=hyperparams)

@@ -11,9 +11,19 @@ imbalanced, so the reduced universum is topped up; imbalanced), with and
 without a universum for UTSVM, with fuzzy and uniform scores for IFUTSVM-ID,
 with delta set and unset, at five lattice points that share one stage memo.
 Each fit feeds w, b, the multipliers, the dual objectives, the KKT
-residuals, the sweep counts and the duality gaps into one SHA-256; a failed
-fit feeds its exception type and text.  The script prints the fit count, the
-failure count and the digest.
+residuals, the sweep counts, the duality gaps, its mode, its balanced-fallback
+flag and the bytes `save_model` writes into one SHA-256; a failed fit feeds
+its exception type and text.
+
+A second digest covers the search protocol: `grid_search_cv` of both kinds on
+three sets (one balanced, so its folds fall back to a universum-free plan),
+over a lattice at two Gaussian widths and over a linear one, then the refit
+of the selected point through `evaluation.fit_model`.  It hashes each CV
+table, each selected point and each refit as above (a failed refit feeds its
+exception).  Every lattice here has points that train, so no search raises.
+
+The script prints, for each digest, the fit or search count, the failure
+count and the SHA-256.
 """
 
 from __future__ import annotations
@@ -21,13 +31,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from conftest import make_blobs
-from ifutsvm import (Hyperparams, KernelSpec, NumericalError, TrainingError, duality_gaps,
-                     fit_ifutsvm_id, fit_utsvm, generate_universum)
-from ifutsvm.models import FitStages
+from ifutsvm import (GridSpec, Hyperparams, KernelSpec, NumericalError, TrainingError,
+                     duality_gaps, fit_ifutsvm_id, fit_utsvm, generate_universum,
+                     grid_search_cv, save_model)
+from ifutsvm.evaluation import fit_model
+from ifutsvm.models import MODEL_KINDS, FitStages
 
 SEEDS = (0, 1, 2)
 SHAPES = ((12, 12), (12, 16), (8, 28))  # (m1, m2): balanced, top-up, imbalanced
@@ -40,6 +54,10 @@ POINTS = (  # (c1, c3, cu, epsilon), c2 = c1 and c4 = c3
     (1.0, 1e-3, 0.0, 0.4),
     (10.0, 10.0, 2.0, 0.1),
 )
+SEARCH_SETS = ((10, 25, 0), (12, 12, 1), (9, 40, 2))  # (m1, m2, seed); one balanced
+SEARCH_GRIDS = tuple(GridSpec(c1=(0.1, 10.0), c3=(0.01, 1.0), cu=(0.1, 1.0), epsilon=(0.1,),
+                              width=width) for width in ((0.5, 2.0), None))
+SEARCH_FOLDS = 3
 
 
 def _fit(kind, train, hp, universum, uniform, stages):
@@ -71,16 +89,45 @@ def digest(seeds=SEEDS, points=POINTS) -> tuple[int, int, str]:
                     failures += 1
                     h.update(f"{type(exc).__name__}: {exc}".encode())
                     continue
-                rep = model.dual_report
-                for array in (model.w1, model.w2, rep.alpha, rep.beta, rep.eta, rep.theta):
-                    h.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
-                h.update(struct.pack(
-                    "<8d2q", model.b1, model.b2, rep.dual_objective_1, rep.dual_objective_2,
-                    rep.kkt_residual_1, rep.kkt_residual_2, *duality_gaps(model, train),
-                    rep.iterations_1, rep.iterations_2))
+                _update(h, model, train)
     return fits, failures, h.hexdigest()
+
+
+def _update(h, model, train) -> None:
+    """Feed one trained model into the hash."""
+    rep = model.dual_report
+    for array in (model.w1, model.w2, rep.alpha, rep.beta, rep.eta, rep.theta):
+        h.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    h.update(struct.pack(
+        "<8d2q", model.b1, model.b2, rep.dual_objective_1, rep.dual_objective_2,
+        rep.kkt_residual_1, rep.kkt_residual_2, *duality_gaps(model, train),
+        rep.iterations_1, rep.iterations_2))
+    h.update(repr((model.mode, rep.balanced_fallback)).encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.twinsvm"
+        save_model(model, path)
+        h.update(path.read_bytes())
+
+
+def search_digest() -> tuple[int, int, str]:
+    """(searches, failed fold fits, SHA-256 hex) over the search section."""
+    h = hashlib.sha256()
+    searches = failures = 0
+    for (m1, m2, seed), grid, kind in itertools.product(SEARCH_SETS, SEARCH_GRIDS, MODEL_KINDS):
+        train = make_blobs(m1, m2, seed=seed, d=3, gap=2.0)
+        hp, table = grid_search_cv(train, kind, grid, SEARCH_FOLDS, seed)
+        searches += 1
+        failures += sum(a is None for row in table for a in row["fold_accuracies"])
+        h.update(repr((m1, m2, seed, kind, grid, hp, table)).encode())
+        try:
+            _update(h, fit_model(kind, train, hp), train)
+        except (NumericalError, TrainingError) as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+    return searches, failures, h.hexdigest()
 
 
 if __name__ == "__main__":
     fits, failures, sha = digest()
     print(f"{fits} fits, {failures} failures, sha256 {sha}")
+    searches, failures, sha = search_digest()
+    print(f"{searches} searches, {failures} failed fold fits, sha256 {sha}")

@@ -188,6 +188,68 @@ class TestTrainEval:
         bad.write_bytes(b"NOTAMODEL")
         assert main(["eval", "--model", str(bad), "--data", str(pa)]) == 2
 
+    @pytest.mark.parametrize("index, value", [(0, np.nan), (2, np.inf)],
+                             ids=["nan-coefficient", "infinite-intercept"])
+    def test_non_finite_model_file_exits_2(self, tmp_path, toy_files, capsys, index, value):
+        # a NaN in w1 makes every distance to plane 1 NaN, so every row would
+        # be labelled -1 and eval would report that with exit code 0
+        pa, _ = toy_files
+        model_path = self.trained_model(tmp_path, pa)
+        header, payload = read_model_file(model_path)
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        values[index] = value
+        write_model_file(model_path, header, values.tobytes())
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", str(model_path), "--data", str(pa),
+                     "--out", str(out)]) == 2
+        assert ("corrupt model file: ValueError: a coefficient, intercept or reference value "
+                "is not finite") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["model", "data"])
+    def test_eval_missing_file_exits_4(self, tmp_path, toy_files, capsys, missing):
+        pa, _ = toy_files
+        model_path = self.trained_model(tmp_path, pa)
+        paths = {"model": model_path, "data": pa, missing: tmp_path / "nope"}
+        assert main(["eval", "--model", str(paths["model"]), "--data", str(paths["data"])]) == 4
+        what = "model file" if missing == "model" else "dataset file"
+        assert f"config error: {what} not found: {tmp_path / 'nope'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, argv, message", [
+        ("[train]", "[other]", ["--data", "{dataset}"],
+         "cmd_train needs a [train] section with fixed hyperparameters"),
+        ("model = ifutsvm-id", "model = svm", [], "unknown model kind: 'svm'"),
+        ("c1 = 1.0", "c1 = 1, 2", [], "[train] c1 takes one number, got '1, 2'"),
+        ("dataset = {dataset}", "", [], "no dataset given (--data or [train] dataset)"),
+    ], ids=["no-train-section", "unknown-model", "two-c1-values", "no-dataset"])
+    def test_train_config_it_cannot_run_exits_4(self, tmp_path, toy_files, capsys, old, new,
+                                               argv, message):
+        pa, _ = toy_files
+        text = TRAIN_CONFIG.replace(old, new)
+        if old == "[train]":  # no [train] section at all, the dataset comes from --data
+            text = text[:text.index("[other]")]
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(text.format(dataset=pa))
+        out = tmp_path / "m.bin"
+        argv = [arg.format(dataset=pa) for arg in argv]
+        assert main(["train", "--config", str(cfg), "--out", str(out), *argv]) == 4
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dump_plan_lists_the_top_up_pairs(self, tmp_path):
+        # 10 + 13 rows: the 3 averaged rows are fewer than ceil(10 / 2) = 5,
+        # so two extra pairs top the reduced universum up
+        data = tmp_path / "mild.dat"
+        write_dataset(data, make_blobs(10, 13, seed=4, gap=6.0, name="mild"))
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=data))
+        plan_csv = tmp_path / "plan.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin"),
+                     "--dump-plan", str(plan_csv)]) == 0
+        with open(plan_csv, newline="") as fh:
+            roles = [row["role"] for row in csv.DictReader(fh)]
+        assert roles == ["undersampled"] * 10 + ["universum"] * 3 + ["universum_extra"] * 2
+
     def trained_model(self, tmp_path, dataset):
         cfg = tmp_path / "train.ini"
         cfg.write_text(TRAIN_CONFIG.format(dataset=dataset))
@@ -271,6 +333,31 @@ class TestBenchmark:
             rows = [row for row in csv.DictReader(fh) if row["dataset"] == "few"]
         assert [(row["accuracy"], row["error"]) for row in rows] == [("", error)] * 2
         assert not (tmp_path / "f" / "ranks.csv").exists()
+
+    def test_search_in_which_no_point_trains_fails_its_cell(self, tmp_path):
+        # 3 or 4 minority rows in each 2-fold training part of this 4-feature
+        # set: every linear UTSVM fold fit stalls, while the refit on all 6
+        # would converge.  Refitting the first point anyway would report
+        # "cv_accuracy": -Infinity, which is not JSON
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.normal(0, 1, (8, 4)), rng.normal(1, 1, (20, 4))])
+        data = tmp_path / "stiff.dat"
+        write_dataset(data, ifutsvm.Dataset("stiff", X, [1] * 8 + [-1] * 20))
+        out = tmp_path / "out"
+        cfg = tmp_path / "bench.ini"
+        cfg.write_text(BENCH_CONFIG.format(datasets=data, models="utsvm", out=out, extra="")
+                       .replace("seed = 77", "seed = 2").replace("folds = 3", "folds = 2")
+                       .replace("c1 = 0.1, 1", "c1 = 1"))
+        assert main(["benchmark", "--config", str(cfg)]) == 0
+
+        def not_json(constant):
+            raise ValueError(f"report.json holds {constant}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=not_json)
+        [cell] = report["results"]
+        assert cell["ok"] is False and "cv_accuracy" not in cell
+        assert cell["error"] == ("TrainingError: no lattice point of 1 trained on any fold: "
+                                 "every fold fit failed (NonConvergenceError)")
 
     def test_single_model_omits_statistics(self, tmp_path, toy_files):
         report = self.run(tmp_path, toy_files, models="ifutsvm-id", out="runs/y")
@@ -646,8 +733,10 @@ class TestConfigFile:
         ("[grids]\nc1 = 1\n", "unknown config section [grids]"),
         ("[DEFAULT]\nseed = 3\n", "a [DEFAULT] section is not supported"),
         ("standardize = ture\n", "standardize must be a boolean"),
+        ("noise_levels = 0.1, x\n", "bad numeric list '0.1, x'"),
+        ("noise_levels = 0.1, 0.6\n", "noise levels must lie in [0, 0.5]"),
     ], ids=["experiment-key", "misspelt-folds", "train-keys", "section", "default",
-            "standardize"])
+            "standardize", "non-numeric-level", "level-above-half"])
     def test_unknown_or_malformed_setting_exits_4(self, tmp_path, toy_files, capsys,
                                                   monkeypatch, extra, message):
         monkeypatch.setattr(cli, "_run_cells", no_cells)
@@ -679,6 +768,28 @@ class TestConfigFile:
         assert main([command, "--config", str(cfg)]) == 4
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and not (tmp_path / "report.json").exists()
+
+    def test_missing_config_file_exits_4(self, tmp_path, capsys):
+        assert main(["benchmark", "--config", str(tmp_path / "nope.ini")]) == 4
+        assert (f"config error: config file not found: {tmp_path / 'nope.ini'}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("old, new, message", [
+        (r"^datasets = .*$", "dataset_dir = {tmp}/nowhere",
+         "dataset_dir not found: {tmp}/nowhere"),
+        (r"^datasets = .*$", "", "config names no datasets"),
+        (r"^datasets = .*$", "datasets = {tmp}/gone.dat",
+         "dataset file not found: {tmp}/gone.dat"),
+        (r"^models = .*$", "models = ifutsvm-id, svm", "unknown model kind: 'svm'"),
+    ], ids=["no-dataset-dir", "no-datasets", "missing-dataset", "unknown-model"])
+    def test_experiment_that_names_nothing_to_run_exits_4(self, tmp_path, toy_files, capsys,
+                                                         monkeypatch, old, new, message):
+        monkeypatch.setattr(cli, "_run_cells", no_cells)
+        cfg = self.bench_config(tmp_path, toy_files)
+        cfg.write_text(re.sub(old, new.format(tmp=tmp_path), cfg.read_text(), flags=re.M))
+        assert main(["benchmark", "--config", str(cfg)]) == 4
+        assert f"config error: {message.format(tmp=tmp_path)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_train_delta_without_value_exits_4(self, tmp_path, toy_files, capsys):
         pa, _ = toy_files

@@ -68,6 +68,15 @@ def test_non_finite_feature_reports_line(tmp_path, token, suffix):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_csv, "1.0\n", "line 1: row needs at least one feature and a class token"),
+    (parse_keel, "@relation toy\n@attribute f1 real\n", "missing '@data' sentinel"),
+], ids=["one-field-row", "keel-without-data"])
+def test_rows_without_data_are_rejected(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
 def test_parse_csv_numeric_labels():
     ds = parse_csv("0.5,1\n0.6,1\n0.7,-1\n")
     # '-1' is the minority token here and maps to +1

@@ -9,6 +9,7 @@ import ifutsvm.models as models
 from ifutsvm import (
     NEMENYI_Q,
     ConfusionMatrix,
+    Dataset,
     GridSpec,
     Hyperparams,
     KernelSpec,
@@ -218,6 +219,15 @@ class TestStratifiedKFold:
 SMALL_GRID = GridSpec(c1=(1.0,), c3=(0.1,), cu=(0.1,), epsilon=(0.1,), width=None)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda ds: stratified_kfold(ds, 1, seed=0), "need at least 2 folds"),
+    (lambda ds: fit_model("svm", ds, make_hyperparams()), "unknown model kind: 'svm'"),
+], ids=["one-fold", "unknown-kind"])
+def test_protocol_boundaries_reject(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(make_blobs(6, 14, seed=0))
+
+
 class TestGridSearchCV:
     def test_one_point_grid(self):
         ds = make_blobs(10, 30, seed=3)
@@ -275,6 +285,18 @@ class TestGridSearchCV:
         with pytest.raises(ValueError):
             grid_search_cv(ds, "svm", SMALL_GRID, k=5, seed=0)
 
+    def test_search_in_which_no_point_trains_raises(self):
+        # 3 minority rows per 2-fold training part, at most n + 1 = 5:
+        # every linear UTSVM plane-1 dual stalls, so no point has a CV
+        # accuracy and none may be selected for a refit
+        rng = np.random.default_rng(2)
+        X = np.vstack([rng.normal(0, 1, (6, 4)), rng.normal(1, 1, (14, 4))])
+        ds = Dataset("stiff", X, [1] * 6 + [-1] * 14)
+        grid = GridSpec(c1=(1.0, 10.0), c3=(0.1,), cu=(0.1,), epsilon=(0.1,), width=None)
+        with pytest.raises(TrainingError, match=r"no lattice point of 2 trained on any fold: "
+                                                r"every fold fit failed \(NonConvergenceError\)"):
+            grid_search_cv(ds, "utsvm", grid, k=2, seed=0)
+
     def test_balanced_training_parts_are_flagged(self):
         # stratified folds of a 10 + 10 set leave 5 + 5 rows to train on, so
         # every fold fit falls back to a universum-free plan
@@ -305,8 +327,7 @@ def reference_grid_search(train, kind, grid, k, seed):
             fold_seed = mix_seed(seed, "fit", j)
             hp = make_hyperparams(c1, c3, cu, eps, width, grid.fuzzy, seed=fold_seed)
             try:
-                model = fit_model(kind, tr, hp,
-                                  universum_seed=mix_seed(fold_seed, "universum"))
+                model = fit_model(kind, tr, hp)
             except (NumericalError, TrainingError) as exc:
                 flags.append(f"fold{j}:{type(exc).__name__}")
                 continue

@@ -407,6 +407,19 @@ class TestOneBoxQPPerHessian:
                 assert_array_equal(getattr(shared, name), getattr(alone, name))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ds, hp: fit_utsvm(ds, np.zeros((3, ds.n + 1)), hp), ValueError,
+     "universum feature dimension does not match the data"),
+    (lambda ds, hp: fit_ifutsvm_id(Dataset("one", ds.features[5:], ds.labels[5:]), hp),
+     TrainingError, "positive class needs at least 2 samples"),
+    (lambda ds, hp: duality_gaps(dataclasses.replace(fit_ifutsvm_id(ds, hp), dual_report=None),
+                                 ds), ValueError, "model carries no dual report"),
+], ids=["universum-width", "one-positive", "no-dual-report"])
+def test_fit_boundaries_reject_what_they_cannot_use(call, error, message):
+    with pytest.raises(error, match=message):
+        call(make_blobs(6, 14, seed=0), Hyperparams(**HP, seed=0))
+
+
 def test_fit_digest_subset_is_repeatable():
     # fit_digest.py run by hand gives the digest that shows a change keeps
     # every bit; here one seed at one lattice point, run twice
@@ -436,7 +449,7 @@ class TestDecision:
 
     def test_mirror_planes_are_equidistant_and_tie_to_positive(self):
         w = np.array([1.0, -2.0])
-        model = TwinModel(kind="utsvm", mode="linear", w1=w, b1=0.5,
+        model = TwinModel(kind="utsvm", w1=w, b1=0.5,
                           w2=-w, b2=-0.5, reference=None,
                           hyperparams=Hyperparams(**HP, seed=0))
         rng = np.random.default_rng(11)

@@ -126,6 +126,17 @@ class TestSolveBoxQP:
         assert sol.z.shape == (0,) and sol.objective == 0.0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: BoxQP(np.eye(3)[:2], np.ones(2), np.ones(2)),
+     "Q must be square and match the linear term"),
+    (lambda: solve_box_qp(BoxQP(np.eye(2), np.ones(2), np.ones(2)), tol=0.0),
+     "tol must be positive"),
+], ids=["non-square-Q", "zero-tol"])
+def test_box_qp_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def psd_box_qp_with_zero_rows(rng):
     """random_box_qp-style instance with some rows and columns of Q set to zero."""
     Q, c, upper = random_box_qp(rng)

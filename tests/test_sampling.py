@@ -64,6 +64,15 @@ class TestGenerateUniversum:
             np.testing.assert_allclose(2.0 * row - pos[pi], neg[ni], atol=1e-12)
 
 
+@pytest.mark.parametrize("ds, count, message", [
+    (dataset_with_counts(3, 5), -1, "count must be nonnegative"),
+    (Dataset("one-class", np.zeros((4, 2)), [-1] * 4), 2, "both classes must be nonempty"),
+], ids=["negative-count", "empty-class"])
+def test_generate_universum_rejects(ds, count, message):
+    with pytest.raises(ValueError, match=message):
+        generate_universum(ds, count, seed=0)
+
+
 class TestReduceUniversum:
     def test_full_size_is_permutation(self):
         U = np.arange(12.0).reshape(6, 2)
