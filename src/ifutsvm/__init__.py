@@ -79,8 +79,6 @@ from .sampling import (
     SamplingPlan,
     build_plan,
     generate_universum,
-    reduce_universum,
-    undersample_majority,
 )
 
 __version__ = "0.1.0"

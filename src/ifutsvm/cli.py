@@ -99,9 +99,11 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
         if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            cp.read(p)
+            cp.read(p, encoding="utf-8")
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not valid UTF-8: {exc}") from None
     if cp.defaults():
         raise ConfigError("a [DEFAULT] section is not supported: "
                           "its keys would be copied into every section")
@@ -324,10 +326,10 @@ def cmd_train(args) -> int:
         log["score_histogram"] = {"counts": hist.tolist(), "edges": edges.tolist()}
     if rep.plan is not None:
         log["sampling_plan"] = {
-            "undersampled_rows": int(rep.plan.x2_star.shape[0]),
+            "undersampled_rows": int(rep.plan.x2_star_indices.shape[0]),
             "universum_rows": int(rep.plan.universum.shape[0]),
             "reduced_universum_rows": int(rep.plan.universum_star.shape[0]),
-            "seed": rep.plan.seed,
+            "seed": model.hyperparams.seed,
         }
     _write_json(out.with_suffix(out.suffix + ".log.json"), log)
     _info(f"trained {kind} on {ds.name} in {elapsed:.2f}s")
@@ -345,6 +347,8 @@ def cmd_train(args) -> int:
             rows.append(("undersampled", r, int(idx), -1))
         for r, (pi, ni) in enumerate(plan.pair_log):
             rows.append(("universum", r, int(pi), int(ni)))
+        for r, idx in enumerate(plan.universum_star_indices):
+            rows.append(("universum_star", r, int(idx), -1))
         for r, (pi, ni) in enumerate(plan.extra_pair_log):
             rows.append(("universum_extra", r, int(pi), int(ni)))
         _write_csv(Path(args.dump_plan),

@@ -176,11 +176,14 @@ def parse_csv(text: str, name: str = "dataset") -> Dataset:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file, dispatching on extension ('.dat' -> KEEL, else CSV)."""
+    """Read a UTF-8 dataset file, dispatching on extension ('.dat' -> KEEL, else CSV)."""
     import pathlib
 
     p = pathlib.Path(path)
-    text = p.read_text()
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}") from None
     if p.suffix.lower() == ".dat":
         return parse_keel(text, name=p.stem)
     return parse_csv(text, name=p.stem)

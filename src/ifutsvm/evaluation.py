@@ -117,6 +117,9 @@ class GridSpec:
     fuzzy: FuzzyParams = FuzzyParams()
 
     def __post_init__(self):
+        if self.width is not None and None in self.width:
+            raise ValueError("grid axis width holds None: width=None is the linear model, "
+                             "otherwise give a tuple of kernel widths")
         # each axis value must pass the Hyperparams/KernelSpec checks on its own,
         # with the other axes at make_hyperparams' defaults
         for name, values in zip(AXES, self.axes()):
@@ -364,11 +367,15 @@ def read_accuracy_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
     """CSV with a header row naming the models and one row per dataset.
 
     Returns (dataset names, model names, accuracy matrix); raises DatasetError
-    on a missing header, a row of the wrong length, a non-numeric or
-    non-finite value, or an empty or repeated dataset or model name.
+    on a file that is not valid UTF-8, a missing header, a row of the wrong
+    length, a non-numeric or non-finite value, or an empty or repeated dataset
+    or model name.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"accuracy matrix is not valid UTF-8: {exc}") from None
     if len(rows) < 2 or len(rows[0]) < 3:
         raise DatasetError("accuracy matrix needs a header and at least 2 columns")
     models = rows[0][1:]

@@ -117,7 +117,7 @@ class DualReport:
     def balanced_fallback(self) -> bool:
         """True when the sampling plan found the classes balanced and drew no
         universum; UTSVM has no plan."""
-        return self.plan is not None and self.plan.balanced
+        return self.plan is not None and self.plan.universum.shape[0] == 0
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def _blocks(train: Dataset, kernel: KernelSpec | None, universum: np.ndarray | N
         weights = (np.ones(F.shape[0]), np.ones(E.shape[0]))
     else:  # IFUTSVM-ID: the undersampled X2*, the reduced universum, +G, fuzzy scores
         (Gs,) = reduced
-        # x2_star is a row subset of X2, so its block is a row subset of F
+        # X2* is a row subset of X2, so its block is a row subset of F
         H = (np.vstack([F[plan.x2_star_indices], -Gs]), np.vstack([E, G]))
         weights = (scores.s2[plan.x2_star_indices], scores.s1)
     return _Blocks(D=D, M=(E, F), H=H, weights=weights, plan=plan, scores=scores,

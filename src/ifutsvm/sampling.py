@@ -3,8 +3,9 @@
 The plan built here pairs an undersampled majority subset (one negative row
 per positive sample) with a universum set generated by random averaging of
 cross-class pairs, plus a reduced universum subset used by the minority-class
-plane.  Sub-seeds for the three random draws are derived from the master seed
-by fixed offsets so the streams are independently reproducible.
+plane.  `build_plan` makes every random draw of the plan; the sub-seeds of
+its streams are derived from the master seed by fixed offsets so the streams
+are independently reproducible, and the plan records each draw once.
 """
 
 from __future__ import annotations
@@ -28,36 +29,22 @@ _OFF_EXTRA = 3
 class SamplingPlan:
     """Materialized sampling decisions for one training run.
 
-    x2_star holds m1 distinct negative rows (indices into the negative class
-    in x2_star_indices); universum holds the m2 - m1 averaged points with
-    their source pair indices (positive idx, negative idx) in pair_log;
-    universum_star holds the ceil(m1 / 2) rows used by the minority plane.
-    balanced marks the m1 == m2 fallback where no universum exists.
+    x2_star_indices picks m1 distinct rows of the negative class; universum
+    holds the m2 - m1 averaged points with their source pair indices
+    (positive idx, negative idx) in pair_log; universum_star holds the
+    ceil(m1 / 2) rows used by the minority plane.  Those are the universum
+    rows at universum_star_indices or, when the universum has fewer rows, the
+    whole universum followed by the averaged points of extra_pair_log (and
+    universum_star_indices is empty).  Balanced classes (m1 == m2) leave the
+    universum and universum_star empty.
     """
 
-    x2_star: np.ndarray
     x2_star_indices: np.ndarray
     universum: np.ndarray
     universum_star: np.ndarray
     pair_log: np.ndarray
     extra_pair_log: np.ndarray
-    seed: int
-    balanced: bool
-
-    @property
-    def g(self) -> int:
-        return self.universum_star.shape[0]
-
-
-def undersample_majority(ds: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pick m1 distinct negative rows uniformly without replacement."""
-    if ds.m1 > ds.m2:
-        raise ValueError("positive class larger than negative class")
-    if ds.m1 < 1:
-        raise ValueError("positive class is empty")
-    rng = np.random.default_rng(seed)
-    indices = rng.choice(ds.m2, size=ds.m1, replace=False)
-    return ds.negatives()[indices], indices
+    universum_star_indices: np.ndarray
 
 
 def generate_universum(ds: Dataset, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -78,41 +65,31 @@ def generate_universum(ds: Dataset, count: int, seed: int) -> tuple[np.ndarray, 
     return points, np.column_stack([pi, ni]).astype(np.int64)
 
 
-def reduce_universum(universum: np.ndarray, g: int, seed: int) -> np.ndarray:
-    """Pick g distinct universum rows uniformly without replacement."""
-    if g > universum.shape[0]:
-        raise ValueError("cannot reduce universum below the requested size")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(universum.shape[0], size=g, replace=False)
-    return universum[idx]
-
-
 def build_plan(ds: Dataset, seed: int) -> SamplingPlan:
     """Construct the full sampling plan for one fit.
 
-    With u = m2 - m1 and g = ceil(m1 / 2): the universum gets u averaged
-    points and the reduced set g of them.  When 0 < u < g, extra averaged
-    points (from a separate seed stream) top the reduced set up to g rows.
-    When the classes are balanced (u = 0) no universum is generated and the
-    balanced flag is set so training degrades to a weighted twin SVM.
+    m1 distinct negative rows are drawn uniformly without replacement.  With
+    u = m2 - m1 and g = ceil(m1 / 2): the universum gets u averaged points and
+    the reduced set g of them, drawn without replacement.  When 0 < u < g,
+    extra averaged points (from a separate seed stream) top the reduced set up
+    to g rows.  When the classes are balanced (u = 0) no universum is
+    generated, so training degrades to a weighted twin SVM.
     """
     if ds.m1 < 2:
         raise ValueError("positive class needs at least 2 samples")
-    x2_star, x2_idx = undersample_majority(ds, seed + _OFF_UNDERSAMPLE)
-    u = ds.m2 - ds.m1
-    n = ds.n
+    if ds.m1 > ds.m2:
+        raise ValueError("positive class larger than negative class")
+    x2_idx = np.random.default_rng(seed + _OFF_UNDERSAMPLE).choice(ds.m2, size=ds.m1,
+                                                                    replace=False)
+    u, g = ds.m2 - ds.m1, math.ceil(ds.m1 / 2)
+    no_pairs, none_kept = np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     if u == 0:
-        empty = np.zeros((0, n))
-        no_pairs = np.zeros((0, 2), dtype=np.int64)
-        return SamplingPlan(x2_star, x2_idx, empty, empty, no_pairs, no_pairs,
-                            seed, balanced=True)
+        empty = np.zeros((0, ds.n))
+        return SamplingPlan(x2_idx, empty, empty, no_pairs, no_pairs, none_kept)
     universum, pairs = generate_universum(ds, u, seed + _OFF_PAIRS)
-    g = math.ceil(ds.m1 / 2)
     if u >= g:
-        universum_star = reduce_universum(universum, g, seed + _OFF_REDUCE)
-        extra_pairs = np.zeros((0, 2), dtype=np.int64)
-    else:
-        extra, extra_pairs = generate_universum(ds, g - u, seed + _OFF_EXTRA)
-        universum_star = np.vstack([universum, extra])
-    return SamplingPlan(x2_star, x2_idx, universum, universum_star, pairs,
-                        extra_pairs, seed, balanced=False)
+        kept = np.random.default_rng(seed + _OFF_REDUCE).choice(u, size=g, replace=False)
+        return SamplingPlan(x2_idx, universum, universum[kept], pairs, no_pairs, kept)
+    extra, extra_pairs = generate_universum(ds, g - u, seed + _OFF_EXTRA)
+    return SamplingPlan(x2_idx, universum, np.vstack([universum, extra]), pairs,
+                        extra_pairs, none_kept)

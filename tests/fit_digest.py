@@ -12,8 +12,9 @@ without a universum for UTSVM, with fuzzy and uniform scores for IFUTSVM-ID,
 with delta set and unset, at five lattice points that share one stage memo.
 Each fit feeds w, b, the multipliers, the dual objectives, the KKT
 residuals, the sweep counts, the duality gaps, its mode, its balanced-fallback
-flag and the bytes `save_model` writes into one SHA-256; a failed fit feeds
-its exception type and text.
+flag and the bytes `save_model` writes into one SHA-256; an IFUTSVM-ID fit
+also feeds its sampling plan's draws (PLAN_FIELDS).  A failed fit feeds its
+exception type and text.
 
 A second digest covers the search protocol: `grid_search_cv` of both kinds on
 three sets (one balanced, so its folds fall back to a universum-free plan),
@@ -58,6 +59,9 @@ SEARCH_SETS = ((10, 25, 0), (12, 12, 1), (9, 40, 2))  # (m1, m2, seed); one bala
 SEARCH_GRIDS = tuple(GridSpec(c1=(0.1, 10.0), c3=(0.01, 1.0), cu=(0.1, 1.0), epsilon=(0.1,),
                               width=width) for width in ((0.5, 2.0), None))
 SEARCH_FOLDS = 3
+# the plan members every version of SamplingPlan has, so that one run of this
+# script on two checkouts compares the plans too
+PLAN_FIELDS = ("x2_star_indices", "universum", "universum_star", "pair_log", "extra_pair_log")
 
 
 def _fit(kind, train, hp, universum, uniform, stages):
@@ -103,6 +107,11 @@ def _update(h, model, train) -> None:
         rep.kkt_residual_1, rep.kkt_residual_2, *duality_gaps(model, train),
         rep.iterations_1, rep.iterations_2))
     h.update(repr((model.mode, rep.balanced_fallback)).encode())
+    if rep.plan is not None:
+        for name in PLAN_FIELDS:
+            array = np.ascontiguousarray(getattr(rep.plan, name))
+            h.update(repr((name, array.dtype.str, array.shape)).encode())
+            h.update(array.tobytes())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.twinsvm"
         save_model(model, path)

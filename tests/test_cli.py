@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import ifutsvm
-from ifutsvm import (FuzzyParams, GridSpec, cli, grid_search_cv, load_dataset, standardize,
-                     stratified_split)
+from ifutsvm import (FuzzyParams, GridSpec, build_plan, cli, grid_search_cv, load_dataset,
+                     standardize, stratified_split)
 from ifutsvm.cli import main, read_accuracy_matrix
 from ifutsvm.evaluation import AXES, load_benchmark_matrix
 from ifutsvm.seeds import mix_seed
@@ -146,6 +146,17 @@ class TestTrainEval:
         cfg.write_text(TRAIN_CONFIG.format(dataset=bad))
         assert main(["train", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_dataset_not_utf8_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.dat"
+        bad.write_bytes(b"\xff\xfe")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=bad) if command == "train" else
+                       BENCH_CONFIG.format(datasets=bad, models="ifutsvm-id",
+                                           out=tmp_path / "out", extra=""))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "parse error: not valid UTF-8" in capsys.readouterr().err
+
     def test_non_finite_dataset_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat"
         bad.write_text("@data\n1.0,2.0,pos\n1.0,nan,neg\n")
@@ -249,6 +260,27 @@ class TestTrainEval:
         with open(plan_csv, newline="") as fh:
             roles = [row["role"] for row in csv.DictReader(fh)]
         assert roles == ["undersampled"] * 10 + ["universum"] * 3 + ["universum_extra"] * 2
+
+    def test_dump_plan_rebuilds_the_reduced_universum(self, tmp_path):
+        # 10 + 30 rows: the 20 averaged rows are at least ceil(10 / 2) = 5, so
+        # the reduced universum G* is 5 of them, listed by their universum row
+        data = tmp_path / "strict.dat"
+        write_dataset(data, make_blobs(10, 30, seed=4, gap=6.0, name="strict"))
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=data))
+        plan_csv = tmp_path / "plan.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin"),
+                     "--dump-plan", str(plan_csv)]) == 0
+        with open(plan_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        pairs = [(int(r["source_a"]), int(r["source_b"])) for r in rows
+                 if r["role"] == "universum"]
+        kept = [int(r["source_a"]) for r in rows if r["role"] == "universum_star"]
+        ds = load_dataset(data)
+        pos, neg = ds.positives(), ds.negatives()
+        rebuilt = np.array([0.5 * (pos[pairs[k][0]] + neg[pairs[k][1]]) for k in kept])
+        seed = json.loads((tmp_path / "m.bin.log.json").read_text())["sampling_plan"]["seed"]
+        np.testing.assert_array_equal(rebuilt, build_plan(ds, seed).universum_star)
 
     def trained_model(self, tmp_path, dataset):
         cfg = tmp_path / "train.ini"
@@ -769,6 +801,12 @@ class TestConfigFile:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and not (tmp_path / "report.json").exists()
 
+    def test_config_not_utf8_exits_4(self, tmp_path, toy_files, capsys):
+        cfg = tmp_path / "train.ini"
+        cfg.write_bytes(TRAIN_CONFIG.format(dataset=toy_files[0]).encode() + b"; caf\xe9\n")
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert "config error: config file is not valid UTF-8" in capsys.readouterr().err
+
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         assert main(["benchmark", "--config", str(tmp_path / "nope.ini")]) == 4
         assert (f"config error: config file not found: {tmp_path / 'nope.ini'}"
@@ -875,6 +913,12 @@ class TestAggregate:
         assert len(set(names)) == len(names) == 46
         assert len(set(kinds)) == len(kinds) == 6
         assert acc.shape == (46, 6)
+
+    def test_matrix_not_utf8_exits_2(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_bytes(b"dataset,a,b\nd1,80,90\nd2,70,\xff\xfe\n")
+        assert main(["aggregate", "--matrix", str(matrix)]) == 2
+        assert "parse error: accuracy matrix is not valid UTF-8" in capsys.readouterr().err
 
     def test_missing_matrix_exits_4(self):
         assert main(["aggregate", "--matrix", "/does/not/exist.csv"]) == 4

@@ -222,7 +222,8 @@ SMALL_GRID = GridSpec(c1=(1.0,), c3=(0.1,), cu=(0.1,), epsilon=(0.1,), width=Non
 @pytest.mark.parametrize("call, message", [
     (lambda ds: stratified_kfold(ds, 1, seed=0), "need at least 2 folds"),
     (lambda ds: fit_model("svm", ds, make_hyperparams()), "unknown model kind: 'svm'"),
-], ids=["one-fold", "unknown-kind"])
+    (lambda ds: GridSpec(width=(None, 2.0)), "width=None is the linear model"),
+], ids=["one-fold", "unknown-kind", "none-in-width"])
 def test_protocol_boundaries_reject(call, message):
     with pytest.raises(ValueError, match=message):
         call(make_blobs(6, 14, seed=0))

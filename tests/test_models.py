@@ -130,7 +130,7 @@ def reference_twin_svm(train, plan, hp):
 
     E = aug(train.positives())
     F = aug(train.negatives())
-    Fs = aug(plan.x2_star)
+    Fs = aug(train.negatives()[plan.x2_star_indices])
     m1 = E.shape[0]
 
     def solve(M, ridge, H, lin, upper, sign):
@@ -312,7 +312,7 @@ class TestOneGramPerPrepare:
 
         plan = build_plan(ds, 3)
         scores = assign_scores(ds, kernel, FuzzyParams())
-        E, F, Fs, G, Gs = map(block, (X1, X2, plan.x2_star, plan.universum,
+        E, F, Fs, G, Gs = map(block, (X1, X2, X2[plan.x2_star_indices], plan.universum,
                                       plan.universum_star))
         hp = Hyperparams(**{**HP, "c4": 0.3}, kernel=kernel)
         with_delta = dataclasses.replace(hp, delta=0.25)

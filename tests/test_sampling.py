@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -6,8 +8,6 @@ from ifutsvm import (
     Dataset,
     build_plan,
     generate_universum,
-    reduce_universum,
-    undersample_majority,
 )
 
 
@@ -19,28 +19,28 @@ def dataset_with_counts(m1, m2, seed=0, n=2):
 
 
 class TestUndersample:
-    def test_equal_classes_yield_permutation(self):
-        ds = dataset_with_counts(5, 5)
-        rows, idx = undersample_majority(ds, seed=1)
-        assert sorted(idx.tolist()) == list(range(5))
-        assert_array_equal(rows, ds.negatives()[idx])
+    """build_plan's draw of m1 distinct negative rows."""
 
-    def test_single_positive(self):
-        ds = dataset_with_counts(1, 5)
-        rows, idx = undersample_majority(ds, seed=2)
-        assert rows.shape == (1, 2) and idx.shape == (1,)
+    def test_equal_classes_yield_permutation(self):
+        plan = build_plan(dataset_with_counts(5, 5), seed=1)
+        assert sorted(plan.x2_star_indices.tolist()) == list(range(5))
+
+    def test_indices_distinct_and_in_range(self):
+        idx = build_plan(dataset_with_counts(4, 12), seed=3).x2_star_indices
+        assert idx.shape == (4,) and len(set(idx.tolist())) == 4
+        assert idx.min() >= 0 and idx.max() < 12
 
     def test_deterministic(self):
         ds = dataset_with_counts(4, 12)
-        _, a = undersample_majority(ds, seed=7)
-        _, b = undersample_majority(ds, seed=7)
+        a = build_plan(ds, seed=7).x2_star_indices
+        b = build_plan(ds, seed=7).x2_star_indices
         assert_array_equal(a, b)
 
     def test_majority_positive_rejected(self):
         ds = Dataset("bad", np.zeros((3, 1)) + np.arange(3)[:, None],
                      np.array([1, 1, -1]))
-        with pytest.raises(ValueError):
-            undersample_majority(ds, seed=0)
+        with pytest.raises(ValueError, match="positive class larger than negative class"):
+            build_plan(ds, seed=0)
 
 
 class TestGenerateUniversum:
@@ -74,43 +74,40 @@ def test_generate_universum_rejects(ds, count, message):
 
 
 class TestReduceUniversum:
-    def test_full_size_is_permutation(self):
-        U = np.arange(12.0).reshape(6, 2)
-        out = reduce_universum(U, 6, seed=0)
-        assert_array_equal(np.sort(out, axis=0), np.sort(U, axis=0))
+    """build_plan's draw of ceil(m1 / 2) distinct universum rows when u >= g."""
 
-    def test_zero_rows(self):
-        U = np.arange(12.0).reshape(6, 2)
-        assert reduce_universum(U, 0, seed=0).shape == (0, 2)
+    def test_full_size_is_permutation(self):
+        # m1 = 4, m2 = 6: u = g = 2, so G* keeps every universum row
+        plan = build_plan(dataset_with_counts(4, 6), seed=0)
+        assert sorted(plan.universum_star_indices.tolist()) == [0, 1]
+
+    def test_indices_distinct_and_in_range(self):
+        idx = build_plan(dataset_with_counts(9, 40), seed=2).universum_star_indices
+        assert idx.shape == (5,) and len(set(idx.tolist())) == 5
+        assert idx.min() >= 0 and idx.max() < 31
 
     def test_rows_come_from_input(self):
-        U = np.random.default_rng(1).normal(size=(9, 3))
-        out = reduce_universum(U, 4, seed=2)
-        for row in out:
-            assert any(np.array_equal(row, u) for u in U)
-
-    def test_oversized_request_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_universum(np.zeros((3, 2)), 4, seed=0)
+        plan = build_plan(dataset_with_counts(7, 16, seed=1, n=3), seed=2)
+        assert_array_equal(plan.universum_star,
+                           plan.universum[plan.universum_star_indices])
 
 
 class TestBuildPlan:
     def test_counts_follow_imbalance(self):
         plan = build_plan(dataset_with_counts(4, 10), seed=0)
-        assert plan.x2_star.shape == (4, 2)
+        assert plan.x2_star_indices.shape == (4,)
         assert plan.universum.shape == (6, 2)
         assert plan.universum_star.shape == (2, 2)
-        assert not plan.balanced
 
     def test_ceiling_of_half(self):
         plan = build_plan(dataset_with_counts(5, 20), seed=0)
-        assert plan.g == 3
+        assert plan.universum_star.shape[0] == 3
 
     def test_balanced_fallback(self):
         plan = build_plan(dataset_with_counts(6, 6), seed=0)
-        assert plan.balanced
         assert plan.universum.shape == (0, 2)
         assert plan.universum_star.shape == (0, 2)
+        assert plan.universum_star_indices.shape == (0,)
 
     def test_mild_imbalance_tops_up_reduced_set(self):
         # m1=8, m2=10: u=2 < g=4, so two extra averaged points are appended
@@ -119,6 +116,7 @@ class TestBuildPlan:
         assert plan.universum_star.shape == (4, 2)
         assert_array_equal(plan.universum_star[:2], plan.universum)
         assert plan.extra_pair_log.shape == (2, 2)
+        assert plan.universum_star_indices.shape == (0,)
 
     def test_reduced_rows_membership_in_strict_path(self):
         plan = build_plan(dataset_with_counts(6, 20), seed=4)
@@ -129,10 +127,8 @@ class TestBuildPlan:
         ds = dataset_with_counts(5, 17, seed=9)
         a = build_plan(ds, seed=123)
         b = build_plan(ds, seed=123)
-        assert_array_equal(a.x2_star, b.x2_star)
-        assert_array_equal(a.universum, b.universum)
-        assert_array_equal(a.universum_star, b.universum_star)
-        assert_array_equal(a.pair_log, b.pair_log)
+        for field in dataclasses.fields(a):
+            assert_array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_tiny_positive_class_rejected(self):
         with pytest.raises(ValueError):
