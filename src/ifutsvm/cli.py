@@ -20,6 +20,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -91,15 +92,20 @@ CONFIG_KEYS = {
 }
 
 
+def _existing(path, what: str) -> Path:
+    """An input file the command was given, which must exist."""
+    if not Path(path).is_file():
+        raise ConfigError(f"{what} not found: {path}")
+    return Path(path)
+
+
 def _read_config(path: str | None) -> configparser.ConfigParser:
     # values are taken literally: a '%' in a path is not an interpolation
     cp = configparser.ConfigParser(interpolation=None)
     if path is not None:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {path}")
+        # ConfigParser.read skips a file it cannot open without a word
         try:
-            cp.read(p, encoding="utf-8")
+            cp.read(_existing(path, "config file"), encoding="utf-8")
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -116,15 +122,38 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
-def _float_list(raw: str) -> list[float]:
+def _setting(cp: configparser.ConfigParser, section: str, key: str, convert=str,
+             default=None, flag=None):
+    """The value a run uses for [section] key: the flag when one was given,
+    else the file's value passed through `convert`, else the default.  A key
+    written with no value, or a value `convert` rejects, is a config error
+    that names the key."""
+    if flag is not None:
+        return flag
+    raw = cp.get(section, key, fallback=None)
+    if raw is None:
+        return default
+    if raw == "":
+        raise ConfigError(f"[{section}] {key} has no value")
     try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        return convert(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {raw!r}: {exc}") from None
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
+def _float_list(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
 def _str_list(raw: str) -> list[str]:
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
+
+
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _axis_values(cp: configparser.ConfigParser, section: str) -> dict:
@@ -132,10 +161,10 @@ def _axis_values(cp: configparser.ConfigParser, section: str) -> dict:
     is empty or 'linear' is None, the linear model."""
     values = {}
     for key in AXES:
-        if cp.has_option(section, key):
-            raw = cp.get(section, key)
-            linear = key == "width" and raw in ("", "linear")
-            values[key] = None if linear else tuple(_float_list(raw))
+        if key == "width" and cp.get(section, key, fallback=None) in ("", "linear"):
+            values[key] = None
+        elif cp.has_option(section, key):
+            values[key] = tuple(_setting(cp, section, key, _float_list))
     return values
 
 
@@ -148,98 +177,68 @@ def _grid_from_config(cp: configparser.ConfigParser) -> GridSpec:
 
 def _fuzzy_from_config(cp: configparser.ConfigParser) -> FuzzyParams:
     try:
-        return FuzzyParams(eta=cp.getfloat("fuzzy", "eta", fallback=None),
-                           rho=cp.getfloat("fuzzy", "rho", fallback=None))
+        return FuzzyParams(eta=_setting(cp, "fuzzy", "eta", float),
+                           rho=_setting(cp, "fuzzy", "rho", float))
     except ValueError as exc:
         raise ConfigError(f"bad [fuzzy] values: {exc}") from None
 
 
-def _experiment_value(cp: configparser.ConfigParser, key: str, default):
-    """The [experiment] value, or the default when the key is absent; a key
-    written with no value is an error, not a silent fallback."""
-    raw = cp.get("experiment", key, fallback=None)
-    if raw == "":
-        raise ConfigError(f"[experiment] {key} has no value")
-    return default if raw is None else raw
-
-
 def _dataset_paths(cp: configparser.ConfigParser) -> list[Path]:
-    datasets = _experiment_value(cp, "datasets", "")
-    dataset_dir = _experiment_value(cp, "dataset_dir", "")
-    paths: list[Path] = []
-    if datasets:
-        paths = [Path(tok) for tok in _str_list(datasets)]
-    elif dataset_dir:
+    datasets = _setting(cp, "experiment", "datasets", _str_list)
+    dataset_dir = _setting(cp, "experiment", "dataset_dir")
+    if datasets is not None and dataset_dir is not None:
+        raise ConfigError("[experiment] datasets and dataset_dir are both set: give one")
+    paths = [Path(tok) for tok in datasets or []]
+    if dataset_dir is not None:
         root = Path(dataset_dir)
         if not root.is_dir():
             raise ConfigError(f"dataset_dir not found: {root}")
         paths = sorted(root.glob("*.dat")) + sorted(root.glob("*.csv"))
     if not paths:
         raise ConfigError("config names no datasets")
-    for p in paths:
-        if not p.is_file():
-            raise ConfigError(f"dataset file not found: {p}")
-    return paths
-
-
-def _config_number(raw, convert, key: str):
-    try:
-        return convert(raw)
-    except (TypeError, ValueError):
-        kind = "an integer" if convert is int else "a number"
-        raise ConfigError(f"{key} must be {kind}, got {raw!r}") from None
+    return [_existing(p, "dataset file") for p in paths]
 
 
 def _master_seed(cp: configparser.ConfigParser, args) -> int:
-    raw = args.seed if args.seed is not None else cp.get("experiment", "seed", fallback=None)
-    if raw is None or raw == "":
+    seed = _setting(cp, "experiment", "seed", int, flag=args.seed)
+    if seed is None:
         raise ConfigError("a master seed is required (config [experiment] seed or --seed)")
-    return _config_number(raw, int, "seed")
+    return seed
 
 
 def _experiment_settings(cp: configparser.ConfigParser, args) -> dict:
-    def get(key, default):
-        return _experiment_value(cp, key, default)
-
+    get = partial(_setting, cp, "experiment")
     seed = _master_seed(cp, args)
-    split_fraction = _config_number(get("split_fraction", DEFAULT_SPLIT), float,
-                                    "split_fraction")
+    split_fraction = get("split_fraction", float, DEFAULT_SPLIT)
     if not 0.0 < split_fraction < 1.0:
         raise ConfigError("split_fraction must lie strictly between 0 and 1")
-    folds = _config_number(get("folds", DEFAULT_FOLDS), int, "folds")
+    folds = get("folds", int, DEFAULT_FOLDS)
     if folds < 2:
         raise ConfigError("folds must be at least 2")
-    threads = _config_number(args.threads if args.threads is not None else get("threads", 1),
-                             int, "threads")
+    threads = get("threads", int, 1, args.threads)
     if threads < 1:
         raise ConfigError("threads must be at least 1")
-    models = _str_list(get("models", "ifutsvm-id"))
+    models = get("models", _str_list, ["ifutsvm-id"])
     if not models:
         raise ConfigError("models lists no model kind")
     for kind in models:
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind: {kind!r}")
-    levels = get("noise_levels", None)
-    levels = _float_list(levels) if levels is not None else list(DEFAULT_NOISE_LEVELS)
+    levels = get("noise_levels", _float_list, list(DEFAULT_NOISE_LEVELS))
     if not levels:
         raise ConfigError("noise_levels lists no level")
     for lv in levels:
         if not 0.0 <= lv <= 0.5:
             raise ConfigError("noise levels must lie in [0, 0.5]")
-    out = args.out if args.out is not None else get("out", "runs/report")
-    try:
-        standardize = cp.getboolean("experiment", "standardize", fallback=False)
-    except ValueError as exc:
-        raise ConfigError(f"standardize must be a boolean: {exc}") from None
     return {
         "seed": seed,
         "models": models,
         "split_fraction": split_fraction,
         "folds": folds,
-        "standardize": standardize,
+        "standardize": get("standardize", _boolean, False),
         "noise_levels": levels,
         "threads": threads,
-        "out": Path(out),
+        "out": Path(get("out", default="runs/report", flag=args.out)),
     }
 
 
@@ -269,18 +268,17 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _fixed_hyperparams(cp: configparser.ConfigParser, seed: int):
     if not cp.has_section("train"):
         raise ConfigError("cmd_train needs a [train] section with fixed hyperparameters")
-    sec = cp["train"]
-    kind = sec.get("model", "ifutsvm-id")
+    kind = _setting(cp, "train", "model", default="ifutsvm-id")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind: {kind!r}")
     fixed = {}
     for key, values in _axis_values(cp, "train").items():
         if values is not None and len(values) != 1:
-            raise ConfigError(f"[train] {key} takes one number, got {sec[key]!r}")
+            raise ConfigError(f"[train] {key} takes one number, got {cp.get('train', key)!r}")
         fixed[key] = None if values is None else values[0]
     try:
         hp = make_hyperparams(**fixed, fuzzy=_fuzzy_from_config(cp), seed=seed,
-                              delta=cp.getfloat("train", "delta", fallback=None))
+                              delta=_setting(cp, "train", "delta", float))
     except ValueError as exc:
         raise ConfigError(f"bad [train] hyperparameters: {exc}") from None
     return kind, hp
@@ -288,12 +286,10 @@ def _fixed_hyperparams(cp: configparser.ConfigParser, seed: int):
 
 def cmd_train(args) -> int:
     cp = _read_config(args.config)
-    sec = cp["train"] if cp.has_section("train") else None
-    data_path = args.data or (sec.get("dataset") if sec else None)
-    if not data_path:
+    data_path = _setting(cp, "train", "dataset", flag=args.data)
+    if data_path is None:
         raise ConfigError("no dataset given (--data or [train] dataset)")
-    if not Path(data_path).is_file():
-        raise ConfigError(f"dataset file not found: {data_path}")
+    _existing(data_path, "dataset file")
     seed = _master_seed(cp, args)
     kind, hp = _fixed_hyperparams(cp, seed)
     for flag, path in (("--dump-scores", args.dump_scores), ("--dump-plan", args.dump_plan)):
@@ -359,11 +355,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model_path = Path(args.model)
-    if not model_path.is_file():
-        raise ConfigError(f"model file not found: {model_path}")
-    if not Path(args.data).is_file():
-        raise ConfigError(f"dataset file not found: {args.data}")
+    model_path = _existing(args.model, "model file")
+    _existing(args.data, "dataset file")
     model = load_model(model_path)
     ds = load_dataset(args.data)
     if ds.n != model.n_features:
@@ -602,9 +595,7 @@ def cmd_noise_study(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    if not Path(args.matrix).is_file():
-        raise ConfigError(f"accuracy matrix not found: {args.matrix}")
-    names, kinds, acc = read_accuracy_matrix(args.matrix)
+    names, kinds, acc = read_accuracy_matrix(_existing(args.matrix, "accuracy matrix"))
     try:
         block = _statistics_block(names, kinds, acc)
     except ValueError as exc:

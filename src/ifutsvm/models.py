@@ -87,6 +87,8 @@ class Hyperparams:
             raise ValueError("epsilon must lie in [0, 1)")
         if self.delta is not None and not 0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
+        if type(self.seed) is not int:  # a bool or a float is no generator seed
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:  # numpy's generators take nonnegative seeds only
             raise ValueError("seed must be nonnegative")
 
@@ -245,25 +247,28 @@ def _blocks(train: Dataset, kernel: KernelSpec | None, universum: np.ndarray | N
     """Prepare stage of either model: UTSVM's with its universum, IFUTSVM-ID's
     with its sampling plan and fuzzy scores (see the module docstring's table).
 
-    The rows of X1, X2 and the universum (IFUTSVM-ID: then the reduced
-    universum) are stacked once; in kernel mode one Gram evaluation maps the
-    stack against D = [X1; X2], in linear mode the rows are used as they are.
-    Each block gets a column of ones.
+    The rows of X1, X2 and the universum (IFUTSVM-ID: then the top-up rows of
+    the reduced universum) are stacked once; in kernel mode one Gram
+    evaluation maps the stack against D = [X1; X2], in linear mode the rows
+    are used as they are.  Each block gets a column of ones.
     """
     X1, X2 = train.positives(), train.negatives()
-    extra = [universum] if plan is None else [plan.universum, plan.universum_star]
+    # G* is G's rows at universum_star_indices or, when those are empty, G and
+    # the top-up rows after it: only the top-up rows join the stack
+    U = universum if plan is None else np.vstack(
+        [plan.universum, plan.universum_star[plan.universum.shape[0]:]])
     D = np.vstack([X1, X2]) if kernel is not None else None
-    rows = np.vstack([X1, X2, *extra])
+    rows = np.vstack([X1, X2, U])
     if kernel is not None:
         rows = gram_values(rows, D, kernel)
-    bounds = np.cumsum([X.shape[0] for X in (X1, X2, *extra)])[:-1]
-    E, F, G, *reduced = [np.hstack([R, np.ones((R.shape[0], 1))])
-                         for R in np.split(rows, bounds)]
+    E, F, G = [np.hstack([R, np.ones((R.shape[0], 1))])
+               for R in np.split(rows, [X1.shape[0], train.m])]
     if plan is None:  # UTSVM: all of X2, the universum on both planes, unit weights
         H = (np.vstack([F, -G]), np.vstack([E, -G]))
         weights = (np.ones(F.shape[0]), np.ones(E.shape[0]))
     else:  # IFUTSVM-ID: the undersampled X2*, the reduced universum, +G, fuzzy scores
-        (Gs,) = reduced
+        kept = plan.universum_star_indices
+        Gs, G = (G[kept] if kept.size else G), G[:plan.universum.shape[0]]
         # X2* is a row subset of X2, so its block is a row subset of F
         H = (np.vstack([F[plan.x2_star_indices], -Gs]), np.vstack([E, G]))
         weights = (scores.s2[plan.x2_star_indices], scores.s1)
@@ -297,10 +302,15 @@ def _planes(blocks: _Blocks, hp: Hyperparams, kind: str) -> tuple[_Plane, _Plane
     return planes[0], planes[1]
 
 
+def _check_direction(w: np.ndarray, which: str, error=TrainingError) -> None:
+    """Reject a plane with no direction: every distance to it divides by ||w||."""
+    if float(np.linalg.norm(w)) < DEGENERATE_NORM:
+        raise error(f"degenerate plane {which}: ||w|| < {DEGENERATE_NORM}")
+
+
 def _split_coefficients(z: np.ndarray, which: str) -> tuple[np.ndarray, float]:
     w, b = z[:-1].copy(), float(z[-1])
-    if float(np.linalg.norm(w)) < DEGENERATE_NORM:
-        raise TrainingError(f"degenerate plane {which}: ||w|| < {DEGENERATE_NORM}")
+    _check_direction(w, which)
     return w, b
 
 
@@ -457,9 +467,10 @@ def load_model(path) -> TwinModel:
     Raises ParseError for any content it cannot decode or honour: wrong
     magic, a truncated header, a header with missing or invalid fields (an
     unknown kind or mode, sizes that are not nonnegative integers or do not
-    fit together, rkhs_norm other than false), a payload that is not
-    exactly the size the header announces, or a payload holding a NaN or an
-    infinity, which would make every distance and so every label meaningless.
+    fit together, rkhs_norm other than false, a seed that is not an integer),
+    a payload that is not exactly the size the header announces, or a payload
+    holding a NaN, an infinity or a plane the fit rejects as degenerate, which
+    would make every distance and so every label meaningless.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -506,6 +517,8 @@ def _decode_model(blob: bytes) -> TwinModel:
     if not np.all(np.isfinite(payload)):
         raise ValueError("a coefficient, intercept or reference value is not finite")
     w1, b1, w2, b2, reference = np.split(payload, np.cumsum([coef_len, 1, coef_len, 1]))
+    _check_direction(w1, "1", ValueError)
+    _check_direction(w2, "2", ValueError)
     hp = header["hyperparams"]
     hyperparams = Hyperparams(
         c1=hp["c1"], c2=hp["c2"], c3=hp["c3"], c4=hp["c4"], cu=hp["cu"],

@@ -61,7 +61,8 @@ SEARCH_GRIDS = tuple(GridSpec(c1=(0.1, 10.0), c3=(0.01, 1.0), cu=(0.1, 1.0), eps
 SEARCH_FOLDS = 3
 # the plan members every version of SamplingPlan has, so that one run of this
 # script on two checkouts compares the plans too
-PLAN_FIELDS = ("x2_star_indices", "universum", "universum_star", "pair_log", "extra_pair_log")
+PLAN_FIELDS = ("x2_star_indices", "universum", "universum_star", "pair_log", "extra_pair_log",
+               "universum_star_indices")
 
 
 def _fit(kind, train, hp, universum, uniform, stages):

@@ -217,6 +217,22 @@ class TestTrainEval:
                 "is not finite") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_degenerate_plane_in_model_file_exits_2(self, tmp_path, toy_files, capsys):
+        # ||w1|| = 0 divides every distance to plane 1 by zero: every row
+        # would be labelled -1 and eval would report that with exit code 0
+        pa, _ = toy_files
+        model_path = self.trained_model(tmp_path, pa)
+        header, payload = read_model_file(model_path)
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        values[:header["coef_len"]] = 0.0
+        write_model_file(model_path, header, values.tobytes())
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", str(model_path), "--data", str(pa),
+                     "--out", str(out)]) == 2
+        assert ("corrupt model file: ValueError: degenerate plane 1: ||w|| < 1e-12"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("missing", ["model", "data"])
     def test_eval_missing_file_exits_4(self, tmp_path, toy_files, capsys, missing):
         pa, _ = toy_files
@@ -722,6 +738,11 @@ def no_cells(cells, threads):
     raise AssertionError("cells ran before the config was checked")
 
 
+# every (section, key) a config may set, but width, whose empty value means linear
+EMPTY_KEYS = sorted((section, key) for section, keys in cli.CONFIG_KEYS.items()
+                    for key in keys if key != "width")
+
+
 class TestConfigFile:
     def bench_config(self, tmp_path, toy_files, out=None, extra="", grid=True):
         pa, _ = toy_files
@@ -748,7 +769,9 @@ class TestConfigFile:
         cfg = self.bench_config(tmp_path, toy_files, extra=f"[fuzzy]\neta = {eta}\n",
                                 grid=False)
         assert main([command, "--config", str(cfg)]) == 4
-        assert "config error: bad [fuzzy] values" in capsys.readouterr().err
+        message = {"abc": "[fuzzy] eta: could not convert string to float: 'abc'",
+                   "-1": "bad [fuzzy] values"}[eta]
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_fuzzy_without_grid_is_kept(self, tmp_path, toy_files):
@@ -764,8 +787,9 @@ class TestConfigFile:
         ("[train]\nc2 = 50\nwidht = 2\n", "unknown key in [train]: c2, widht"),
         ("[grids]\nc1 = 1\n", "unknown config section [grids]"),
         ("[DEFAULT]\nseed = 3\n", "a [DEFAULT] section is not supported"),
-        ("standardize = ture\n", "standardize must be a boolean"),
-        ("noise_levels = 0.1, x\n", "bad numeric list '0.1, x'"),
+        ("standardize = ture\n", "[experiment] standardize: not a boolean: 'ture'"),
+        ("noise_levels = 0.1, x\n",
+         "[experiment] noise_levels: could not convert string to float: 'x'"),
         ("noise_levels = 0.1, 0.6\n", "noise levels must lie in [0, 0.5]"),
     ], ids=["experiment-key", "misspelt-folds", "train-keys", "section", "default",
             "standardize", "non-numeric-level", "level-above-half"])
@@ -793,13 +817,49 @@ class TestConfigFile:
         # directory, for datasets dataset_dir); only width keeps "empty means linear"
         monkeypatch.setattr(cli, "_run_cells", no_cells)
         monkeypatch.chdir(tmp_path)
-        cfg = self.bench_config(tmp_path, toy_files,
-                                extra=f"dataset_dir = {tmp_path}\nnoise_levels = 0.1\n")
+        fallback = f"dataset_dir = {tmp_path}\n" if key == "datasets" else ""
+        cfg = self.bench_config(tmp_path, toy_files, extra=fallback + "noise_levels = 0.1\n")
         cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", cfg.read_text(),
                               flags=re.M))
         assert main([command, "--config", str(cfg)]) == 4
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("section, key", EMPTY_KEYS,
+                             ids=[f"{section}-{key}" for section, key in EMPTY_KEYS])
+    def test_empty_value_exits_4_naming_the_key(self, tmp_path, toy_files, capsys, monkeypatch,
+                                                section, key):
+        # the one rule of every key but width: absent means the default,
+        # written with no value is an error that names it
+        monkeypatch.setattr(cli, "_run_cells", no_cells)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        if section == "train":
+            command, text = "train", TRAIN_CONFIG.format(dataset=toy_files[0])
+        else:
+            command, text = "benchmark", BENCH_CONFIG.format(datasets=toy_files[0],
+                                                             models="ifutsvm-id", out=out,
+                                                             extra="")
+        text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+        header = f"[{section}]\n"
+        text = (text.replace(header, f"{header}{key} =\n") if header in text
+                else f"{text}{header}{key} =\n")
+        (tmp_path / "run.ini").write_text(text)
+        # train's --out names the model file, which no config key sets
+        flags = ["--out", str(out)] if command == "train" else []
+        assert main([command, "--config", str(tmp_path / "run.ini"), *flags]) == 4
+        assert f"config error: [{section}] {key} has no value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_datasets_and_dataset_dir_together_exit_4(self, tmp_path, toy_files, capsys,
+                                                      monkeypatch):
+        # one of the two would be ignored, and dataset_dir never checked
+        monkeypatch.setattr(cli, "_run_cells", no_cells)
+        cfg = self.bench_config(tmp_path, toy_files, extra=f"dataset_dir = {tmp_path}/nowhere\n")
+        assert main(["benchmark", "--config", str(cfg)]) == 4
+        assert ("config error: [experiment] datasets and dataset_dir are both set"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_config_not_utf8_exits_4(self, tmp_path, toy_files, capsys):
         cfg = tmp_path / "train.ini"
@@ -835,7 +895,7 @@ class TestConfigFile:
         cfg.write_text(TRAIN_CONFIG.format(dataset=pa) + "delta =\n")
         out = tmp_path / "m.bin"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 4
-        assert "config error: bad [train] hyperparameters" in capsys.readouterr().err
+        assert "config error: [train] delta has no value" in capsys.readouterr().err
         assert not out.exists()
 
     def test_readme_known_keys_match_config_keys(self):

@@ -282,15 +282,19 @@ class TestOneGramPerPrepare:
         monkeypatch.setattr(models, "gram_values", counted)
         return calls
 
-    @pytest.mark.parametrize("m2", [20, 34])  # balanced plan and a universum
+    # a balanced plan, a universum topped up to ceil(m1 / 2) = 10 rows, and
+    # one that the reduced universum is drawn from
+    @pytest.mark.parametrize("m2", [20, 24, 34])
     @pytest.mark.parametrize("kind", ["ifutsvm-id", "utsvm"])
     def test_one_kernel_evaluation_per_fit(self, gram_calls, kind, m2):
         ds = make_blobs(20, m2, seed=1, d=3)
         hp = Hyperparams(**HP, kernel=KernelSpec(2.0), seed=1)
         if kind == "ifutsvm-id":
             model = fit_ifutsvm_id(ds, hp)
-            plan = model.dual_report.plan
-            extra = plan.universum.shape[0] + plan.universum_star.shape[0]
+            assert model.dual_report.universum is None  # the plan holds it
+            # each G* row is a universum row or a top-up row, mapped once
+            u = m2 - 20
+            extra = max(u, 10) if u else 0
         else:
             model = fit_utsvm(ds, generate_universum(ds, m2 - 20, seed=1)[0], hp)
             extra = m2 - 20
@@ -544,11 +548,15 @@ class TestSerialization:
         (KernelSpec(0.7), {"hyperparams": {"width": 1e-200}}),
         (KernelSpec(0.7), "trailing"),
         (None, {"hyperparams": {"seed": -1}}),
+        (None, {"hyperparams": {"seed": 1.5}}),
+        (None, "zero-w1"),
+        (KernelSpec(0.7), "zero-w2"),
     ], ids=["kind", "mode-case", "negative-coef-len", "coef-len-not-n", "float-coef-len",
             "negative-n", "string-m", "linear-as-kernel", "trailing-linear",
             "coef-len-not-m", "m-not-coef-len", "kernel-as-linear", "bool-n",
             "kernel-without-width", "infinite-width", "overflowing-width",
-            "underflowing-width", "trailing-kernel", "negative-seed"])
+            "underflowing-width", "trailing-kernel", "negative-seed", "float-seed",
+            "degenerate-plane-1", "degenerate-kernel-plane-2"])
     def test_header_it_cannot_honour_rejected(self, tmp_path, blobs, kernel, mutation):
         path = tmp_path / "model.bin"
         save_model(fit_ifutsvm_id(blobs(5, 12, seed=16), Hyperparams(**HP, kernel=kernel)),
@@ -556,6 +564,11 @@ class TestSerialization:
         header, payload = read_model_file(path)
         if mutation == "trailing":
             payload += b"\0" * 8
+        elif mutation in ("zero-w1", "zero-w2"):  # a plane with no direction
+            values = np.frombuffer(payload, dtype="<f8").copy()
+            start = 0 if mutation == "zero-w1" else header["coef_len"] + 1
+            values[start:start + header["coef_len"]] = 0.0
+            payload = values.tobytes()
         else:
             header.update({key: {**header[key], **value} if isinstance(value, dict) else value
                            for key, value in mutation.items()})
@@ -586,7 +599,7 @@ class TestHyperparams:
         ("c1", np.nan), ("c1", np.inf), ("c3", np.inf), ("c4", -1.0), ("c2", 0.0),
         ("cu", np.nan), ("cu", np.inf), ("cu", -1.0),
         ("delta", np.nan), ("delta", np.inf), ("delta", 0.0), ("delta", -1e-6),
-        ("seed", -1),
+        ("seed", -1), ("seed", 1.5), ("seed", True),
     ])
     def test_non_finite_or_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
