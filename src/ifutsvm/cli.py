@@ -90,6 +90,15 @@ CONFIG_KEYS = {
     "fuzzy": {"eta", "rho"},
     "train": {"model", "dataset", "delta", *AXES},
 }
+# what each command reads of CONFIG_KEYS: a section or key it does not read
+# would be ignored just the same, so it is an error too
+_PROTOCOL_KEYS = {section: keys for section, keys in CONFIG_KEYS.items() if section != "train"}
+COMMAND_KEYS = {
+    "train": {"experiment": {"seed"}, "fuzzy": CONFIG_KEYS["fuzzy"],
+              "train": CONFIG_KEYS["train"]},
+    "benchmark": _PROTOCOL_KEYS,
+    "noise-study": _PROTOCOL_KEYS,
+}
 
 
 def _existing(path, what: str) -> Path:
@@ -99,7 +108,9 @@ def _existing(path, what: str) -> Path:
     return Path(path)
 
 
-def _read_config(path: str | None) -> configparser.ConfigParser:
+def _read_config(path: str | None, command: str | None = None) -> configparser.ConfigParser:
+    """The config file at `path`, every section and key checked against
+    CONFIG_KEYS and, given a command, against what it reads (COMMAND_KEYS)."""
     # values are taken literally: a '%' in a path is not an interpolation
     cp = configparser.ConfigParser(interpolation=None)
     if path is not None:
@@ -113,12 +124,19 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     if cp.defaults():
         raise ConfigError("a [DEFAULT] section is not supported: "
                           "its keys would be copied into every section")
+    reads = COMMAND_KEYS.get(command, CONFIG_KEYS)
     for section in cp.sections():
         if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         unknown = sorted(set(cp.options(section)) - CONFIG_KEYS[section])
         if unknown:
             raise ConfigError(f"unknown key in [{section}]: {', '.join(unknown)}")
+        if section not in reads:
+            raise ConfigError(f"{command} does not read a [{section}] section")
+        unread = sorted(set(cp.options(section)) - reads[section])
+        if unread:
+            raise ConfigError(f"{command} does not read "
+                              + ", ".join(f"[{section}] {key}" for key in unread))
     return cp
 
 
@@ -285,7 +303,7 @@ def _fixed_hyperparams(cp: configparser.ConfigParser, seed: int):
 
 
 def cmd_train(args) -> int:
-    cp = _read_config(args.config)
+    cp = _read_config(args.config, "train")
     data_path = _setting(cp, "train", "dataset", flag=args.data)
     if data_path is None:
         raise ConfigError("no dataset given (--data or [train] dataset)")
@@ -328,7 +346,8 @@ def cmd_train(args) -> int:
             "seed": model.hyperparams.seed,
         }
     _write_json(out.with_suffix(out.suffix + ".log.json"), log)
-    _info(f"trained {kind} on {ds.name} in {elapsed:.2f}s")
+    _info(f"trained {kind} on {ds.name} in {elapsed:.2f}s; plane 2 universum bound "
+          f"(full dual solved): {'yes' if rep.universum_bound_2 else 'no'}")
 
     if args.dump_scores:
         sc = rep.scores
@@ -507,7 +526,7 @@ def _aggregate_results(results: list[dict], names: list[str], kinds: list[str]) 
 
 def _run_protocol(args, noise: bool) -> int:
     """Benchmark (noise=False) or noise study over the configured noise levels."""
-    cp = _read_config(args.config)
+    cp = _read_config(args.config, "noise-study" if noise else "benchmark")
     settings = _experiment_settings(cp, args)
     noise_levels = list(settings["noise_levels"]) if noise else [0.0]
     grid = _grid_from_config(cp)

@@ -3,10 +3,11 @@
 The grid search reports its table in a fixed lattice order (AXES: c1
 outermost, then c3, cu, epsilon, width) and keeps the first best point in
 that order, so model selection is reproducible.  It fits the points in
-another order, width -> fold -> c3 -> (c1, cu, epsilon), so that each
+another order, width -> fold -> c3 -> c1 -> (cu, epsilon), so that each
 fold's fuzzy scores, sampling plan and Gram blocks are prepared once per
-width and its dual Hessians once per c3.  Every fit still computes the same bits as a
-standalone fit, so the table does not depend on that order.  Rank
+width, its dual Hessians once per c3 and IFUTSVM-ID's plane-2 class-row dual
+solved once per c1.  Every fit still computes the same bits as a standalone
+fit, so the table does not depend on that order.  Rank
 aggregation uses average ranks with tie averaging (best accuracy = rank 1)
 and feeds the Friedman chi-square, its F-form correction, and the Nemenyi
 critical difference; both critical values are the alpha = 0.05 ones for the
@@ -228,13 +229,18 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
 
     The table rows follow the lattice order of `GridSpec.axes` (c1 outermost,
     width innermost), each keyed by the AXES names, and ties go to the first
-    row.  The fits run width -> fold -> c3 -> (c1, cu, epsilon) instead,
+    row.  The fits run width -> fold -> c3 -> c1 -> (cu, epsilon) instead,
     sharing one stage memo: each (fold, width) preparation (scores, sampling
     plan, Gram blocks, universum) is built once and each (fold, width, c3)
     pair of dual Hessians is formed once, and only the current ones are kept.
-    UTSVM reads neither c3 nor c4, so it fits the first c3 only and every
-    other c3 row repeats that row's folds.  Every fold fit is still one call
-    to `fit_model` and computes the same bits as a standalone fit.
+    A (fold, width, c3, c1) slab also shares IFUTSVM-ID's plane-2 class-row
+    solve, whose dual reads neither cu nor epsilon (see models): its (cu,
+    epsilon) points solve plane 1 each, and plane 2's full dual only where
+    its universum binds.  A fold whose minority scores all collapse to zero
+    has a zero plane-2 box at every c1, so it shares that solve across c1
+    too.  UTSVM reads neither c3 nor c4, so it fits the first c3 only and
+    every other c3 row repeats that row's folds.  Every fold fit is still
+    one call to `fit_model` and computes the same bits as a standalone fit.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")

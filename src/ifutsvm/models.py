@@ -17,6 +17,8 @@ Plane 1 has M = [X1 1] and plane 2 M = [X2 1] in both models; one builder
     class weights           ones                     fuzzy scores s2[X2*], s1
     ridge                   delta, or trace-scaled   c3, c4
     universum drawn by      fit_model's seed stream  the sampling plan
+    plane 2 solved on       all its rows             its class rows; +G only
+                                                     when a +G row binds
 
 Plane 2's +G is this repository's reading of the paper, not checked against
 its equations.  In kernel mode every block is replaced by its Gaussian Gram
@@ -26,10 +28,24 @@ come from one Gram evaluation of its stacked class and universum rows.
 A fit runs in three stages: prepare (scores, sampling plan or universum, and
 the M/H blocks), hessian (per plane, the Cholesky factor of M'M + ridge I and
 the checked Q) and solve (per lattice point, the box QP on that Q with the
-point's own bounds, and the recovery of (w; b)).
-A FitStages memo lets consecutive fits share the first two.  All three run
-with OpenBLAS on one thread (qp._one_blas_thread), and the caller gets its
-own thread count back when the fit returns or raises.
+point's own bounds, and the recovery of (w; b)).  A FitStages memo lets
+consecutive fits share the first two, and the last solve of each plane while
+its Hessian, linear term and box stay the same.  All three run with OpenBLAS
+on one thread (qp._one_blas_thread), and the caller gets its own thread
+count back when the fit returns or raises.
+
+A screened plane (IFUTSVM-ID's plane 2) forms Q from its class rows only and
+solves that dual, whose bounds read neither cu nor epsilon, so the lattice
+points that differ only in those share one solve.  Its universum rows are
+then checked on the recovered plane: the KKT residual of a universum
+multiplier held at zero is clip(lin_j - sign H_j (w; b), 0, cu).  When none
+exceeds the full dual's box-scaled tolerance, the class-row solution padded
+with zeros solves the full dual to that tolerance; otherwise the full dual is
+built and solved as an unscreened plane would be, with the same bits.  Its
+universum rows seldom bind: a +G row asks for G_j (w2; b2) >= epsilon - 1 < 0,
+and a cross-class midpoint lies near 0.5 on plane 2 unless the classes
+overlap a lot.  Plane 1 and UTSVM are not screened: their universum binds
+often.
 """
 
 from __future__ import annotations
@@ -98,7 +114,10 @@ class DualReport:
     """Solver artifacts of one fit, kept for diagnostics and audit tests.
 
     alpha/beta are the class/universum multipliers of the first plane,
-    eta/theta those of the second plane.
+    eta/theta those of the second plane.  universum_bound_2 is true when a
+    screened plane 2's universum bound and its full dual was solved; when
+    none bound, theta is the zero vector at which the class-row solution
+    solves the full dual.
     """
 
     alpha: np.ndarray
@@ -114,6 +133,7 @@ class DualReport:
     plan: SamplingPlan | None = None
     scores: ScoreWeights | None = None
     universum: np.ndarray | None = None
+    universum_bound_2: bool = False
 
     @property
     def balanced_fallback(self) -> bool:
@@ -153,7 +173,8 @@ class TwinModel:
 
 @dataclass(frozen=True)
 class _Plane:
-    """One dual in standard form (see module docstring)."""
+    """One dual in standard form (see module docstring); its first `classes`
+    rows are class rows, and a screened plane solves those first."""
 
     M: np.ndarray
     ridge: float
@@ -161,6 +182,8 @@ class _Plane:
     lin: np.ndarray
     upper: np.ndarray
     sign: float
+    classes: int
+    screened: bool = False
 
 
 @dataclass(frozen=True)
@@ -169,13 +192,15 @@ class _Blocks:
 
     Plane i has proximal block M[i] and signed constraint rows H[i], class
     rows first and universum rows after them.  Its box bounds the class rows
-    by its penalty times weights[i] and the universum rows by cu.
+    by its penalty times weights[i] and the universum rows by cu.  Plane i
+    is screened when screened[i] (see the module docstring).
     """
 
     D: np.ndarray | None
     M: tuple[np.ndarray, np.ndarray]
     H: tuple[np.ndarray, np.ndarray]
     weights: tuple[np.ndarray, np.ndarray]
+    screened: tuple[bool, bool]
     plan: SamplingPlan | None = None
     scores: ScoreWeights | None = None
     universum: np.ndarray | None = None
@@ -193,31 +218,38 @@ class _Hessian:
 
 
 class FitStages:
-    """Last-key memo of the prepare and hessian stages, shared by consecutive fits.
+    """Last-key memo of the prepare, hessian and solve stages, shared by
+    consecutive fits.
 
     Fits with the same preparation key (training set, model kind, kernel,
     fuzzy parameters, seed, uniform scores, universum) reuse one set of
-    blocks; those that also share a plane's ridge reuse that plane's Hessian.
-    Only the latest blocks and the Hessians built on them are held, so a
-    caller that orders its fits by key gets the reuse without keeping a
-    lattice of arrays alive.
+    blocks; those that also share a plane's ridge reuse that plane's Hessian,
+    and those that also share its linear term and box reuse its solution.
+    Only the latest blocks and the Hessians and solutions built on them are
+    held, so a caller that orders its fits by key gets the reuse without
+    keeping a lattice of arrays alive.
     """
 
     def __init__(self):
         self._key = None
         self._blocks = None
-        self._hessians = [None, None]  # (ridge, _Hessian) per plane
+        self._planes = [None, None]  # [ridge, _Hessian, (bounds, solution) or None] per plane
 
     def blocks(self, train: Dataset, key: tuple, build) -> _Blocks:
         if self._blocks is None or self._key[0] is not train or self._key[1:] != key:
-            self._key, self._blocks, self._hessians = (train, *key), build(), [None, None]
+            self._key, self._blocks, self._planes = (train, *key), build(), [None, None]
         return self._blocks
 
-    def hessian(self, index: int, plane: _Plane) -> _Hessian:
-        held = self._hessians[index]
+    def solve(self, index: int, plane: _Plane) -> tuple[np.ndarray, QPSolution]:
+        """Hessian and solve stages of plane `index`: (w; b) and the dual's solution."""
+        held = self._planes[index]
         if held is None or held[0] != plane.ridge:
-            held = self._hessians[index] = (plane.ridge, _hessian(plane))
-        return held[1]
+            held = self._planes[index] = [plane.ridge, _hessian(plane), None]
+        # the tolerance is a function of the box, so the bounds' bytes key the solve
+        bounds = (plane.lin.tobytes(), plane.upper.tobytes())
+        if held[2] is None or held[2][0] != bounds:
+            held[2] = (bounds, _solve_plane(plane, held[1]))
+        return held[2][1]
 
 
 def _hessian(plane: _Plane) -> _Hessian:
@@ -227,12 +259,34 @@ def _hessian(plane: _Plane) -> _Hessian:
     return _Hessian(factor, BoxQP(plane.H @ S, plane.lin, plane.upper))
 
 
-def _solve_plane(plane: _Plane, hess: _Hessian) -> tuple[np.ndarray, QPSolution]:
+def _tolerance(plane: _Plane) -> float:
     # residual tolerance scales with the box so huge penalty grids stay solvable
-    tol = DEFAULT_TOL * max(1.0, float(plane.upper.max(initial=0.0)))
-    sol = solve_box_qp(hess.problem.with_bounds(plane.lin, plane.upper), tol=tol)
+    return DEFAULT_TOL * max(1.0, float(plane.upper.max(initial=0.0)))
+
+
+def _solve_plane(plane: _Plane, hess: _Hessian) -> tuple[np.ndarray, QPSolution]:
+    sol = solve_box_qp(hess.problem.with_bounds(plane.lin, plane.upper), tol=_tolerance(plane))
     z = plane.sign * cho_solve(hess.factor, plane.H.T @ sol.z, check_finite=False)
     return z, sol
+
+
+def _solve(stages: FitStages, index: int, plane: _Plane) -> tuple[np.ndarray, QPSolution, bool]:
+    """Solve stage of one plane: (w; b), the solution of its full dual, and
+    whether a screened plane's universum bound, so that the full dual was
+    solved (see the module docstring)."""
+    if not plane.screened:
+        return (*stages.solve(index, plane), False)
+    k = plane.classes
+    z, sol = stages.solve(index, _Plane(plane.M, plane.ridge, plane.H[:k], plane.lin[:k],
+                                        plane.upper[:k], plane.sign, k))
+    residual = np.minimum(np.maximum(plane.lin[k:] - plane.sign * (plane.H[k:] @ z), 0.0),
+                          plane.upper[k:])
+    worst = float(residual.max(initial=0.0))
+    if worst > _tolerance(plane):
+        return (*_solve_plane(plane, _hessian(plane)), True)
+    full = QPSolution(np.concatenate([sol.z, np.zeros(residual.shape[0])]), sol.objective,
+                      max(sol.kkt_residual, worst), sol.iterations)
+    return z, full, False
 
 
 def primal_value(plane: _Plane, z: np.ndarray) -> float:
@@ -266,14 +320,16 @@ def _blocks(train: Dataset, kernel: KernelSpec | None, universum: np.ndarray | N
     if plan is None:  # UTSVM: all of X2, the universum on both planes, unit weights
         H = (np.vstack([F, -G]), np.vstack([E, -G]))
         weights = (np.ones(F.shape[0]), np.ones(E.shape[0]))
+        screened = (False, False)
     else:  # IFUTSVM-ID: the undersampled X2*, the reduced universum, +G, fuzzy scores
         kept = plan.universum_star_indices
         Gs, G = (G[kept] if kept.size else G), G[:plan.universum.shape[0]]
         # X2* is a row subset of X2, so its block is a row subset of F
         H = (np.vstack([F[plan.x2_star_indices], -Gs]), np.vstack([E, G]))
         weights = (scores.s2[plan.x2_star_indices], scores.s1)
-    return _Blocks(D=D, M=(E, F), H=H, weights=weights, plan=plan, scores=scores,
-                   universum=universum)
+        screened = (False, True)  # +G seldom binds
+    return _Blocks(D=D, M=(E, F), H=H, weights=weights, screened=screened, plan=plan,
+                   scores=scores, universum=universum)
 
 
 def _planes(blocks: _Blocks, hp: Hyperparams, kind: str) -> tuple[_Plane, _Plane]:
@@ -290,14 +346,16 @@ def _planes(blocks: _Blocks, hp: Hyperparams, kind: str) -> tuple[_Plane, _Plane
         scale = 1e-7 if hp.kernel is None else 1e-3
         ridges = [scale * float(np.sum(M * M)) / M.shape[1] for M in blocks.M]
     planes = []
-    for M, H, weights, penalty, ridge, sign in zip(
-            blocks.M, blocks.H, blocks.weights, (hp.c1, hp.c2), ridges, (-1.0, 1.0)):
-        u = H.shape[0] - weights.shape[0]
+    for M, H, weights, penalty, ridge, sign, screened in zip(
+            blocks.M, blocks.H, blocks.weights, (hp.c1, hp.c2), ridges, (-1.0, 1.0),
+            blocks.screened):
+        k = weights.shape[0]
+        u = H.shape[0] - k
         planes.append(_Plane(
             M=M, ridge=ridge, H=H,
-            lin=np.concatenate([np.ones(weights.shape[0]), (hp.epsilon - 1.0) * np.ones(u)]),
+            lin=np.concatenate([np.ones(k), (hp.epsilon - 1.0) * np.ones(u)]),
             upper=np.concatenate([penalty * weights, hp.cu * np.ones(u)]),
-            sign=sign,
+            sign=sign, classes=k, screened=screened,
         ))
     return planes[0], planes[1]
 
@@ -317,8 +375,8 @@ def _split_coefficients(z: np.ndarray, which: str) -> tuple[np.ndarray, float]:
 def _fit(kind: str, train: Dataset, hp: Hyperparams, key: tuple, prepare,
          stages: FitStages | None) -> TwinModel:
     """Prepare, hessian and solve stages of one lattice point, on memoized
-    blocks and Hessians; `key` holds what else besides the kind and kernel
-    the prepare stage depends on.
+    blocks, Hessians and solutions; `key` holds what else besides the kind
+    and kernel the prepare stage depends on.
 
     Every fit passes here, and its linear algebra runs on one OpenBLAS thread:
     the duals are too small to gain from more, and parallel work comes from
@@ -327,8 +385,8 @@ def _fit(kind: str, train: Dataset, hp: Hyperparams, key: tuple, prepare,
     stages = stages if stages is not None else FitStages()
     with _one_blas_thread:
         blocks = stages.blocks(train, (kind, hp.kernel, *key), prepare)
-        (z1, sol1), (z2, sol2) = [_solve_plane(plane, stages.hessian(i, plane))
-                                  for i, plane in enumerate(_planes(blocks, hp, kind))]
+        (z1, sol1, _), (z2, sol2, bound2) = [
+            _solve(stages, i, plane) for i, plane in enumerate(_planes(blocks, hp, kind))]
         w1, b1 = _split_coefficients(z1, "1")
         w2, b2 = _split_coefficients(z2, "2")
     k1, k2 = (weights.shape[0] for weights in blocks.weights)
@@ -339,6 +397,7 @@ def _fit(kind: str, train: Dataset, hp: Hyperparams, key: tuple, prepare,
         dual_objective_1=sol1.objective, dual_objective_2=sol2.objective,
         iterations_1=sol1.iterations, iterations_2=sol2.iterations,
         plan=blocks.plan, scores=blocks.scores, universum=blocks.universum,
+        universum_bound_2=bound2,
     )
     return TwinModel(kind=kind, w1=w1, b1=b1, w2=w2, b2=b2, reference=blocks.D,
                      hyperparams=hp, dual_report=report)

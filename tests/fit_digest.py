@@ -25,13 +25,32 @@ exception).  Every lattice here has points that train, so no search raises.
 
 The script prints, for each digest, the fit or search count, the failure
 count and the SHA-256.
+
+A change that moves the optimum's last bits moves the digests, so two more
+modes compare two checkouts fit by fit:
+
+    PYTHONPATH=src python tests/fit_digest.py --dump before.json   # one checkout
+    PYTHONPATH=src python tests/fit_digest.py --dump after.json    # the other
+    PYTHONPATH=src python tests/fit_digest.py --compare before.json after.json
+
+--dump prints the two lines as well and writes, per fit and per search refit,
+b1, b2, both dual objectives, w1 and w2 (or the failure text), and per search
+a hash of its CV table.  --compare prints how many fits are bit-identical,
+the worst relative coefficient difference (max |a - b| / max(|a|, |b|) over
+one plane's (w; b)), the worst relative dual-objective difference, every fit
+that trained on one side only, how many fits solved IFUTSVM-ID's plane-2 full
+dual after screening its universum rows and how many of those are
+bit-identical, and how many CV tables are identical.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
+import json
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -71,10 +90,31 @@ def _fit(kind, train, hp, universum, uniform, stages):
     return fit_ifutsvm_id(train, hp, uniform=uniform, stages=stages)
 
 
-def digest(seeds=SEEDS, points=POINTS) -> tuple[int, int, str]:
-    """(fits, failures, SHA-256 hex) over the fits of the given seeds and points."""
+def _record(model) -> dict:
+    """The numbers --compare reads of one trained model."""
+    rep = model.dual_report
+    return {"b1": model.b1, "b2": model.b2, "w1": model.w1.tolist(), "w2": model.w2.tolist(),
+            "dual_objective_1": rep.dual_objective_1, "dual_objective_2": rep.dual_objective_2,
+            # a checkout without plane-2 screening has no such flag
+            "universum_bound_2": getattr(rep, "universum_bound_2", None)}
+
+
+NUMBERS = ("b1", "b2", "w1", "w2", "dual_objective_1", "dual_objective_2")
+
+
+def _same(a, b) -> bool:
+    """Whether two records hold the same failure text or the same numbers."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return all(a[name] == b[name] for name in NUMBERS)
+    return a == b
+
+
+def digest(seeds=SEEDS, points=POINTS, records=None) -> tuple[int, int, str]:
+    """(fits, failures, SHA-256 hex) over the fits of the given seeds and points;
+    each fit's `_record` or failure text goes into `records` when given."""
     h = hashlib.sha256()
     fits = failures = 0
+    records = {} if records is None else records
     for seed, (m1, m2), kernel, delta in itertools.product(seeds, SHAPES, KERNELS, DELTAS):
         train = make_blobs(m1, m2, seed=seed, d=3, gap=2.0)
         universum = generate_universum(train, max(m2 - m1, 4), seed=seed + 7)[0]
@@ -86,14 +126,17 @@ def digest(seeds=SEEDS, points=POINTS) -> tuple[int, int, str]:
                 hp = Hyperparams(c1=c1, c2=c1, c3=c3, c4=c3, cu=cu, epsilon=eps,
                                  kernel=kernel, delta=delta, seed=seed)
                 fits += 1
-                h.update(repr((seed, m1, m2, kernel, delta, kind, univ is None, uniform,
-                               c1, c3, cu, eps)).encode())
+                key = repr((seed, m1, m2, kernel, delta, kind, univ is None, uniform,
+                            c1, c3, cu, eps))
+                h.update(key.encode())
                 try:
                     model = _fit(kind, train, hp, univ, uniform, stages)
                 except (NumericalError, TrainingError) as exc:
                     failures += 1
-                    h.update(f"{type(exc).__name__}: {exc}".encode())
+                    records[key] = f"{type(exc).__name__}: {exc}"
+                    h.update(records[key].encode())
                     continue
+                records[key] = _record(model)
                 _update(h, model, train)
     return fits, failures, h.hexdigest()
 
@@ -119,25 +162,90 @@ def _update(h, model, train) -> None:
         h.update(path.read_bytes())
 
 
-def search_digest() -> tuple[int, int, str]:
-    """(searches, failed fold fits, SHA-256 hex) over the search section."""
+def search_digest(records=None) -> tuple[int, int, str]:
+    """(searches, failed fold fits, SHA-256 hex) over the search section; each
+    refit's `_record` or failure text, and each CV table's SHA-256, go into
+    `records` when given."""
     h = hashlib.sha256()
     searches = failures = 0
+    records = {} if records is None else records
     for (m1, m2, seed), grid, kind in itertools.product(SEARCH_SETS, SEARCH_GRIDS, MODEL_KINDS):
         train = make_blobs(m1, m2, seed=seed, d=3, gap=2.0)
         hp, table = grid_search_cv(train, kind, grid, SEARCH_FOLDS, seed)
         searches += 1
         failures += sum(a is None for row in table for a in row["fold_accuracies"])
+        search = repr((m1, m2, seed, kind, grid))
+        records[f"table {search}"] = hashlib.sha256(repr((hp, table)).encode()).hexdigest()
         h.update(repr((m1, m2, seed, kind, grid, hp, table)).encode())
         try:
-            _update(h, fit_model(kind, train, hp), train)
+            model = fit_model(kind, train, hp)
         except (NumericalError, TrainingError) as exc:
-            h.update(f"{type(exc).__name__}: {exc}".encode())
+            records[f"refit {search}"] = f"{type(exc).__name__}: {exc}"
+            h.update(records[f"refit {search}"].encode())
+            continue
+        records[f"refit {search}"] = _record(model)
+        _update(h, model, train)
     return searches, failures, h.hexdigest()
 
 
-if __name__ == "__main__":
-    fits, failures, sha = digest()
+def _relative(a, b) -> float:
+    """max |a - b| / max(|a|, |b|) over the entries, 0 where both are 0."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) / scale if scale else 0.0
+
+
+def compare(before: dict, after: dict) -> list[str]:
+    """The lines --compare prints for two --dump files' records."""
+    fits = sorted(key for key in before if not key.startswith("table "))
+    tables = [key for key in before if key.startswith("table ")]
+    trained = [key for key in fits if isinstance(before[key], dict)
+               and isinstance(after.get(key), dict)]
+    one_side = [key for key in sorted(set(before) | set(after)) if not key.startswith("table ")
+                and isinstance(before.get(key), dict) != isinstance(after.get(key), dict)]
+    coef = objective = 0.0
+    for key in trained:
+        a, b = before[key], after[key]
+        for plane in ("1", "2"):
+            coef = max(coef, _relative([*a["w" + plane], a["b" + plane]],
+                                       [*b["w" + plane], b["b" + plane]]))
+            name = "dual_objective_" + plane
+            objective = max(objective, _relative(a[name], b[name]))
+    identical = sum(_same(before[key], after.get(key)) for key in fits)
+    bound = [key for key in trained if before[key]["universum_bound_2"]
+             or after[key]["universum_bound_2"]]
+    lines = [f"{identical} of {len(fits)} fits bit-identical ({len(trained)} trained on both)",
+             f"worst relative coefficient difference {coef:.3g}",
+             f"worst relative dual-objective difference {objective:.3g}",
+             f"{len(one_side)} fits trained on one side only"]
+    lines += [f"  {key}: {'before' if isinstance(before.get(key), dict) else 'after'} only"
+              for key in one_side]
+    lines.append(f"{len(bound)} fits solved plane 2's full dual after screening, "
+                 f"{sum(_same(before[key], after[key]) for key in bound)} of them bit-identical")
+    lines.append(f"{sum(before[key] == after.get(key) for key in tables)} of {len(tables)} "
+                 "CV tables identical")
+    return lines
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--dump", metavar="FILE", help="also write every fit's numbers as JSON")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="compare two --dump files instead of fitting")
+    args = parser.parse_args(argv)
+    if args.compare:
+        before, after = (json.loads(Path(path).read_text()) for path in args.compare)
+        print("\n".join(compare(before, after)))
+        return
+    records: dict = {}
+    fits, failures, sha = digest(records=records)
     print(f"{fits} fits, {failures} failures, sha256 {sha}")
-    searches, failures, sha = search_digest()
+    searches, failures, sha = search_digest(records)
     print(f"{searches} searches, {failures} failed fold fits, sha256 {sha}")
+    if args.dump:
+        Path(args.dump).write_text(json.dumps(records, indent=0, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -76,8 +76,9 @@ class TestTrainEval:
         cfg.write_text(TRAIN_CONFIG.format(dataset=pa))
         model_path = tmp_path / "m.bin"
         assert main(["train", "--config", str(cfg), "--out", str(model_path)]) == 0
-        printed = capsys.readouterr().out.strip()
-        assert printed == str(model_path)
+        captured = capsys.readouterr()
+        assert captured.out.strip() == str(model_path)
+        assert "plane 2 universum bound (full dual solved): no" in captured.err
         assert model_path.is_file()
         assert model_path.with_suffix(".bin.log.json").is_file()
 
@@ -262,6 +263,28 @@ class TestTrainEval:
         assert main(["train", "--config", str(cfg), "--out", str(out), *argv]) == 4
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(cli.CONFIG_KEYS["experiment"] - {"seed"}))
+    def test_experiment_key_train_does_not_read_exits_4(self, tmp_path, toy_files, capsys,
+                                                        monkeypatch, key):
+        # train reads only [experiment] seed: any other key would be ignored,
+        # and an `out` there would not move the model file
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=toy_files[0])
+                       .replace("seed = 9\n", f"seed = 9\n{key} = 1\n"))
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert f"config error: train does not read [experiment] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "model.twinsvm").exists()
+
+    def test_grid_section_in_a_train_config_exits_4(self, tmp_path, toy_files, capsys,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "t.ini"
+        cfg.write_text(TRAIN_CONFIG.format(dataset=toy_files[0]) + "[grid]\nc1 = 5\n")
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert "config error: train does not read a [grid] section" in capsys.readouterr().err
+        assert not (tmp_path / "model.twinsvm").exists()
 
     def test_dump_plan_lists_the_top_up_pairs(self, tmp_path):
         # 10 + 13 rows: the 3 averaged rows are fewer than ceil(10 / 2) = 5,
@@ -772,6 +795,16 @@ class TestConfigFile:
         message = {"abc": "[fuzzy] eta: could not convert string to float: 'abc'",
                    "-1": "bad [fuzzy] values"}[eta]
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["benchmark", "noise-study"])
+    def test_train_section_exits_4(self, tmp_path, toy_files, capsys, monkeypatch, command):
+        # the protocol commands search the [grid] lattice and never read [train]
+        monkeypatch.setattr(cli, "_run_cells", no_cells)
+        cfg = self.bench_config(tmp_path, toy_files, extra="[train]\nc1 = 5\n")
+        assert main([command, "--config", str(cfg)]) == 4
+        assert (f"config error: {command} does not read a [train] section"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_fuzzy_without_grid_is_kept(self, tmp_path, toy_files):

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_factor, cho_solve
 
@@ -375,14 +377,29 @@ class TestOneBoxQPPerHessian:
         return calls
 
     @pytest.mark.parametrize("kind", ["ifutsvm-id", "utsvm"])
-    def test_one_problem_per_hessian_in_a_kernel_search(self, calls, kind):
+    def test_one_problem_per_hessian_in_a_kernel_search(self, calls, monkeypatch, kind):
+        signs = []  # of each plane solved: -1 plane 1, +1 plane 2
+        solve_plane = models._solve_plane
+
+        def observed(plane, hess):
+            signs.append(plane.sign)
+            return solve_plane(plane, hess)
+
+        monkeypatch.setattr(models, "_solve_plane", observed)
         grid = GridSpec(c1=(0.1, 10.0), c3=(0.01, 1.0), cu=(0.1, 1.0), epsilon=(0.1, 0.5),
                         width=(1.0, 4.0))
-        _, table = grid_search_cv(make_blobs(10, 40, seed=0, d=4), kind, grid, k=3, seed=4)
+        k = 3
+        _, table = grid_search_cv(make_blobs(10, 40, seed=0, d=4), kind, grid, k=k, seed=4)
         assert not any(row["flags"] for row in table)
         assert calls["BoxQP"] == calls["spd_factor"]
-        # every fold fit still solves both of its duals
-        assert calls["solve_box_qp"] == 2 * calls["fit_model"]
+        assert calls["solve_box_qp"] == len(signs)
+        # plane 1 solves once per fold fit; IFUTSVM-ID's screened plane 2
+        # solves its class rows, whose dual reads neither cu nor epsilon, once
+        # per (fold, width, c3, c1), and no universum row of this clean set binds
+        fits = calls["fit_model"]
+        slabs = k * len(grid.width) * len(grid.c3) * len(grid.c1)
+        assert signs.count(-1.0) == fits
+        assert signs.count(1.0) == (slabs if kind == "ifutsvm-id" else fits)
         assert calls["BoxQP"] < calls["solve_box_qp"]
 
     def test_lattice_points_share_one_checked_q(self, monkeypatch):
@@ -409,6 +426,118 @@ class TestOneBoxQPPerHessian:
             alone = fit_ifutsvm_id(ds, Hyperparams(**point, kernel=KernelSpec(2.0), seed=5))
             for name in ("w1", "b1", "w2", "b2"):
                 assert_array_equal(getattr(shared, name), getattr(alone, name))
+
+
+def noisy_blobs(seed: int, flips: int = 3, m1: int = 10, m2: int = 40) -> Dataset:
+    """make_blobs with `flips` labels of each class swapped, so the class sizes stay."""
+    ds = make_blobs(m1, m2, seed=seed, d=3, gap=2.0)
+    rng = np.random.default_rng(seed)
+    y = ds.labels.copy()
+    pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == -1)
+    y[rng.choice(pos, flips, replace=False)] = -1
+    y[rng.choice(neg, flips, replace=False)] = 1
+    return Dataset("noisy", ds.features, y)
+
+
+def full_plane_2(model, ds):
+    """IFUTSVM-ID's plane 2 of a fit, with all its rows."""
+    rep, hp = model.dual_report, model.hyperparams
+    return _planes(_blocks(ds, hp.kernel, plan=rep.plan, scores=rep.scores), hp, "ifutsvm-id")[1]
+
+
+class TestScreenedPlane2:
+    """IFUTSVM-ID's plane 2 solves its class rows, checks its universum rows
+    on the recovered plane and solves its full dual only when one binds."""
+
+    @pytest.fixture
+    def hessian_rows(self, monkeypatch):
+        """(sign, rows) of every dual Hessian formed: -1 plane 1, +1 plane 2."""
+        rows = []
+        hessian = models._hessian
+
+        def observed(plane):
+            rows.append((plane.sign, plane.H.shape[0]))
+            return hessian(plane)
+
+        monkeypatch.setattr(models, "_hessian", observed)
+        return rows
+
+    @pytest.mark.parametrize("width", [1.0, 4.0])
+    def test_clean_kernel_fit_forms_no_full_plane_2_hessian(self, hessian_rows, width):
+        model = fit_ifutsvm_id(make_blobs(10, 40, seed=0, d=4),
+                               Hyperparams(**HP, kernel=KernelSpec(width), seed=1))
+        # plane 1: m1 undersampled rows and ceil(m1 / 2) reduced universum rows;
+        # plane 2: its m1 class rows, not its m2 - m1 universum rows
+        assert hessian_rows == [(-1.0, 15), (1.0, 10)]
+        rep = model.dual_report
+        assert not rep.universum_bound_2
+        assert_array_equal(rep.theta, np.zeros(30))
+
+    @pytest.mark.parametrize("seed, flips, kernel", [(4, 3, None), (17, 5, KernelSpec(2.0))])
+    def test_binding_universum_takes_the_full_dual(self, hessian_rows, seed, flips, kernel):
+        # label noise and a wide tube: a universum row asks for
+        # G_j (w2; b2) >= epsilon - 1 = -0.4, and one of this set's does not get it
+        ds = noisy_blobs(seed, flips)
+        hp = Hyperparams(**{**HP, "c1": 10.0, "c2": 10.0, "cu": 1.0, "epsilon": 0.6},
+                         kernel=kernel, seed=seed)
+        model = fit_ifutsvm_id(ds, hp)
+        rep = model.dual_report
+        assert rep.universum_bound_2 and np.any(rep.theta > 0)
+        assert hessian_rows == [(-1.0, 15), (1.0, 10), (1.0, 40)]
+        plane2 = full_plane_2(model, ds)
+        z, sol = models._solve_plane(plane2, models._hessian(plane2))
+        assert_array_equal(model.w2, z[:-1])
+        assert model.b2 == z[-1]
+        assert_array_equal(rep.theta, sol.z[rep.eta.size:])
+        assert (rep.kkt_residual_2, rep.dual_objective_2, rep.iterations_2) == (
+            sol.kkt_residual, sol.objective, sol.iterations)
+
+    @pytest.mark.parametrize("kernel", [None, KernelSpec(2.0)])
+    def test_cu_and_epsilon_share_one_plane_2_solve(self, monkeypatch, kernel):
+        sizes = []
+        solve = models.solve_box_qp
+
+        def observed(problem, **kwargs):
+            sizes.append(problem.size)
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(models, "solve_box_qp", observed)
+        ds = make_blobs(10, 40, seed=0, d=4)
+        stages = models.FitStages()
+        hps = [Hyperparams(**{**HP, "cu": cu, "epsilon": eps}, kernel=kernel, seed=1)
+               for cu in (0.1, 1.0) for eps in (0.1, 0.5)]
+        shared = [fit_ifutsvm_id(ds, hp, stages=stages) for hp in hps]
+        # plane 1's dual has m1 + ceil(m1 / 2) = 15 coordinates, plane 2's
+        # class-row dual m1 = 10
+        assert sizes == [15, 10, 15, 15, 15]
+        for hp, fit in zip(hps, shared):
+            alone = fit_ifutsvm_id(ds, hp)
+            for name in ("w1", "b1", "w2", "b2"):
+                assert_array_equal(getattr(fit, name), getattr(alone, name))
+            for name in ("eta", "theta", "kkt_residual_2", "dual_objective_2"):
+                assert_array_equal(getattr(fit.dual_report, name),
+                                   getattr(alone.dual_report, name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), m1=st.integers(4, 10), extra=st.integers(0, 20),
+           flips=st.integers(0, 3), width=st.sampled_from([None, 0.5, 2.0]),
+           c1=st.sampled_from([0.01, 1.0, 100.0]), c3=st.sampled_from([1e-3, 1.0]),
+           cu=st.sampled_from([0.0, 0.1, 10.0]), epsilon=st.sampled_from([0.1, 0.6]))
+    def test_plane_2_solves_its_full_dual(self, seed, m1, extra, flips, width, c1, c3, cu,
+                                          epsilon):
+        ds = noisy_blobs(seed, min(flips, m1 - 2), m1, m1 + extra)
+        hp = Hyperparams(c1=c1, c2=c1, c3=c3, c4=c3, cu=cu, epsilon=epsilon,
+                         kernel=None if width is None else KernelSpec(width), seed=seed)
+        try:
+            model = fit_ifutsvm_id(ds, hp)
+        except (qp.NumericalError, TrainingError):
+            assume(False)
+        rep = model.dual_report
+        plane2 = full_plane_2(model, ds)
+        problem = models._hessian(plane2).problem
+        tol = qp.DEFAULT_TOL * max(1.0, float(plane2.upper.max()))
+        assert qp.kkt_residual(problem, np.concatenate([rep.eta, rep.theta])) <= tol
+        assert rep.kkt_residual_2 <= tol
 
 
 @pytest.mark.parametrize("call, error, message", [
