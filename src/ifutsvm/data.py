@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,11 +76,11 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[1]
 
-    @property
+    @cached_property  # the labels are read-only, so each count is taken once
     def m1(self) -> int:
         return int(np.sum(self.labels == 1))
 
-    @property
+    @cached_property
     def m2(self) -> int:
         return int(np.sum(self.labels == -1))
 

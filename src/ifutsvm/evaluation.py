@@ -6,8 +6,9 @@ that order, so model selection is reproducible.  It fits the points in
 another order, width -> fold -> c3 -> c1 -> (cu, epsilon), so that each
 fold's fuzzy scores, sampling plan and Gram blocks are prepared once per
 width, its dual Hessians once per c3 and IFUTSVM-ID's plane-2 class-row dual
-solved once per c1.  Every fit still computes the same bits as a standalone
-fit, so the table does not depend on that order.  Rank
+solved once per c1; the validation rows of a (fold, width) are mapped once
+(kernel mode: their Gram rows).  Every fit still computes the same bits as a
+standalone fit, so the table does not depend on that order.  Rank
 aggregation uses average ranks with tie averaging (best accuracy = rank 1)
 and feeds the Friedman chi-square, its F-form correction, and the Nemenyi
 critical difference; both critical values are the alpha = 0.05 ones for the
@@ -27,8 +28,9 @@ from scipy.special import fdtri
 from .data import Dataset, DatasetError
 from .kernels import KernelSpec
 from .membership import FuzzyParams
+# predict is not called here: it stays importable for perfbench's evaluation.predict
 from .models import (MODEL_KINDS, FitStages, Hyperparams, TrainingError, fit_ifutsvm_id,
-                     fit_utsvm, predict)
+                     fit_utsvm, map_rows, mapped_labels, predict)
 from .qp import NumericalError
 from .sampling import generate_universum
 from .seeds import mix_seed
@@ -193,14 +195,18 @@ def _subset(ds: Dataset, idx: np.ndarray, tag: str) -> Dataset:
 
 
 def _fold_score(kind: str, j: int, tr: Dataset, va: Dataset, hp: Hyperparams,
-                stages: FitStages) -> tuple[float, str | None]:
-    """Validation accuracy of one fold fit (NaN if it failed) and its flag."""
+                stages: FitStages, mapped: np.ndarray | None
+                ) -> tuple[float, str | None, np.ndarray | None]:
+    """Validation accuracy of one fold fit (NaN if it failed), its flag, and the
+    validation rows mapped for its planes: `mapped`, or a new map if None."""
     try:
         model = fit_model(kind, tr, hp, stages=stages)
     except (NumericalError, TrainingError) as exc:
-        return np.nan, f"fold{j}:{type(exc).__name__}"
+        return np.nan, f"fold{j}:{type(exc).__name__}", mapped
     flag = f"fold{j}:balanced-fallback" if model.dual_report.balanced_fallback else None
-    return float(np.mean(predict(model, va.features) == va.labels)), flag
+    if mapped is None:
+        mapped = map_rows(model, va.features)
+    return float(np.mean(mapped_labels(model, mapped) == va.labels)), flag, mapped
 
 
 def selected_row(table: list[dict]) -> dict:
@@ -237,10 +243,11 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
     solve, whose dual reads neither cu nor epsilon (see models): its (cu,
     epsilon) points solve plane 1 each, and plane 2's full dual only where
     its universum binds.  A fold whose minority scores all collapse to zero
-    has a zero plane-2 box at every c1, so it shares that solve across c1
-    too.  UTSVM reads neither c3 nor c4, so it fits the first c3 only and
-    every other c3 row repeats that row's folds.  Every fold fit is still
-    one call to `fit_model` and computes the same bits as a standalone fit.
+    fails before any Hessian (see models).  Each (fold, width) maps its
+    validation rows once, at its first point that trains.  UTSVM reads
+    neither c3 nor c4, so it fits the first c3 only and every other c3 row
+    repeats that row's folds.  Every fold fit is still one call to
+    `fit_model` and computes the same bits as a standalone fit.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
@@ -258,12 +265,15 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
     stages = FitStages()
     n1, n3, nu, ne, nw = shape
     fitted_c3 = 1 if kind == "utsvm" else n3
+    slab, mapped = None, None  # the current (width, fold) and its validation map
     for iw, j, i3, i1, iu, ie in np.ndindex(nw, k, fitted_c3, n1, nu, ne):
+        if slab != (iw, j):
+            slab, mapped = (iw, j), None
         point = (i1, i3, iu, ie, iw)
         values = {name: axis[i] for name, axis, i in zip(AXES, axes, point)}
         hp = make_hyperparams(**values, fuzzy=grid.fuzzy, seed=fold_seeds[j])
         tr, va = fold_sets[j]
-        accs[(*point, j)], flag = _fold_score(kind, j, tr, va, hp, stages)
+        accs[(*point, j)], flag, mapped = _fold_score(kind, j, tr, va, hp, stages, mapped)
         if flag is not None:
             flags[point, j] = flag
 

@@ -34,6 +34,11 @@ its Hessian, linear term and box stay the same.  All three run with OpenBLAS
 on one thread (qp._one_blas_thread), and the caller gets its own thread
 count back when the fit returns or raises.
 
+A plane whose class weights are all zero (IFUTSVM-ID's plane 2 when every
+minority score collapses) fails after the prepare stage, plane 1 checked
+first, with the error its solve would end in: its class box is zero and its
+universum rows have epsilon - 1 < 0, so z = 0 solves its dual, and w = 0.
+
 A screened plane (IFUTSVM-ID's plane 2) forms Q from its class rows only and
 solves that dual, whose bounds read neither cu nor epsilon, so the lattice
 points that differ only in those share one solve.  Its universum rows are
@@ -51,6 +56,7 @@ often.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -350,19 +356,18 @@ def _planes(blocks: _Blocks, hp: Hyperparams, kind: str) -> tuple[_Plane, _Plane
             blocks.M, blocks.H, blocks.weights, (hp.c1, hp.c2), ridges, (-1.0, 1.0),
             blocks.screened):
         k = weights.shape[0]
-        u = H.shape[0] - k
-        planes.append(_Plane(
-            M=M, ridge=ridge, H=H,
-            lin=np.concatenate([np.ones(k), (hp.epsilon - 1.0) * np.ones(u)]),
-            upper=np.concatenate([penalty * weights, hp.cu * np.ones(u)]),
-            sign=sign, classes=k, screened=screened,
-        ))
+        lin, upper = np.empty(H.shape[0]), np.empty(H.shape[0])
+        lin[:k], lin[k:] = 1.0, hp.epsilon - 1.0
+        upper[:k], upper[k:] = penalty * weights, hp.cu
+        planes.append(_Plane(M=M, ridge=ridge, H=H, lin=lin, upper=upper, sign=sign,
+                             classes=k, screened=screened))
     return planes[0], planes[1]
 
 
 def _check_direction(w: np.ndarray, which: str, error=TrainingError) -> None:
     """Reject a plane with no direction: every distance to it divides by ||w||."""
-    if float(np.linalg.norm(w)) < DEGENERATE_NORM:
+    # math.sqrt(w @ w) is np.linalg.norm's own computation for a float64 vector
+    if math.sqrt(w @ w) < DEGENERATE_NORM:
         raise error(f"degenerate plane {which}: ||w|| < {DEGENERATE_NORM}")
 
 
@@ -385,6 +390,9 @@ def _fit(kind: str, train: Dataset, hp: Hyperparams, key: tuple, prepare,
     stages = stages if stages is not None else FitStages()
     with _one_blas_thread:
         blocks = stages.blocks(train, (kind, hp.kernel, *key), prepare)
+        for which, weights in enumerate(blocks.weights, start=1):
+            if not weights.any():  # z = 0 solves its dual (module docstring)
+                raise TrainingError(f"degenerate plane {which}: ||w|| < {DEGENERATE_NORM}")
         (z1, sol1, _), (z2, sol2, bound2) = [
             _solve(stages, i, plane) for i, plane in enumerate(_planes(blocks, hp, kind))]
         w1, b1 = _split_coefficients(z1, "1")
@@ -459,31 +467,45 @@ def duality_gaps(model: TwinModel, train: Dataset) -> tuple[float, float]:
     return gap1, gap2
 
 
+def map_rows(model: TwinModel, x: np.ndarray) -> np.ndarray:
+    """What the planes read of x: its rows in linear mode, else their Gram rows
+    against the reference, which every fit on one set and kernel shares."""
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if X.shape[1] != model.n_features:
+        raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
+    if model.mode == "kernel":
+        return gram_values(X, model.reference, model.hyperparams.kernel)
+    return X
+
+
+def mapped_distances(model: TwinModel, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance of each mapped row (see map_rows) to each plane, |f_i(x)| / ||w_i||."""
+    return tuple(np.abs(Phi @ w + b) / math.sqrt(w @ w)
+                 for w, b in ((model.w1, model.b1), (model.w2, model.b2)))
+
+
+def mapped_labels(model: TwinModel, Phi: np.ndarray) -> np.ndarray:
+    """Label of the nearer plane per mapped row; ties resolve to +1 (the minority class)."""
+    d1, d2 = mapped_distances(model, Phi)
+    return np.where(d1 <= d2, 1, -1).astype(np.int64)
+
+
 def decision_distances(model: TwinModel, x: np.ndarray):
     """Distance of x to each plane, |f_i(x)| / ||w_i||.
 
     Accepts a single sample (returns two floats) or a matrix (returns two
     arrays).
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
-    Phi = gram_values(X, model.reference, model.hyperparams.kernel) \
-        if model.mode == "kernel" else X
-    d1 = np.abs(Phi @ model.w1 + model.b1) / float(np.linalg.norm(model.w1))
-    d2 = np.abs(Phi @ model.w2 + model.b2) / float(np.linalg.norm(model.w2))
-    if single:
+    d1, d2 = mapped_distances(model, map_rows(model, x))
+    if np.ndim(x) == 1:
         return float(d1[0]), float(d2[0])
     return d1, d2
 
 
 def predict(model: TwinModel, x: np.ndarray):
     """Label of the nearer plane; ties resolve to +1 (the minority class)."""
-    d1, d2 = decision_distances(model, x)
-    labels = np.where(d1 <= d2, 1, -1).astype(np.int64)
-    return int(labels) if labels.ndim == 0 else labels
+    labels = mapped_labels(model, map_rows(model, x))
+    return int(labels[0]) if np.ndim(x) == 1 else labels
 
 
 # ---------------------------------------------------------------------------

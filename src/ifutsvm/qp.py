@@ -13,6 +13,10 @@ residual
 
     max_i | clip(z_i - g_i, 0, upper_i) - z_i |,   g = Qz - c.
 
+After each sweep the test reads one coordinate, the last vector's argmax:
+while it exceeds the tolerance, so does the maximum.  Once it passes, the
+vector is formed and a passing maximum is confirmed on a fresh Qz.
+
 The sweep is a Python loop over coordinates, so its cost is per-coordinate
 overhead: it reads and writes z and q through memoryviews, and updates q
 with one multiply and one add per moved coordinate (the same two roundings
@@ -116,9 +120,9 @@ class BoxQP:
             raise ValueError("the linear term must be a vector that matches Q")
         if upper.shape != (k,):
             raise ValueError("upper bounds must match the linear term")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(upper))):
+        if not (np.isfinite(c).all() and np.isfinite(upper).all()):
             raise NonFiniteError("Q, c and upper must be finite")
-        if np.any(upper < 0):
+        if (upper < 0).any():
             raise ValueError("upper bounds must be nonnegative")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "upper", upper)
@@ -136,12 +140,17 @@ class QPSolution:
     iterations: int
 
 
-def _kkt_residual(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
-    """KKT residual of z given q = Q @ z."""
-    # np.clip and np.max spelled as the ufuncs they wrap: the same bits, less call overhead
+def _residuals(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-coordinate KKT residuals of z given q = Q @ z."""
+    # np.clip spelled as the ufuncs it wraps: the same bits, less call overhead
     r = np.minimum(np.maximum(z - (q - problem.c), 0.0), problem.upper)
     r -= z
-    return float(np.maximum.reduce(np.abs(r, out=r), initial=0.0))
+    return np.abs(r, out=r)
+
+
+def _kkt_residual(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
+    """KKT residual of z given q = Q @ z."""
+    return float(np.maximum.reduce(_residuals(problem, z, q), initial=0.0))
 
 
 def kkt_residual(problem: BoxQP, z: np.ndarray) -> float:
@@ -233,16 +242,23 @@ def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
     if problem.size == 0:
         return QPSolution(np.zeros(0), 0.0, 0.0, 0)
 
-    Q = problem.Q
+    Q, c, upper = problem.Q, problem.c.tolist(), problem.upper.tolist()
     sweep = _sweeper(problem)
     z = np.zeros(problem.size)
     q = np.zeros(problem.size)  # running Q @ z
+    worst = 0  # argmax of the last residual vector
     for it in range(1, max_iter + 1):
         sweep(z, q)
         if it % _POLISH_EVERY == 0:
             q = Q @ z  # refresh the incrementally tracked gradient
             z, q = _active_set_polish(problem, z, q)
-        if _kkt_residual(problem, z, q) <= tol:
+        # the vector's float operations on one coordinate; a NaN falls through
+        zi = z.item(worst)
+        if abs(min(max(zi - (q.item(worst) - c[worst]), 0.0), upper[worst]) - zi) > tol:
+            continue
+        r = _residuals(problem, z, q)
+        worst = int(r.argmax())
+        if np.maximum.reduce(r, initial=0.0) <= tol:
             # confirm against a freshly computed gradient before reporting
             q = Q @ z
             resid = _kkt_residual(problem, z, q)

@@ -4,7 +4,9 @@ gaussian and score are the scalar forms of the Gaussian kernel and of the
 fuzzy score, one value at a time: the references for
 ifutsvm.kernels.gram_values and ifutsvm.membership.score_vector.
 scalar_cyclic_sweep is the box-QP sweep written as a plain scalar loop, the
-reference the vectorised sweep in ifutsvm.qp must match bit for bit.  The
+reference the vectorised sweep in ifutsvm.qp must match bit for bit, and
+full_check_box_qp is the solver loop with the full KKT vector formed after
+every sweep, the reference for the solver's one-coordinate test.  The
 box-QP oracle never touches the solver's update algebra: it only
 evaluates the objective on grid candidates.  For k <= 2 it enumerates the
 full 0.001-step grid; for larger k it alternates exhaustive single-coordinate
@@ -96,6 +98,37 @@ def scalar_cyclic_sweep(Q, c, upper, z, q, diag_floor=1e-12):
             z[i] = zi
             for j in range(k):
                 q[j] += delta * Q[j, i]
+
+
+def full_check_box_qp(problem, sweeper, polish, polish_every, tol, max_iter):
+    """Solve a box QP with the given sweep and polish, forming the full KKT
+    residual max_i |clip(z_i - (q_i - c_i), 0, u_i) - z_i| after every sweep
+    and confirming a passing one on a fresh q = Q z.
+
+    Returns (converged, z, objective, residual, sweeps), the last iterate's
+    when max_iter sweeps do not converge.
+    """
+    Q, c, upper = problem.Q, problem.c, problem.upper
+
+    def residual(z, q):
+        return float(np.max(np.abs(np.clip(z - (q - c), 0.0, upper) - z), initial=0.0))
+
+    def objective(z, q):
+        return float(c @ z - 0.5 * (z @ q))
+
+    sweep = sweeper(problem)
+    z, q = np.zeros(c.size), np.zeros(c.size)
+    for it in range(1, max_iter + 1):
+        sweep(z, q)
+        if it % polish_every == 0:
+            q = Q @ z
+            z, q = polish(problem, z, q)
+        if residual(z, q) <= tol:
+            q = Q @ z
+            if residual(z, q) <= tol:
+                return True, z, objective(z, q), residual(z, q), it
+    q = Q @ z
+    return False, z, objective(z, q), residual(z, q), max_iter
 
 
 def random_box_qp(rng):

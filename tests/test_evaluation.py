@@ -380,6 +380,30 @@ class TestStagedGridSearch:
         if grid.width is not None and 0.5 in grid.width:
             assert any("TrainingError" in f for row in table for f in row["flags"])
 
+    def test_each_validation_fold_is_mapped_once_per_fold_and_width(self, monkeypatch):
+        # the Gram rows of a validation fold against its training rows are
+        # evaluated once per (fold, width) that trains, not once per fold fit;
+        # width 0.5 collapses the scores of some folds, so they never train
+        maps = []
+        gram = models.gram_values
+
+        def spy(A, B, spec):
+            if A.shape[0] < B.shape[0]:  # a fit's blocks stack at least B's rows
+                maps.append((A.shape[0], B.shape[0], spec.width))
+            return gram(A, B, spec)
+
+        monkeypatch.setattr(models, "gram_values", spy)
+        ds, k, seed = make_blobs(10, 40, seed=2, d=5), 3, 4
+        grid = GridSpec(c1=(10.0, 0.1), c3=(1.0, 0.01), cu=(0.1, 1.0), epsilon=(0.1, 0.5),
+                        width=(2.0, 0.5))
+        _, table = grid_search_cv(ds, "ifutsvm-id", grid, k=k, seed=seed)
+        folds = stratified_kfold(ds, k, mix_seed(seed, "folds"))
+        trained = {(row["width"], j) for row in table
+                   for j, acc in enumerate(row["fold_accuracies"]) if acc is not None}
+        assert 0 < len(trained) < k * len(grid.width)
+        assert sorted(maps) == sorted((folds[j][1].size, folds[j][0].size, width)
+                                      for width, j in trained)
+
     def test_shared_memo_fits_are_bit_identical(self, blobs):
         # two training sets with one seed: only the set tells their stages apart
         sets = (blobs(8, 30, seed=11), blobs(8, 30, seed=12))

@@ -146,6 +146,18 @@ def reference_twin_svm(train, plan, hp):
     return z1, z2
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The names of the Hessian, factor and solve stages a fit called, in order."""
+    calls = []
+    for name in ("_hessian", "spd_factor", "solve_box_qp"):
+        def spy(*args, _name=name, _original=getattr(models, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(models, name, spy)
+    return calls
+
+
 class TestFitIFUTSVM:
     def test_all_ones_scores_and_zero_cu_reduce_to_twin_svm(self, blobs):
         ds = blobs(6, 16, seed=3)
@@ -261,14 +273,46 @@ class TestFitIFUTSVM:
         with pytest.raises(TrainingError, match="degenerate"):
             fit_ifutsvm_id(Dataset("z", X, y), Hyperparams(**HP, seed=0))
 
-    def test_collapsed_minority_scores_leave_plane_2_degenerate(self):
+    def test_collapsed_minority_scores_leave_plane_2_degenerate(self, solver_calls):
         # at width 0.5 every minority fuzzy score of this set is 0, so plane 2
-        # has no class multiplier left and its w vanishes
+        # has no class multiplier left and its w vanishes: the fit says so
+        # before any Hessian or solve (TestZeroWeightPlanes)
         hp = Hyperparams(**HP, kernel=KernelSpec(0.5))
         assert not np.any(assign_scores(KEEL_SHAPED, hp.kernel, hp.fuzzy).s1 > 0)
         with pytest.raises(TrainingError) as info:
             fit_ifutsvm_id(KEEL_SHAPED, hp)
         assert str(info.value) == "degenerate plane 2: ||w|| < 1e-12"
+        assert solver_calls == []
+
+
+class TestZeroWeightPlanes:
+    """A plane whose class weights are all zero fails at the prepared blocks,
+    before any Hessian, factor or solve, with the text its solve would end in
+    (plane 2: TestFitIFUTSVM's collapsed-scores test)."""
+
+    @pytest.mark.parametrize("zeroed", [("s2",), ("s1", "s2")], ids=["plane-1", "both"])
+    def test_plane_1_is_checked_first(self, monkeypatch, solver_calls, zeroed):
+        def zero_scores(*args, **kwargs):
+            sw = assign_scores(*args, **kwargs)
+            return dataclasses.replace(sw, **{name: np.zeros_like(getattr(sw, name))
+                                              for name in zeroed})
+        monkeypatch.setattr(models, "assign_scores", zero_scores)
+        with pytest.raises(TrainingError) as info:
+            fit_ifutsvm_id(KEEL_SHAPED, Hyperparams(**HP, kernel=KernelSpec(2.0)))
+        assert str(info.value) == "degenerate plane 1: ||w|| < 1e-12"
+        assert solver_calls == []
+
+    @pytest.mark.parametrize("cu, epsilon", [(0.0, 0.1), (0.01, 0.5), (100.0, 0.9)])
+    def test_the_solve_it_skips_ends_at_zero(self, cu, epsilon):
+        # what the early exit stands for: z = 0 after one sweep, so w = 0
+        hp = Hyperparams(**{**HP, "cu": cu, "epsilon": epsilon}, kernel=KernelSpec(0.5))
+        blocks = _blocks(KEEL_SHAPED, hp.kernel, plan=build_plan(KEEL_SHAPED, hp.seed),
+                         scores=assign_scores(KEEL_SHAPED, hp.kernel, hp.fuzzy))
+        plane = _planes(blocks, hp, "ifutsvm-id")[1]
+        fac = cho_factor(plane.M.T @ plane.M + plane.ridge * np.eye(plane.M.shape[1]))
+        Q = plane.H @ cho_solve(fac, plane.H.T)
+        sol = solve_box_qp(BoxQP(0.5 * (Q + Q.T), plane.lin, plane.upper))
+        assert not sol.z.any() and sol.iterations == 1 and sol.kkt_residual == 0.0
 
 
 class TestOneGramPerPrepare:
@@ -790,8 +834,11 @@ class TestOneBlasThread:
         assert blas_counts() == start_counts
 
     def test_restored_after_a_fit_that_raises(self, start_counts, counts_in_solves):
-        with pytest.raises(TrainingError, match="degenerate plane 2"):
-            fit_ifutsvm_id(KEEL_SHAPED, Hyperparams(**HP, kernel=KernelSpec(0.5)))
+        # all-zero features leave w = 0 after both solves; collapsed scores
+        # would raise before any solve (TestZeroWeightPlanes)
+        X, y = np.zeros((8, 2)), np.array([1, 1] + [-1] * 6)
+        with pytest.raises(TrainingError, match="degenerate plane 1"):
+            fit_ifutsvm_id(Dataset("z", X, y), Hyperparams(**HP, seed=0))
         assert counts_in_solves  # it raised after the solves, inside the scope
         assert blas_counts() == start_counts
 

@@ -7,7 +7,8 @@ from ifutsvm import (BoxQP, FactorizationError, NonConvergenceError, NumericalEr
                      solve_box_qp)
 from ifutsvm.qp import NonFiniteError, kkt_residual, spd_factor
 
-from oracle_utils import grid_box_qp_oracle, random_box_qp, scalar_cyclic_sweep
+from oracle_utils import (full_check_box_qp, grid_box_qp_oracle, random_box_qp,
+                          scalar_cyclic_sweep)
 
 
 class TestSolveBoxQP:
@@ -173,6 +174,19 @@ def solution_bits(problem, max_iter):
             sol.iterations)
 
 
+SWEEP_CASES = pytest.mark.parametrize("k, rank, zero_box_share, asymmetry, max_iter, seed", [
+    (6, 6, 0.0, 0.0, 10_000, 10),
+    (40, 40, 0.0, 0.0, 10_000, 11),
+    (40, 5, 0.0, 0.0, 300, 12),
+    (60, 20, 0.3, 0.0, 300, 13),
+    (30, 30, 1.0, 0.0, 10_000, 14),
+    (50, 12, 0.2, 1e-13, 15, 15),
+    (200, 141, 0.0, 0.0, 40, 16),
+    (220, 141, 0.2, 1e-13, 15, 17),
+], ids=["small", "full-rank", "rank-deficient", "zero-boxes", "all-boxes-zero",
+        "near-symmetric", "keel-size", "keel-size-near-symmetric"])
+
+
 class TestVectorisedSweep:
     """The numpy sweep must reproduce the scalar loop bit for bit.
 
@@ -181,17 +195,7 @@ class TestVectorisedSweep:
     there the returned z is the sweeps' own output.
     """
 
-    @pytest.mark.parametrize("k, rank, zero_box_share, asymmetry, max_iter, seed", [
-        (6, 6, 0.0, 0.0, 10_000, 10),
-        (40, 40, 0.0, 0.0, 10_000, 11),
-        (40, 5, 0.0, 0.0, 300, 12),
-        (60, 20, 0.3, 0.0, 300, 13),
-        (30, 30, 1.0, 0.0, 10_000, 14),
-        (50, 12, 0.2, 1e-13, 15, 15),
-        (200, 141, 0.0, 0.0, 40, 16),
-        (220, 141, 0.2, 1e-13, 15, 17),
-    ], ids=["small", "full-rank", "rank-deficient", "zero-boxes", "all-boxes-zero",
-            "near-symmetric", "keel-size", "keel-size-near-symmetric"])
+    @SWEEP_CASES
     def test_matches_scalar_loop(self, monkeypatch, k, rank, zero_box_share, asymmetry,
                                  max_iter, seed):
         problem = psd_box_qp(np.random.default_rng(seed), k, rank, zero_box_share,
@@ -219,6 +223,50 @@ class TestVectorisedSweep:
         monkeypatch.setattr(qp, "_sweeper", scalar_sweeper)
         assert [solution_bits(p, max_iter) for p in problems] == fast
         assert swept == problems
+
+
+class TestOneCoordinateProbe:
+    """The convergence test reads one coordinate until it can pass; everything
+    the solver reports must equal a full KKT check after every sweep."""
+
+    @staticmethod
+    def assert_matches(problems, max_iter):
+        for problem in problems:
+            converged, z, objective, residual, sweeps = full_check_box_qp(
+                problem, qp._sweeper, qp._active_set_polish, qp._POLISH_EVERY,
+                qp.DEFAULT_TOL, max_iter)
+            assert solution_bits(problem, max_iter) == (
+                converged, z.tobytes(), objective.hex(), residual.hex(), sweeps)
+
+    @SWEEP_CASES
+    def test_matches_a_full_check_after_every_sweep(self, k, rank, zero_box_share,
+                                                    asymmetry, max_iter, seed):
+        problem = psd_box_qp(np.random.default_rng(seed), k, rank, zero_box_share,
+                             asymmetry)
+        self.assert_matches([problem], max_iter)
+
+    @pytest.mark.parametrize("max_iter", [10_000, 1, 7, 33], ids=lambda n: f"max_iter={n}")
+    def test_random_rank_deficient_and_zero_box_problems(self, max_iter):
+        rng = np.random.default_rng(19)
+        problems = [BoxQP(*psd_box_qp_with_zero_rows(rng)) for _ in range(10)]
+        for _ in range(30):
+            k = int(rng.integers(1, 40))
+            problems.append(psd_box_qp(rng, k, int(rng.integers(1, k + 1)),
+                                       zero_box_share=float(rng.choice([0.0, 0.3, 1.0]))))
+        self.assert_matches(problems, max_iter)
+
+    def test_full_check_runs_on_fewer_sweeps_than_were_run(self, monkeypatch):
+        checks = []
+        residuals = qp._residuals
+
+        def counted(*args):
+            checks.append(1)
+            return residuals(*args)
+
+        monkeypatch.setattr(qp, "_residuals", counted)
+        problem = psd_box_qp(np.random.default_rng(11), 40, 5)  # rank-deficient
+        converged, *_, sweeps = solution_bits(problem, 10_000)
+        assert converged and sweeps > 100 and len(checks) < sweeps / 10
 
 
 class TestWithBounds:

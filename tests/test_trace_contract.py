@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ifutsvm import Hyperparams, KernelSpec, evaluation, fit_ifutsvm_id
+from ifutsvm import GridSpec, Hyperparams, KernelSpec, evaluation, fit_ifutsvm_id
 
 from conftest import make_blobs
 
@@ -54,3 +54,17 @@ def test_fit_model_spans_of_both_kinds(tmp_path, kind):
     else:
         expected |= {("membership.scores", "models.fit"), ("sampling.plan", "models.fit")}
     assert expected <= parents
+
+
+def test_search_maps_validation_folds_through_the_traced_gram(tmp_path):
+    # a kernel search maps each validation fold itself, outside any fit, and
+    # that Gram evaluation must still be seen as kernels.gram
+    rec, patches = tracing.Recorder(tmp_path), tracing.Patches()
+    tracing.install(rec, patches)
+    try:
+        grid = GridSpec(c1=(1.0,), c3=(0.1,), cu=(0.1, 1.0), epsilon=(0.1,), width=(1.0, 4.0))
+        evaluation.grid_search_cv(make_blobs(8, 24, seed=0), "ifutsvm-id", grid, k=2, seed=0)
+    finally:
+        patches.restore()
+    assert any(span["name"] == "kernels.gram" and span["parent"] == "evaluation.cv"
+               for span in rec.spans)
