@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 
 from .data import Dataset
 from .kernels import KernelSpec, gram_values
@@ -115,7 +115,8 @@ def _resolve_rho(dists: np.ndarray, params: FuzzyParams) -> float:
     if params.rho is not None:
         return params.rho
     # _geometry guarantees two nonempty classes, so there is at least one pair
-    return float(np.median(dists[np.triu_indices(dists.shape[0], k=1)]))
+    # the condensed vector: the strict upper triangle, row by row
+    return float(np.median(squareform(dists, checks=False)))
 
 
 def _nonmemberships(labels: np.ndarray, dists: np.ndarray, rho: float,

@@ -17,6 +17,15 @@ After each sweep the test reads one coordinate, the last vector's argmax:
 while it exceeds the tolerance, so does the maximum.  Once it passes, the
 vector is formed and a passing maximum is confirmed on a fresh Qz.
 
+Sweeps find the active face fast and then crawl along it, so the solver
+finishes on the face (More & Toraldo, SIAM J. Optim. 1991): a sweep that
+fails the test classifies each coordinate as at 0, at its upper bound or
+free, and when that pattern equals the previous sweep's and has not been
+refined before in this solve, the free block is solved exactly, by Cholesky
+with a least-squares fallback for a singular block.  The step is clipped to
+the box and kept only if the objective rises, and a kept step is tested at
+once, so a dual the refinement solves returns in that sweep.
+
 The sweep is a Python loop over coordinates, so its cost is per-coordinate
 overhead: it reads and writes z and q through memoryviews, and updates q
 with one multiply and one add per moved coordinate (the same two roundings
@@ -39,10 +48,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
-_POLISH_EVERY = 16  # sweeps between active-set refinement attempts
 DIAG_FLOOR = 1e-12
 
 
@@ -198,30 +207,37 @@ def _sweeper(problem: BoxQP):
     return sweep
 
 
-def _active_set_polish(problem: BoxQP, z: np.ndarray, q: np.ndarray):
-    """Newton step on the currently free coordinates, kept only if it ascends.
+def _active_set_polish(problem: BoxQP, z: np.ndarray, q: np.ndarray, free: np.ndarray):
+    """Newton step on the free coordinates, kept only if it ascends.
 
     Cyclic sweeps identify the active set quickly but crawl along
     ill-conditioned valleys; solving the free block exactly jumps to its
-    optimum.  The step is clipped to the box and accepted only when the
-    objective improves, so the monotone-ascent invariant survives.
+    optimum.  The block is solved by Cholesky (LAPACK potrf/potrs); a
+    non-positive pivot means it is singular, as a linear-mode block with more
+    than n + 1 free coordinates is, and then the min-norm least-squares
+    solution is taken instead, since a plain solve would blow up along the
+    null space and always be rejected.  The step is clipped to the box and
+    accepted only when the objective improves, so the monotone-ascent
+    invariant survives.  q must be Q @ z.
     """
-    Q, c, upper = problem.Q, problem.c, problem.upper
-    margin = 1e-10 * (1.0 + upper)
-    free = (z > margin) & (z < upper - margin)
-    if not np.any(free):
-        return z, q
     idx = np.flatnonzero(free)
-    rest = np.flatnonzero(~free)
-    rhs = c[idx] - (Q[np.ix_(idx, rest)] @ z[rest] if rest.size else 0.0)
-    Qff = Q[np.ix_(idx, idx)]
-    # min-norm least squares: the duals are often rank-deficient (Q has the
-    # rank of the proximal block), so a plain solve would blow up along the
-    # null space and always be rejected
-    try:
-        z_free, *_ = np.linalg.lstsq(Qff, rhs, rcond=None)
-    except np.linalg.LinAlgError:
+    if not idx.size:
         return z, q
+    Q, c, upper = problem.Q, problem.c, problem.upper
+    rows = Q.take(idx, 0)
+    bound = z.copy()
+    bound[idx] = 0.0
+    rhs = c[idx] - rows @ bound
+    Qff = rows.take(idx, 1)
+    # LAPACK reads the C-ordered block as its transpose, the same symmetric matrix
+    chol, info = dpotrf(Qff, lower=1, clean=0)
+    if info == 0:
+        z_free, _ = dpotrs(chol, rhs, lower=1)
+    else:
+        try:
+            z_free = np.linalg.lstsq(Qff, rhs, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            return z, q
     cand = z.copy()
     cand[idx] = np.clip(z_free, 0.0, upper[idx])
     q_cand = Q @ cand
@@ -244,26 +260,48 @@ def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
 
     Q, c, upper = problem.Q, problem.c.tolist(), problem.upper.tolist()
     sweep = _sweeper(problem)
+    # a coordinate within margin of a bound is at it, every other one is free
+    margin = 1e-10 * (1.0 + problem.upper)
+    below_top = problem.upper - margin
     z = np.zeros(problem.size)
     q = np.zeros(problem.size)  # running Q @ z
     worst = 0  # argmax of the last residual vector
-    for it in range(1, max_iter + 1):
-        sweep(z, q)
-        if it % _POLISH_EVERY == 0:
-            q = Q @ z  # refresh the incrementally tracked gradient
-            z, q = _active_set_polish(problem, z, q)
+
+    def certify(z, q):
+        """(q, residual): the residual on a fresh q = Q z once z passes, else None."""
+        nonlocal worst
         # the vector's float operations on one coordinate; a NaN falls through
         zi = z.item(worst)
         if abs(min(max(zi - (q.item(worst) - c[worst]), 0.0), upper[worst]) - zi) > tol:
-            continue
+            return q, None
         r = _residuals(problem, z, q)
         worst = int(r.argmax())
-        if np.maximum.reduce(r, initial=0.0) <= tol:
-            # confirm against a freshly computed gradient before reporting
-            q = Q @ z
-            resid = _kkt_residual(problem, z, q)
-            if resid <= tol:
-                return QPSolution(z, _objective(problem, z, q), resid, it)
+        if not np.maximum.reduce(r, initial=0.0) <= tol:
+            return q, None
+        q = Q @ z  # confirm against a freshly computed gradient before reporting
+        resid = _kkt_residual(problem, z, q)
+        return q, (resid if resid <= tol else None)
+
+    last, refined = None, set()  # the previous sweep's pattern, the refined ones
+    for it in range(1, max_iter + 1):
+        sweep(z, q)
+        q, resid = certify(z, q)
+        if resid is not None:
+            return QPSolution(z, _objective(problem, z, q), resid, it)
+        # each coordinate is at 0, at its upper bound or free
+        off_zero = z > margin
+        free = off_zero & (z < below_top)
+        pattern = off_zero.tobytes() + free.tobytes()
+        if pattern == last and pattern not in refined:
+            refined.add(pattern)
+            q = Q @ z  # refresh the incrementally tracked gradient
+            polished, q = _active_set_polish(problem, z, q, free)
+            if polished is not z:
+                z = polished
+                q, resid = certify(z, q)
+                if resid is not None:
+                    return QPSolution(z, _objective(problem, z, q), resid, it)
+        last = pattern
     q = Q @ z
     resid = _kkt_residual(problem, z, q)
     raise NonConvergenceError(QPSolution(z, _objective(problem, z, q), resid, max_iter))

@@ -37,15 +37,19 @@ modes compare two checkouts fit by fit:
 b1, b2, both dual objectives, w1 and w2 (or the failure text), and per search
 a hash of its CV table.  --compare prints how many fits are bit-identical,
 the worst relative coefficient difference (max |a - b| / max(|a|, |b|) over
-one plane's (w; b)), the worst relative dual-objective difference, every fit
-that trained on one side only, how many fits solved IFUTSVM-ID's plane-2 full
-dual after screening its universum rows and how many of those are
-bit-identical, and how many CV tables are identical.
+one plane's (w; b)) with the fit and plane it is in and that plane's box
+scale max(1, largest box bound), by which the models scale the solver
+tolerance (the fit is trained again to find it), the worst relative
+dual-objective difference, every fit that trained on one side only, how many
+fits solved IFUTSVM-ID's plane-2 full dual after screening its universum rows
+and how many of those are bit-identical, and how many CV tables are
+identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -62,6 +66,9 @@ from ifutsvm import (GridSpec, Hyperparams, KernelSpec, NumericalError, Training
                      grid_search_cv, save_model)
 from ifutsvm.evaluation import fit_model
 from ifutsvm.models import MODEL_KINDS, FitStages
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import _box_scales  # noqa: E402
 
 SEEDS = (0, 1, 2)
 SHAPES = ((12, 12), (12, 16), (8, 28))  # (m1, m2): balanced, top-up, imbalanced
@@ -109,12 +116,9 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def digest(seeds=SEEDS, points=POINTS, records=None) -> tuple[int, int, str]:
-    """(fits, failures, SHA-256 hex) over the fits of the given seeds and points;
-    each fit's `_record` or failure text goes into `records` when given."""
-    h = hashlib.sha256()
-    fits = failures = 0
-    records = {} if records is None else records
+def _fits(seeds=SEEDS, points=POINTS):
+    """(key, train, fit) of each digest fit, in digest order; fit() trains it.
+    The fits of one variant share one stage memo."""
     for seed, (m1, m2), kernel, delta in itertools.product(seeds, SHAPES, KERNELS, DELTAS):
         train = make_blobs(m1, m2, seed=seed, d=3, gap=2.0)
         universum = generate_universum(train, max(m2 - m1, 4), seed=seed + 7)[0]
@@ -125,19 +129,29 @@ def digest(seeds=SEEDS, points=POINTS, records=None) -> tuple[int, int, str]:
             for c1, c3, cu, eps in points:
                 hp = Hyperparams(c1=c1, c2=c1, c3=c3, c4=c3, cu=cu, epsilon=eps,
                                  kernel=kernel, delta=delta, seed=seed)
-                fits += 1
                 key = repr((seed, m1, m2, kernel, delta, kind, univ is None, uniform,
                             c1, c3, cu, eps))
-                h.update(key.encode())
-                try:
-                    model = _fit(kind, train, hp, univ, uniform, stages)
-                except (NumericalError, TrainingError) as exc:
-                    failures += 1
-                    records[key] = f"{type(exc).__name__}: {exc}"
-                    h.update(records[key].encode())
-                    continue
-                records[key] = _record(model)
-                _update(h, model, train)
+                yield key, train, functools.partial(_fit, kind, train, hp, univ, uniform, stages)
+
+
+def digest(seeds=SEEDS, points=POINTS, records=None) -> tuple[int, int, str]:
+    """(fits, failures, SHA-256 hex) over the fits of the given seeds and points;
+    each fit's `_record` or failure text goes into `records` when given."""
+    h = hashlib.sha256()
+    fits = failures = 0
+    records = {} if records is None else records
+    for key, train, fit in _fits(seeds, points):
+        fits += 1
+        h.update(key.encode())
+        try:
+            model = fit()
+        except (NumericalError, TrainingError) as exc:
+            failures += 1
+            records[key] = f"{type(exc).__name__}: {exc}"
+            h.update(records[key].encode())
+            continue
+        records[key] = _record(model)
+        _update(h, model, train)
     return fits, failures, h.hexdigest()
 
 
@@ -162,6 +176,15 @@ def _update(h, model, train) -> None:
         h.update(path.read_bytes())
 
 
+def _searches():
+    """(fields, kind, train, search) of each search, in digest order; search()
+    returns grid_search_cv's (selected point, CV table)."""
+    for (m1, m2, seed), grid, kind in itertools.product(SEARCH_SETS, SEARCH_GRIDS, MODEL_KINDS):
+        train = make_blobs(m1, m2, seed=seed, d=3, gap=2.0)
+        yield ((m1, m2, seed, kind, grid), kind, train,
+               functools.partial(grid_search_cv, train, kind, grid, SEARCH_FOLDS, seed))
+
+
 def search_digest(records=None) -> tuple[int, int, str]:
     """(searches, failed fold fits, SHA-256 hex) over the search section; each
     refit's `_record` or failure text, and each CV table's SHA-256, go into
@@ -169,23 +192,32 @@ def search_digest(records=None) -> tuple[int, int, str]:
     h = hashlib.sha256()
     searches = failures = 0
     records = {} if records is None else records
-    for (m1, m2, seed), grid, kind in itertools.product(SEARCH_SETS, SEARCH_GRIDS, MODEL_KINDS):
-        train = make_blobs(m1, m2, seed=seed, d=3, gap=2.0)
-        hp, table = grid_search_cv(train, kind, grid, SEARCH_FOLDS, seed)
+    for fields, kind, train, search in _searches():
+        hp, table = search()
         searches += 1
         failures += sum(a is None for row in table for a in row["fold_accuracies"])
-        search = repr((m1, m2, seed, kind, grid))
-        records[f"table {search}"] = hashlib.sha256(repr((hp, table)).encode()).hexdigest()
-        h.update(repr((m1, m2, seed, kind, grid, hp, table)).encode())
+        records[f"table {fields!r}"] = hashlib.sha256(repr((hp, table)).encode()).hexdigest()
+        h.update(repr((*fields, hp, table)).encode())
         try:
             model = fit_model(kind, train, hp)
         except (NumericalError, TrainingError) as exc:
-            records[f"refit {search}"] = f"{type(exc).__name__}: {exc}"
-            h.update(records[f"refit {search}"].encode())
+            records[f"refit {fields!r}"] = f"{type(exc).__name__}: {exc}"
+            h.update(records[f"refit {fields!r}"].encode())
             continue
-        records[f"refit {search}"] = _record(model)
+        records[f"refit {fields!r}"] = _record(model)
         _update(h, model, train)
     return searches, failures, h.hexdigest()
+
+
+def _refit(key: str):
+    """The model of one fit or search refit of the digest, trained again."""
+    for name, _, fit in _fits():
+        if name == key:
+            return fit()
+    for fields, kind, train, search in _searches():
+        if key == f"refit {fields!r}":
+            return fit_model(kind, train, search()[0])
+    raise KeyError(key)
 
 
 def _relative(a, b) -> float:
@@ -204,18 +236,22 @@ def compare(before: dict, after: dict) -> list[str]:
     one_side = [key for key in sorted(set(before) | set(after)) if not key.startswith("table ")
                 and isinstance(before.get(key), dict) != isinstance(after.get(key), dict)]
     coef = objective = 0.0
+    worst = None  # (key, plane) of the worst coefficient difference
     for key in trained:
         a, b = before[key], after[key]
         for plane in ("1", "2"):
-            coef = max(coef, _relative([*a["w" + plane], a["b" + plane]],
-                                       [*b["w" + plane], b["b" + plane]]))
+            diff = _relative([*a["w" + plane], a["b" + plane]], [*b["w" + plane], b["b" + plane]])
+            if diff > coef:
+                coef, worst = diff, (key, plane)
             name = "dual_objective_" + plane
             objective = max(objective, _relative(a[name], b[name]))
     identical = sum(_same(before[key], after.get(key)) for key in fits)
     bound = [key for key in trained if before[key]["universum_bound_2"]
              or after[key]["universum_bound_2"]]
     lines = [f"{identical} of {len(fits)} fits bit-identical ({len(trained)} trained on both)",
-             f"worst relative coefficient difference {coef:.3g}",
+             f"worst relative coefficient difference {coef:.3g}" + (
+                 f" in plane {worst[1]} of {worst[0]}, box scale "
+                 f"{_box_scales(_refit(worst[0]))[int(worst[1]) - 1]:.3g}" if worst else ""),
              f"worst relative dual-objective difference {objective:.3g}",
              f"{len(one_side)} fits trained on one side only"]
     lines += [f"  {key}: {'before' if isinstance(before.get(key), dict) else 'after'} only"

@@ -100,15 +100,20 @@ def scalar_cyclic_sweep(Q, c, upper, z, q, diag_floor=1e-12):
                 q[j] += delta * Q[j, i]
 
 
-def full_check_box_qp(problem, sweeper, polish, polish_every, tol, max_iter):
+def full_check_box_qp(problem, sweeper, polish, tol, max_iter):
     """Solve a box QP with the given sweep and polish, forming the full KKT
     residual max_i |clip(z_i - (q_i - c_i), 0, u_i) - z_i| after every sweep
-    and confirming a passing one on a fresh q = Q z.
+    and after every accepted polish step, and confirming a passing one on a
+    fresh q = Q z.  A sweep that fails the check classifies each coordinate
+    as at 0, at its upper bound or free (within 1e-10 (1 + u_i) of a bound);
+    when that pattern equals the previous sweep's and was not polished before,
+    the polish runs on the free coordinates with a fresh q.
 
     Returns (converged, z, objective, residual, sweeps), the last iterate's
     when max_iter sweeps do not converge.
     """
     Q, c, upper = problem.Q, problem.c, problem.upper
+    margin = 1e-10 * (1.0 + upper)
 
     def residual(z, q):
         return float(np.max(np.abs(np.clip(z - (q - c), 0.0, upper) - z), initial=0.0))
@@ -116,17 +121,31 @@ def full_check_box_qp(problem, sweeper, polish, polish_every, tol, max_iter):
     def objective(z, q):
         return float(c @ z - 0.5 * (z @ q))
 
-    sweep = sweeper(problem)
-    z, q = np.zeros(c.size), np.zeros(c.size)
-    for it in range(1, max_iter + 1):
-        sweep(z, q)
-        if it % polish_every == 0:
-            q = Q @ z
-            z, q = polish(problem, z, q)
+    def check(z, q):
         if residual(z, q) <= tol:
             q = Q @ z
-            if residual(z, q) <= tol:
-                return True, z, objective(z, q), residual(z, q), it
+            return residual(z, q) <= tol, q
+        return False, q
+
+    sweep = sweeper(problem)
+    z, q = np.zeros(c.size), np.zeros(c.size)
+    previous, polished = None, []
+    for it in range(1, max_iter + 1):
+        sweep(z, q)
+        converged, q = check(z, q)
+        if not converged:
+            state = np.select([z <= margin, z >= upper - margin], [0, 2], 1)
+            pattern = tuple(state.tolist())
+            if pattern == previous and pattern not in polished:
+                polished.append(pattern)
+                q = Q @ z
+                z_new, q = polish(problem, z, q, state == 1)
+                if z_new is not z:
+                    z = z_new
+                    converged, q = check(z, q)
+            previous = pattern
+        if converged:
+            return True, z, objective(z, q), residual(z, q), it
     q = Q @ z
     return False, z, objective(z, q), residual(z, q), max_iter
 

@@ -212,6 +212,21 @@ def test_fuzzy_invariants_random(seed, eta, rho):
     assert_array_equal(s, score_vector(theta, sigma))
 
 
+@given(st.integers(0, 10_000), st.integers(2, 120), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_default_rho_is_the_median_of_the_upper_triangle(seed, m, kernel):
+    from ifutsvm.membership import _geometry, _resolve_rho
+
+    rng = np.random.default_rng(seed)
+    n_pos = int(rng.integers(1, m))
+    X = rng.normal(size=(m, int(rng.integers(1, 8)))) * rng.uniform(0.1, 10.0)
+    ds = Dataset("rho", X, np.array([1] * n_pos + [-1] * (m - n_pos)))
+    kspec = KernelSpec(float(rng.uniform(0.2, 4.0))) if kernel else None
+    dists, _ = _geometry(ds, kspec)
+    expected = float(np.median(dists[np.triu_indices(m, k=1)]))
+    assert _resolve_rho(dists, FuzzyParams()).hex() == expected.hex()
+
+
 @pytest.mark.parametrize("kspec, calls", [(KernelSpec(1.0), 1), (None, 0)],
                          ids=["kernel", "linear"])
 def test_one_gram_per_scoring_call(monkeypatch, kspec, calls):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import sys
 import threading
 
@@ -595,6 +596,17 @@ class TestScreenedPlane2:
 def test_fit_boundaries_reject_what_they_cannot_use(call, error, message):
     with pytest.raises(error, match=message):
         call(make_blobs(6, 14, seed=0), Hyperparams(**HP, seed=0))
+
+
+def test_fit_digest_compare_names_the_worst_fit_and_its_box_scale():
+    # the third fit of the digest is a UTSVM fit at c1 = 100 without a universum
+    key, _, fit = list(itertools.islice(fit_digest._fits(), 3))[2]
+    assert "100.0" in key
+    record = fit_digest._record(fit())
+    moved = dict(record, b2=record["b2"] + 1.0)
+    worst = fit_digest.compare({key: record}, {key: moved})[1]
+    assert worst.startswith("worst relative coefficient difference ")
+    assert worst.endswith(f" in plane 2 of {key}, box scale 100")
 
 
 def test_fit_digest_subset_is_repeatable():

@@ -7,8 +7,8 @@ from ifutsvm import (BoxQP, FactorizationError, NonConvergenceError, NumericalEr
                      solve_box_qp)
 from ifutsvm.qp import NonFiniteError, kkt_residual, spd_factor
 
-from oracle_utils import (full_check_box_qp, grid_box_qp_oracle, random_box_qp,
-                          scalar_cyclic_sweep)
+from oracle_utils import (full_check_box_qp, grid_box_qp_oracle, qp_objective_rows,
+                          random_box_qp, scalar_cyclic_sweep)
 
 
 class TestSolveBoxQP:
@@ -190,9 +190,9 @@ SWEEP_CASES = pytest.mark.parametrize("k, rank, zero_box_share, asymmetry, max_i
 class TestVectorisedSweep:
     """The numpy sweep must reproduce the scalar loop bit for bit.
 
-    The active-set polish every 16 sweeps can land on the same point from
-    slightly different iterates, so the near-symmetric cases stop before it:
-    there the returned z is the sweeps' own output.
+    The active-set refinement runs as soon as a sweep leaves the bound pattern
+    unchanged, so most solves here end in a refinement step; the sweeps before
+    it must still match, or the pattern, the step and the sweep count differ.
     """
 
     @SWEEP_CASES
@@ -233,8 +233,7 @@ class TestOneCoordinateProbe:
     def assert_matches(problems, max_iter):
         for problem in problems:
             converged, z, objective, residual, sweeps = full_check_box_qp(
-                problem, qp._sweeper, qp._active_set_polish, qp._POLISH_EVERY,
-                qp.DEFAULT_TOL, max_iter)
+                problem, qp._sweeper, qp._active_set_polish, qp.DEFAULT_TOL, max_iter)
             assert solution_bits(problem, max_iter) == (
                 converged, z.tobytes(), objective.hex(), residual.hex(), sweeps)
 
@@ -267,6 +266,120 @@ class TestOneCoordinateProbe:
         problem = psd_box_qp(np.random.default_rng(11), 40, 5)  # rank-deficient
         converged, *_, sweeps = solution_bits(problem, 10_000)
         assert converged and sweeps > 100 and len(checks) < sweeps / 10
+
+
+class TestActiveSetRefinement:
+    """The free block is solved as soon as one sweep leaves the bound pattern
+    unchanged, once per pattern, by Cholesky unless the block is singular."""
+
+    @staticmethod
+    def spies(monkeypatch):
+        """Lists that collect one entry per sweep, (sweeps so far, pattern,
+        accepted) per refinement, and one entry per least-squares fallback."""
+        sweeps, refinements, fallbacks = [], [], []
+        sweeper, polish, lstsq = qp._sweeper, qp._active_set_polish, np.linalg.lstsq
+
+        def counted_sweeper(problem):
+            sweep = sweeper(problem)
+
+            def counted(z, q):
+                sweeps.append(1)
+                sweep(z, q)
+            return counted
+
+        def spy(problem, z, q, free):
+            margin = 1e-10 * (1.0 + problem.upper)
+            pattern = np.select([z <= margin, z >= problem.upper - margin], [0, 2], 1)
+            assert_array_equal(free, pattern == 1)
+            out = polish(problem, z, q, free)
+            refinements.append((len(sweeps), pattern.tobytes(), out[0] is not z))
+            return out
+
+        def counted_lstsq(*args, **kwargs):
+            fallbacks.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "_sweeper", counted_sweeper)
+        monkeypatch.setattr(qp, "_active_set_polish", spy)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        return sweeps, refinements, fallbacks
+
+    def test_a_settled_pattern_is_refined_at_once(self, monkeypatch):
+        # two nearly parallel coordinates: sweeps crawl along the valley, but
+        # both are free after the first sweep, so the second one refines
+        problem = BoxQP(np.array([[1.0, 0.999], [0.999, 1.0]]), np.ones(2), np.full(2, 10.0))
+        _, refinements, _ = self.spies(monkeypatch)
+        sol = solve_box_qp(problem)
+        assert [(n, accepted) for n, _, accepted in refinements] == [(2, True)]
+        assert sol.iterations == 2
+        assert_allclose(sol.z, np.full(2, 1.0 / 1.999), rtol=1e-12)
+
+    def test_solves_return_in_the_sweep_of_their_accepted_step(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        sweeps, refinements, _ = self.spies(monkeypatch)
+        for _ in range(10):
+            sweeps.clear()
+            refinements.clear()
+            sol = solve_box_qp(psd_box_qp(rng, 40, 40))
+            first, *_ = refinements
+            assert first[0] < 16
+            accepted = [n for n, _, ok in refinements if ok]
+            assert accepted and accepted[-1] == sol.iterations
+
+    def test_each_pattern_is_refined_at_most_once(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        _, refinements, _ = self.spies(monkeypatch)
+        for _ in range(10):
+            refinements.clear()
+            solve_box_qp(psd_box_qp(rng, 40, 5, zero_box_share=0.2), max_iter=2_000)
+            patterns = [pattern for _, pattern, _ in refinements]
+            assert len(set(patterns)) == len(patterns) > 0
+
+    def test_a_rejected_pattern_is_not_refined_again(self, monkeypatch):
+        # with every step rejected the sweeps must finish alone, on one pattern
+        calls = []
+        monkeypatch.setattr(qp, "_active_set_polish",
+                            lambda problem, z, q, free: calls.append(1) or (z, q))
+        problem = BoxQP(np.array([[1.0, 0.999], [0.999, 1.0]]), np.ones(2), np.full(2, 10.0))
+        sol = solve_box_qp(problem)
+        assert len(calls) == 1 and sol.iterations > 100
+
+    def test_positive_definite_blocks_never_take_least_squares(self, monkeypatch):
+        # every principal block of a positive-definite Q is positive definite
+        rng = np.random.default_rng(25)
+        _, refinements, fallbacks = self.spies(monkeypatch)
+        for _ in range(25):
+            Q, c, upper = random_box_qp(rng)
+            sol = solve_box_qp(BoxQP(Q, c, upper))
+            assert np.max(np.abs(sol.z - grid_box_qp_oracle(Q, c, upper))) <= 2e-3
+        assert refinements and not fallbacks
+
+    def test_singular_blocks_take_least_squares(self, monkeypatch):
+        # k > rank, as in linear mode: a block of more free coordinates than
+        # the rank is singular, and its z is not unique, so the oracle checks
+        # the objective
+        rng = np.random.default_rng(26)
+        *_, fallbacks = self.spies(monkeypatch)
+        for _ in range(8):
+            problem = psd_box_qp(rng, 8, 1)
+            problem = problem.with_bounds(np.abs(problem.c), problem.upper)
+            sol = solve_box_qp(problem)
+            z_ref = grid_box_qp_oracle(problem.Q, problem.c, problem.upper)
+            best = qp_objective_rows(z_ref[None, :], problem.Q, problem.c)[0]
+            assert np.all(sol.z >= 0.0) and np.all(sol.z <= problem.upper)
+            assert sol.kkt_residual <= 1e-6 and sol.objective >= best
+        assert fallbacks
+
+    def test_an_exactly_singular_block_takes_the_min_norm_step(self, monkeypatch):
+        # rows 0 and 1 are equal, so the factorization's second pivot is 0
+        Q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        problem = BoxQP(Q, np.ones(3), np.full(3, 5.0))
+        *_, fallbacks = self.spies(monkeypatch)
+        z = np.array([0.2, 0.1, 0.1])
+        polished, q = qp._active_set_polish(problem, z, Q @ z, np.ones(3, dtype=bool))
+        assert len(fallbacks) == 1
+        assert_allclose(polished, [0.5, 0.5, 0.5], rtol=1e-12)
+        assert_allclose(q, Q @ polished, rtol=1e-12)
 
 
 class TestWithBounds:
