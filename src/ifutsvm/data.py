@@ -8,10 +8,12 @@ the lexicographically smaller token), which keeps the +1 class the minority
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .kernels import sq_distances
 
 
 class DatasetError(ValueError):
@@ -51,6 +53,9 @@ class Dataset:
     name: str
     features: np.ndarray
     labels: np.ndarray
+    # (dataset, row indices) for a dataset made by `take`: its pairwise matrix
+    # is then a block of that dataset's
+    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -83,6 +88,28 @@ class Dataset:
     @cached_property
     def m2(self) -> int:
         return int(np.sum(self.labels == -1))
+
+    @cached_property
+    def pairwise_sq_dists(self) -> np.ndarray:
+        """Read-only m x m matrix of squared Euclidean distances between the
+        rows (`kernels.sq_distances`), evaluated at the first read and kept.
+
+        A dataset made by `take` reads its block of its source's matrix, row
+        then column, which holds the same bits as its own evaluation.
+        """
+        if self._source is None:
+            d2 = sq_distances(self.features, self.features)
+        else:
+            source, idx = self._source
+            d2 = source.pairwise_sq_dists[idx][:, idx]
+        d2.setflags(write=False)
+        return d2
+
+    def take(self, idx: np.ndarray, name: str) -> Dataset:
+        """The rows idx, named `name`; its pairwise matrix is this one's block."""
+        part = Dataset(name, self.features[idx], self.labels[idx])
+        object.__setattr__(part, "_source", (self, idx))
+        return part
 
     def positives(self) -> np.ndarray:
         return self.features[self.labels == 1]

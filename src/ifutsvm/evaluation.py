@@ -7,12 +7,14 @@ another order, width -> fold -> c3 -> c1 -> (cu, epsilon), so that each
 fold's fuzzy scores, sampling plan and Gram blocks are prepared once per
 width, its dual Hessians once per c3 and IFUTSVM-ID's plane-2 class-row dual
 solved once per c1; the validation rows of a (fold, width) are mapped once
-(kernel mode: their Gram rows).  Every fit still computes the same bits as a
-standalone fit, so the table does not depend on that order.  Rank
-aggregation uses average ranks with tie averaging (best accuracy = rank 1)
-and feeds the Friedman chi-square, its F-form correction, and the Nemenyi
-critical difference; both critical values are the alpha = 0.05 ones for the
-number of models and datasets (Demsar, JMLR 2006).
+(kernel mode: their Gram rows).  In linear mode the fuzzy scores read the
+search set's pairwise distances, evaluated once: each fold's training part
+takes its block, and the refit reads the matrix itself.  Every fit still
+computes the same bits as a standalone fit, so the table does not depend on
+that order.  Rank aggregation uses average ranks with tie averaging (best
+accuracy = rank 1) and feeds the Friedman chi-square, its F-form correction,
+and the Nemenyi critical difference; both critical values are the alpha =
+0.05 ones for the number of models and datasets (Demsar, JMLR 2006).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.special import fdtri
 
 from .data import Dataset, DatasetError
 from .kernels import KernelSpec
@@ -191,7 +192,8 @@ def fit_model(kind: str, train: Dataset, hp: Hyperparams, *, stages: FitStages |
 
 
 def _subset(ds: Dataset, idx: np.ndarray, tag: str) -> Dataset:
-    return Dataset(f"{ds.name}/{tag}", ds.features[idx], ds.labels[idx])
+    """Rows idx of ds; a linear-mode fit reads its distances as a block of ds's."""
+    return ds.take(idx, f"{ds.name}/{tag}")
 
 
 def _fold_score(kind: str, j: int, tr: Dataset, va: Dataset, hp: Hyperparams,
@@ -244,7 +246,9 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
     epsilon) points solve plane 1 each, and plane 2's full dual only where
     its universum binds.  A fold whose minority scores all collapse to zero
     fails before any Hessian (see models).  Each (fold, width) maps its
-    validation rows once, at its first point that trains.  UTSVM reads
+    validation rows once, at its first point that trains.  A training part
+    is a `Dataset.take` of `train`, so linear-mode scores read their pairwise
+    distances as blocks of `train`'s one matrix.  UTSVM reads
     neither c3 nor c4, so it fits the first c3 only and every other c3 row
     repeats that row's folds.  Every fold fit is still one call to
     `fit_model` and computes the same bits as a standalone fit.
@@ -352,6 +356,8 @@ NEMENYI_Q = {2: 1.960, 3: 2.343, 4: 2.569, 5: 2.728, 6: 2.850, 7: 2.949, 8: 3.03
 def friedman_f_critical(p: int, N: int) -> float:
     """The alpha = 0.05 critical value F(p - 1, (p - 1)(N - 1)) of the F form,
     for p >= 2 models and N >= 2 datasets."""
+    from scipy.special import fdtri  # only a statistics block loads scipy.special
+
     return float(fdtri(p - 1, (p - 1) * (N - 1), 0.95))
 
 

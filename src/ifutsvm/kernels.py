@@ -1,9 +1,11 @@
-"""Gaussian kernel evaluation.
+"""Squared Euclidean distances and Gaussian kernel evaluation.
 
-`gram_values` evaluates K(p, q) = exp(-||p - q||^2 / (2 width^2)) between the
-rows of two sample matrices.  The kernel-space geometry the fuzzy scores rest
-on (pairwise distances and centroid distances from one Gram matrix) lives in
-`membership`, its only user.
+`sq_distances` is the package's one pairwise-distance routine: the fuzzy
+scores read it through `Dataset.pairwise_sq_dists` in linear mode and through
+`gram_values` in kernel mode.  `gram_values` evaluates K(p, q) =
+exp(-||p - q||^2 / (2 width^2)) between the rows of two sample matrices.  The
+kernel-space geometry the fuzzy scores rest on (pairwise distances and
+centroid distances from one Gram matrix) lives in `membership`, its only user.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,29 @@ def _check_dims(A: np.ndarray, B: np.ndarray):
         )
 
 
+def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """p x q matrix of squared Euclidean distances between the rows of the
+    float64 matrices A (p x n) and B (q x n).
+
+    Each entry sums (a_f - b_f)^2 one feature at a time, in feature order,
+    which is scipy's cdist(A, B, "sqeuclidean") bit for bit; so an entry
+    depends only on its two rows, a block of the matrix equals the matrix of
+    its rows, and d_ij = d_ji exactly.  No features give all zeros.  Features
+    whose differences square past the float range (magnitudes near 1e154 and
+    above) give inf entries and numpy's overflow RuntimeWarning, which cdist
+    does not raise.
+    """
+    d2 = np.zeros((A.shape[0], B.shape[0]))
+    diff = np.empty_like(d2)
+    for a, b in zip(A.T, B.T):
+        np.subtract.outer(a, b, out=diff)
+        d2 += np.multiply(diff, diff, out=diff)
+    return d2
+
+
 def gram_values(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Raw p x q matrix of kernel evaluations between rows of A and rows of B."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     _check_dims(A, B)
-    d2 = cdist(A, B, metric="sqeuclidean")
-    return np.exp(-d2 / (2.0 * spec.width**2))
+    return np.exp(-sq_distances(A, B) / (2.0 * spec.width**2))

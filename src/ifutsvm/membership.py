@@ -5,12 +5,17 @@ centroid), a non-membership degree (heterogeneity of its neighborhood), and a
 combined score used to weight its slack penalty during training.
 `assign_scores` is the one entry point: it returns all three in a
 ScoreWeights.  Both degrees rest on one geometry step.  Without a kernel it
-uses Euclidean distances in input space.  With a Gaussian kernel it evaluates
-the Gram matrix K of the training set once and never forms the feature map
-psi: pairwise distances are sqrt(2 - 2 K_ij), and a member x of a class of m
-samples lies at ||psi(x) - C||^2 = 1 - (2/m) sum_i K(x, x_i) +
+uses Euclidean distances in input space: the pairwise ones are the roots of
+the training set's cached `Dataset.pairwise_sq_dists`, which a grid search's
+training parts take as blocks of the search set's matrix, so linear-mode
+scoring evaluates distances once per search set.  With a Gaussian kernel it
+evaluates the Gram matrix K of the training set once and never forms the
+feature map psi: pairwise distances are sqrt(2 - 2 K_ij), and a member x of a
+class of m samples lies at ||psi(x) - C||^2 = 1 - (2/m) sum_i K(x, x_i) +
 (1/m^2) sum_ij K(x_i, x_j) from the class centroid C (the class's diagonal
-block of K).  Squared distances are clamped at zero before the root.
+block of K).  Squared distances are clamped at zero before the root.  The
+default rho, the median pair distance, is read from the square matrix in one
+partition, with no condensed copy.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, squareform
 
 from .data import Dataset
 from .kernels import KernelSpec, gram_values
@@ -75,7 +79,7 @@ def _geometry(ds: Dataset, kspec: KernelSpec | None) -> tuple[np.ndarray, np.nda
     """
     X = ds.features
     if kspec is None:
-        dists = np.sqrt(cdist(X, X, "sqeuclidean"))
+        dists = np.sqrt(ds.pairwise_sq_dists)
     else:
         K = gram_values(X, X, kspec)
         dists = np.sqrt(np.maximum(2.0 - 2.0 * K, 0.0))
@@ -114,9 +118,18 @@ def _memberships(labels: np.ndarray, center: np.ndarray, params: FuzzyParams) ->
 def _resolve_rho(dists: np.ndarray, params: FuzzyParams) -> float:
     if params.rho is not None:
         return params.rho
-    # _geometry guarantees two nonempty classes, so there is at least one pair
-    # the condensed vector: the strict upper triangle, row by row
-    return float(np.median(squareform(dists, checks=False)))
+    # _geometry guarantees two nonempty classes, so there is at least one pair.
+    # dists holds m zeros on its diagonal and each pair twice (d_ij == d_ji
+    # exactly), so the k-th smallest pair distance sits at rank m + 2k of the
+    # flattened matrix; this is np.median of the condensed vector, bit for bit
+    m = dists.shape[0]
+    pairs = m * (m - 1) // 2
+    rank = m + 2 * (pairs // 2)  # the upper middle pair
+    flat = np.partition(dists.ravel(), rank)
+    if pairs % 2:
+        return float(flat[rank])
+    # the lower middle pair is the largest entry below the upper one
+    return float((flat[:rank].max() + flat[rank]) / 2.0)
 
 
 def _nonmemberships(labels: np.ndarray, dists: np.ndarray, rho: float,

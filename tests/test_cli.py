@@ -1072,12 +1072,15 @@ class TestStatisticsFlags:
         assert not out.exists()
 
 
-def test_import_does_not_load_scipy_stats():
-    # every command pays the package import; scipy.stats alone took most of it
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.spatial", "scipy.special"])
+def test_import_does_not_load(module):
+    # every command and every pool worker pays the package import: scipy.stats
+    # alone took most of it, and scipy.spatial with scipy.special cost about 9 MB
+    # of resident memory (scipy.special loads when a statistics block is computed)
     src = str(Path(ifutsvm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = "import sys, ifutsvm, ifutsvm.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, ifutsvm, ifutsvm.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"

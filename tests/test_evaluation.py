@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import ifutsvm.data as data
 import ifutsvm.evaluation as evaluation
+import ifutsvm.kernels as kernels
 import ifutsvm.models as models
 from ifutsvm import (
     NEMENYI_Q,
@@ -403,6 +405,51 @@ class TestStagedGridSearch:
         assert 0 < len(trained) < k * len(grid.width)
         assert sorted(maps) == sorted((folds[j][1].size, folds[j][0].size, width)
                                       for width, j in trained)
+
+    def test_linear_scoring_reads_one_matrix_per_search_set(self, monkeypatch):
+        # a linear search evaluates its set's pairwise matrix once: each fold's
+        # training part takes its block, the refit reads the matrix itself and
+        # no validation part evaluates one
+        evaluated, scored = [], []
+        evaluate, score = data.sq_distances, models.assign_scores
+
+        def spy_evaluate(A, B):
+            evaluated.append(A)
+            return evaluate(A, B)
+
+        def spy_score(ds, *args):
+            scored.append(ds)
+            return score(ds, *args)
+
+        monkeypatch.setattr(data, "sq_distances", spy_evaluate)
+        monkeypatch.setattr(models, "assign_scores", spy_score)
+        ds = make_blobs(10, 30, seed=3, d=4)
+        grid = GridSpec(c1=(0.1, 10.0), c3=(0.01, 1.0), cu=(0.1, 1.0), epsilon=(0.1,),
+                        width=None)
+        best, _ = grid_search_cv(ds, "ifutsvm-id", grid, k=3, seed=4)
+        fit_model("ifutsvm-id", ds, best)
+        assert len(evaluated) == 1 and evaluated[0] is ds.features
+        parts, refit = scored[:-1], scored[-1]
+        assert len(parts) == 3 and refit is ds
+        for part in parts:
+            fresh = kernels.sq_distances(part.features, part.features)
+            assert part.pairwise_sq_dists.tobytes() == fresh.tobytes()
+
+    def test_kernel_search_evaluates_no_full_set_matrix(self, monkeypatch):
+        evaluated, shapes = [], []
+        evaluate, kernel = data.sq_distances, kernels.sq_distances
+
+        def spy_kernel(A, B):
+            shapes.append((A.shape[0], B.shape[0]))
+            return kernel(A, B)
+
+        monkeypatch.setattr(data, "sq_distances", lambda A, B: evaluated.append(A))
+        monkeypatch.setattr(kernels, "sq_distances", spy_kernel)
+        ds = make_blobs(10, 30, seed=3, d=4)
+        grid = GridSpec(c1=(0.1, 10.0), c3=(0.01,), cu=(0.1,), epsilon=(0.1,),
+                        width=(1.0, 4.0))
+        grid_search_cv(ds, "ifutsvm-id", grid, k=3, seed=4)
+        assert not evaluated and shapes and (ds.m, ds.m) not in shapes
 
     def test_shared_memo_fits_are_bit_identical(self, blobs):
         # two training sets with one seed: only the set tells their stages apart

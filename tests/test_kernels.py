@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist
 
 from ifutsvm import Dataset, FuzzyParams, KernelSpec, assign_scores, gram_values
+from ifutsvm.kernels import sq_distances
 from ifutsvm.membership import _geometry
 
 from oracle_utils import gaussian
@@ -47,6 +49,36 @@ def test_kernel_spec_requires_finite_width(width):
 def test_extreme_widths_inside_float_range_keep_unit_diagonal(width):
     A = np.array([[0.0, 1.0], [2.0, -1.0]])
     assert np.all(np.diag(gram_values(A, A, KernelSpec(width))) == 1.0)
+
+
+class TestSqDistances:
+    """The one distance routine keeps scipy's cdist(A, B, "sqeuclidean") bits."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_equals_cdist_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        # features of mixed scales, so each rounding of the running sum shows
+        scale = 10.0 ** rng.integers(-3, 4, size=n)
+        A = rng.normal(size=(23, n)) * scale
+        B = rng.normal(size=(17, n)) * scale
+        for P, Q in ((A, B), (A, A), (A[:0], B), (A, B[:0])):
+            D = sq_distances(P, Q)
+            assert D.shape == (P.shape[0], Q.shape[0]) and D.dtype == np.float64
+            assert D.tobytes() == cdist(P, Q, "sqeuclidean").tobytes()
+        D = sq_distances(A, A)
+        assert np.array_equal(D, D.T) and not np.diag(D).any()
+
+    def test_zero_features_give_zero_distances_and_unit_gram(self):
+        A, B = np.ones((3, 0)), np.ones((2, 0))
+        assert np.array_equal(sq_distances(A, B), np.zeros((3, 2)))
+        assert np.array_equal(gram_values(A, B, KernelSpec(1.0)), np.ones((3, 2)))
+
+    def test_overflowing_differences_warn(self):
+        # cdist gives the same inf silently; numpy's multiply reports it
+        A = np.array([[1e155, 0.0], [-1e155, 1.0]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            D = sq_distances(A, A)
+        assert D[0, 1] == D[1, 0] == np.inf and D[0, 0] == D[1, 1] == 0.0
 
 
 class TestGaussian:

@@ -227,6 +227,29 @@ def test_default_rho_is_the_median_of_the_upper_triangle(seed, m, kernel):
     assert _resolve_rho(dists, FuzzyParams()).hex() == expected.hex()
 
 
+@pytest.mark.parametrize("odd_pairs", [False, True], ids=["even-pairs", "odd-pairs"])
+@given(st.integers(0, 10_000), st.integers(0, 9), st.integers(0, 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_default_rho_equals_the_condensed_median(odd_pairs, seed, q, r, kernel):
+    # the one-partition median of the square matrix against np.median of
+    # squareform's condensed vector, with duplicate rows tying pair distances
+    from scipy.spatial.distance import squareform
+
+    from ifutsvm.membership import _geometry, _resolve_rho
+
+    # m (m - 1) / 2 is odd exactly when m is 2 or 3 modulo 4
+    m = 4 * q + (2 if odd_pairs else 4) + r
+    rng = np.random.default_rng(seed)
+    distinct = rng.normal(size=(int(rng.integers(1, m + 1)), int(rng.integers(1, 6))))
+    X = distinct[rng.integers(0, distinct.shape[0], size=m)]
+    n_pos = int(rng.integers(1, m))
+    ds = Dataset("rho", X, np.array([1] * n_pos + [-1] * (m - n_pos)))
+    dists, _ = _geometry(ds, KernelSpec(float(rng.uniform(0.2, 4.0))) if kernel else None)
+    assert (m * (m - 1) // 2) % 2 == odd_pairs
+    expected = float(np.median(squareform(dists, checks=False)))
+    assert _resolve_rho(dists, FuzzyParams()).hex() == expected.hex()
+
+
 @pytest.mark.parametrize("kspec, calls", [(KernelSpec(1.0), 1), (None, 0)],
                          ids=["kernel", "linear"])
 def test_one_gram_per_scoring_call(monkeypatch, kspec, calls):
