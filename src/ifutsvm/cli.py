@@ -601,14 +601,6 @@ def _run_protocol(args, noise: bool) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(args) -> int:
-    return _run_protocol(args, noise=False)
-
-
-def cmd_noise_study(args) -> int:
-    return _run_protocol(args, noise=True)
-
-
 # ---------------------------------------------------------------------------
 # aggregate (bypass mode)
 
@@ -656,9 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_eval)
 
-    for name, fn, hlp in (
-        ("benchmark", cmd_benchmark, "split + grid-search CV + test, per dataset and model"),
-        ("noise-study", cmd_noise_study, "benchmark under injected label noise levels"),
+    for name, noise, hlp in (
+        ("benchmark", False, "split + grid-search CV + test, per dataset and model"),
+        ("noise-study", True, "benchmark under injected label noise levels"),
     ):
         p = sub.add_parser(name, help=hlp)
         common(p)
@@ -667,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(2 starts one pool worker)")
         p.add_argument("--keep-cv-tables", action="store_true",
                        help="write per-cell CV tables as CSV")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=partial(_run_protocol, noise=noise))
 
     p_agg = sub.add_parser("aggregate",
                            help="rank statistics from an external accuracy matrix")

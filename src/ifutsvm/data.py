@@ -105,6 +105,11 @@ class Dataset:
         d2.setflags(write=False)
         return d2
 
+    def __reduce__(self):
+        # unpickling runs __post_init__, so the arrays come back validated and
+        # read-only; a part made by `take` travels without its source
+        return Dataset, (self.name, self.features, self.labels)
+
     def take(self, idx: np.ndarray, name: str) -> Dataset:
         """The rows idx, named `name`; its pairwise matrix is this one's block."""
         part = Dataset(name, self.features[idx], self.labels[idx])

@@ -2,14 +2,8 @@
 
 The grid search reports its table in a fixed lattice order (AXES: c1
 outermost, then c3, cu, epsilon, width) and keeps the first best point in
-that order, so model selection is reproducible.  It fits the points in
-another order, width -> fold -> c3 -> c1 -> (cu, epsilon), so that each
-fold's fuzzy scores, sampling plan and Gram blocks are prepared once per
-width, its dual Hessians once per c3 and IFUTSVM-ID's plane-2 class-row dual
-solved once per c1; the validation rows of a (fold, width) are mapped once
-(kernel mode: their Gram rows).  In linear mode the fuzzy scores read the
-search set's pairwise distances, evaluated once: each fold's training part
-takes its block, and the refit reads the matrix itself.  Every fit still
+that order, so model selection is reproducible; the order in which it fits
+the points, and what each fit reuses, is told in `grid_search_cv`.  Every fit
 computes the same bits as a standalone fit, so the table does not depend on
 that order.  Rank aggregation uses average ranks with tie averaging (best
 accuracy = rank 1) and feeds the Friedman chi-square, its F-form correction,
@@ -191,26 +185,6 @@ def fit_model(kind: str, train: Dataset, hp: Hyperparams, *, stages: FitStages |
     raise ValueError(f"unknown model kind: {kind!r}")
 
 
-def _subset(ds: Dataset, idx: np.ndarray, tag: str) -> Dataset:
-    """Rows idx of ds; a linear-mode fit reads its distances as a block of ds's."""
-    return ds.take(idx, f"{ds.name}/{tag}")
-
-
-def _fold_score(kind: str, j: int, tr: Dataset, va: Dataset, hp: Hyperparams,
-                stages: FitStages, mapped: np.ndarray | None
-                ) -> tuple[float, str | None, np.ndarray | None]:
-    """Validation accuracy of one fold fit (NaN if it failed), its flag, and the
-    validation rows mapped for its planes: `mapped`, or a new map if None."""
-    try:
-        model = fit_model(kind, tr, hp, stages=stages)
-    except (NumericalError, TrainingError) as exc:
-        return np.nan, f"fold{j}:{type(exc).__name__}", mapped
-    flag = f"fold{j}:balanced-fallback" if model.dual_report.balanced_fallback else None
-    if mapped is None:
-        mapped = map_rows(model, va.features)
-    return float(np.mean(mapped_labels(model, mapped) == va.labels)), flag, mapped
-
-
 def selected_row(table: list[dict]) -> dict:
     """The row a search selects: the first with the highest mean_accuracy.
 
@@ -237,49 +211,54 @@ def grid_search_cv(train: Dataset, kind: str, grid: GridSpec, k: int,
 
     The table rows follow the lattice order of `GridSpec.axes` (c1 outermost,
     width innermost), each keyed by the AXES names, and ties go to the first
-    row.  The fits run width -> fold -> c3 -> c1 -> (cu, epsilon) instead,
-    sharing one stage memo: each (fold, width) preparation (scores, sampling
-    plan, Gram blocks, universum) is built once and each (fold, width, c3)
-    pair of dual Hessians is formed once, and only the current ones are kept.
-    A (fold, width, c3, c1) slab also shares IFUTSVM-ID's plane-2 class-row
-    solve, whose dual reads neither cu nor epsilon (see models): its (cu,
-    epsilon) points solve plane 1 each, and plane 2's full dual only where
-    its universum binds.  A fold whose minority scores all collapse to zero
-    fails before any Hessian (see models).  Each (fold, width) maps its
-    validation rows once, at its first point that trains.  A training part
-    is a `Dataset.take` of `train`, so linear-mode scores read their pairwise
-    distances as blocks of `train`'s one matrix.  UTSVM reads
-    neither c3 nor c4, so it fits the first c3 only and every other c3 row
-    repeats that row's folds.  Every fold fit is still one call to
-    `fit_model` and computes the same bits as a standalone fit.
+    row.  The fits run as a loop nest instead: the outer loop walks the
+    (width, fold) slabs, and each slab fits its points c3 -> c1 -> (cu,
+    epsilon) through its own stage memo.  So a slab builds its preparation
+    (scores, sampling plan, Gram blocks, universum) once and forms each c3's
+    pair of dual Hessians once, and IFUTSVM-ID's plane-2 class-row dual, which
+    reads neither cu nor epsilon (see models), is solved once per (c3, c1):
+    its (cu, epsilon) points solve plane 1 each, and plane 2's full dual only
+    where its universum binds.  A fold whose minority scores all collapse to
+    zero fails before any Hessian (see models).  A slab maps its validation
+    rows once, at its first point that trains.  A training part is a
+    `Dataset.take` of `train`, so linear-mode scores read their pairwise
+    distances as blocks of `train`'s one matrix.  UTSVM reads neither c3 nor
+    c4, so it fits the first c3 only and every other c3 row repeats that
+    row's folds.  Every fold fit is still one call to `fit_model` and
+    computes the same bits as a standalone fit.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
     if min(train.m1, train.m2) < k:
         raise ValueError("each class needs at least k samples for k folds")
     folds = stratified_kfold(train, k, mix_seed(seed, "folds"))
-    fold_sets = [( _subset(train, tr, f"cv{j}t"), _subset(train, va, f"cv{j}v"))
-                 for j, (tr, va) in enumerate(folds)]
-    fold_seeds = [mix_seed(seed, "fit", j) for j in range(k)]
 
     axes = grid.axes()
     shape = tuple(len(axis) for axis in axes)
     accs = np.full((*shape, k), np.nan)
     flags: dict[tuple, str] = {}
-    stages = FitStages()
     n1, n3, nu, ne, nw = shape
     fitted_c3 = 1 if kind == "utsvm" else n3
-    slab, mapped = None, None  # the current (width, fold) and its validation map
-    for iw, j, i3, i1, iu, ie in np.ndindex(nw, k, fitted_c3, n1, nu, ne):
-        if slab != (iw, j):
-            slab, mapped = (iw, j), None
-        point = (i1, i3, iu, ie, iw)
-        values = {name: axis[i] for name, axis, i in zip(AXES, axes, point)}
-        hp = make_hyperparams(**values, fuzzy=grid.fuzzy, seed=fold_seeds[j])
-        tr, va = fold_sets[j]
-        accs[(*point, j)], flag, mapped = _fold_score(kind, j, tr, va, hp, stages, mapped)
-        if flag is not None:
-            flags[point, j] = flag
+    for iw, j in np.ndindex(nw, k):
+        tr_idx, va_idx = folds[j]
+        tr = train.take(tr_idx, f"{train.name}/cv{j}t")
+        va = train.take(va_idx, f"{train.name}/cv{j}v")
+        fit_seed = mix_seed(seed, "fit", j)
+        stages, mapped = FitStages(), None  # the slab's stage memo and validation map
+        for i3, i1, iu, ie in np.ndindex(fitted_c3, n1, nu, ne):
+            point = (i1, i3, iu, ie, iw)
+            values = {name: axis[i] for name, axis, i in zip(AXES, axes, point)}
+            hp = make_hyperparams(**values, fuzzy=grid.fuzzy, seed=fit_seed)
+            try:
+                model = fit_model(kind, tr, hp, stages=stages)
+            except (NumericalError, TrainingError) as exc:
+                flags[point, j] = f"fold{j}:{type(exc).__name__}"
+                continue
+            if model.dual_report.balanced_fallback:
+                flags[point, j] = f"fold{j}:balanced-fallback"
+            if mapped is None:
+                mapped = map_rows(model, va.features)
+            accs[(*point, j)] = np.mean(mapped_labels(model, mapped) == va.labels)
 
     table: list[dict] = []
     for point in np.ndindex(shape):

@@ -576,6 +576,8 @@ def _check_header(header: dict) -> None:
     if header["coef_len"] != expected:
         raise ValueError(f"coef_len {header['coef_len']} does not match the "
                          f"{header['mode']} model size {expected}")
+    if header["mode"] == "linear" and header["m"] != 0:
+        raise ValueError(f"a linear model has no reference rows, got m = {header['m']}")
     if (header["mode"] == "kernel") != (header["hyperparams"]["width"] is not None):
         raise ValueError("a kernel width is required in kernel mode and only there")
     if header["rkhs_norm"] is not False:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,29 @@ def make_imbalanced(seed):
     X = rng.normal(size=(40, 3))
     y = np.array([1] * 5 + [-1] * 35)
     return Dataset("imb", X, y)
+
+
+class TestPickle:
+    def test_unpickled_arrays_are_read_only(self, blobs):
+        ds = blobs(4, 8, seed=2)
+        for restored in (pickle.loads(pickle.dumps(ds)),
+                         pickle.loads(pickle.dumps(ds.take(np.arange(1, 10), "part")))):
+            assert not restored.features.flags.writeable
+            assert not restored.labels.flags.writeable
+            assert not restored.pairwise_sq_dists.flags.writeable
+
+    def test_part_pickles_as_a_plain_dataset(self, blobs):
+        ds = blobs(4, 8, seed=2)
+        part = ds.take(np.array([0, 2, 3, 5, 7, 11]), "part")
+        part.pairwise_sq_dists  # its block and its source must not travel with it
+        plain = Dataset(part.name, part.features.copy(), part.labels.copy())
+        blob = pickle.dumps(part)
+        assert len(blob) == len(pickle.dumps(plain))
+        restored = pickle.loads(blob)
+        assert restored.name == "part"
+        assert_array_equal(restored.features, part.features)
+        assert_array_equal(restored.labels, part.labels)
+        assert restored.pairwise_sq_dists.tobytes() == part.pairwise_sq_dists.tobytes()
 
 
 class TestStandardize:

@@ -31,7 +31,7 @@ from ifutsvm import (
     predict,
     stratified_kfold,
 )
-from ifutsvm.evaluation import _subset, fit_model, make_hyperparams
+from ifutsvm.evaluation import fit_model, make_hyperparams
 from ifutsvm.seeds import mix_seed
 
 from conftest import make_blobs
@@ -317,7 +317,8 @@ class TestGridSearchCV:
 def reference_grid_search(train, kind, grid, k, seed):
     """Per-point loop over the lattice, each fold fit on its own (no stages)."""
     folds = stratified_kfold(train, k, mix_seed(seed, "folds"))
-    fold_sets = [(_subset(train, tr, f"cv{j}t"), _subset(train, va, f"cv{j}v"))
+    fold_sets = [(train.take(tr, f"{train.name}/cv{j}t"),
+                  train.take(va, f"{train.name}/cv{j}v"))
                  for j, (tr, va) in enumerate(folds)]
     table, best_row, best_hp = [], None, None
     for c1, c3, cu, eps, width in itertools.product(*grid.axes()):
@@ -381,6 +382,48 @@ class TestStagedGridSearch:
         assert best == ref_best
         if grid.width is not None and 0.5 in grid.width:
             assert any("TrainingError" in f for row in table for f in row["flags"])
+
+    @pytest.mark.parametrize("kind, ds_args, grid", [
+        ("ifutsvm-id", (10, 40, 2, 5),
+         GridSpec(c1=(10.0, 0.1), c3=(1.0, 0.01), cu=(0.1, 1.0), epsilon=(0.1, 0.5),
+                  width=(2.0, 0.5))),
+        ("utsvm", (10, 30, 5, 3),
+         GridSpec(c1=(0.1, 10.0), c3=(1.0, 0.01, 0.1), cu=(0.1, 1.0), epsilon=(0.1, 0.5),
+                  width=None)),
+    ], ids=["ifutsvm-kernel-collapse", "utsvm-linear"])
+    def test_every_fold_fit_passes_through_fit_model(self, monkeypatch, kind, ds_args, grid):
+        # a check hook on evaluation.fit_model sees every fold fit: each flagged
+        # failure raised through it, and each returned fit met the solver's
+        # box-scaled KKT tolerance on both planes
+        raised, residuals = [], []
+        fit = evaluation.fit_model
+
+        def audited(*args, **kwargs):
+            try:
+                model = fit(*args, **kwargs)
+            except (NumericalError, TrainingError) as exc:
+                raised.append(type(exc).__name__)
+                raise
+            rep, hp = model.dual_report, model.hyperparams
+            if model.kind == "ifutsvm-id":
+                weights = (rep.scores.s2[rep.plan.x2_star_indices], rep.scores.s1)
+            else:
+                weights = (np.ones(1), np.ones(1))
+            for residual, penalty, w, univ in ((rep.kkt_residual_1, hp.c1, weights[0], rep.beta),
+                                               (rep.kkt_residual_2, hp.c2, weights[1], rep.theta)):
+                box = max(1.0, penalty * w.max(initial=0.0), hp.cu if univ.size else 0.0)
+                residuals.append(residual / (1e-6 * box))
+            return model
+
+        monkeypatch.setattr(evaluation, "fit_model", audited)
+        n1, n2, seed, d = ds_args
+        _, table = grid_search_cv(make_blobs(n1, n2, seed=seed, d=d), kind, grid, k=3, seed=4)
+        # UTSVM fits the first c3 only; the other c3 rows repeat its folds
+        fitted = [row for row in table if kind != "utsvm" or row["c3"] == min(grid.c3)]
+        flagged = [flag.split(":", 1)[1] for row in fitted for flag in row["flags"]
+                   if not flag.endswith(":balanced-fallback")]
+        assert raised and sorted(raised) == sorted(flagged)
+        assert residuals and max(residuals) <= 1.0
 
     def test_each_validation_fold_is_mapped_once_per_fold_and_width(self, monkeypatch):
         # the Gram rows of a validation fold against its training rows are

@@ -721,6 +721,7 @@ class TestSerialization:
         (None, {"coef_len": 2.0}),
         (None, {"n": -2}),
         (None, {"m": "3"}),
+        (None, {"m": 3}),
         (None, {"mode": "kernel"}),
         (None, "trailing"),
         (KernelSpec(0.7), {"coef_len": 2}),
@@ -737,7 +738,7 @@ class TestSerialization:
         (None, "zero-w1"),
         (KernelSpec(0.7), "zero-w2"),
     ], ids=["kind", "mode-case", "negative-coef-len", "coef-len-not-n", "float-coef-len",
-            "negative-n", "string-m", "linear-as-kernel", "trailing-linear",
+            "negative-n", "string-m", "linear-with-m", "linear-as-kernel", "trailing-linear",
             "coef-len-not-m", "m-not-coef-len", "kernel-as-linear", "bool-n",
             "kernel-without-width", "infinite-width", "overflowing-width",
             "underflowing-width", "trailing-kernel", "negative-seed", "float-seed",
