@@ -26,12 +26,21 @@ with a least-squares fallback for a singular block.  The step is clipped to
 the box and kept only if the objective rises, and a kept step is tested at
 once, so a dual the refinement solves returns in that sweep.
 
-The sweep is a Python loop over coordinates, so its cost is per-coordinate
-overhead: it reads and writes z and q through memoryviews, and updates q
-with one multiply and one add per moved coordinate (the same two roundings
-as the scalar loop).  BoxQP checks, symmetrises and lays out the rows of Q
-once; with_bounds gives that Q another c and upper, so the lattice points
-that share a dual Hessian share one checked Q.
+The loop runs in C (`_solve.c`, loaded with ctypes): the sweeps, the
+one-coordinate test and the pattern test.  It comes back to Python only to
+form the full residual once the test passes, to refine a repeated pattern
+by LAPACK, and at the sweep limit; its state (sweeps, the tested coordinate,
+the last pattern and whether that was refined) goes in and out each time.
+It keeps the bits of the scalar reference loop in tests/oracle_utils.py:
+each step is (c_i - q_i + Q_ii z_i) / max(Q_ii, DIAG_FLOOR), and each
+gradient update q_j + Q_ij * delta rounds twice.  It is built with
+`gcc -O2 -ffp-contract=off -shared -fPIC`, so with no FMA contraction and no
+-ffast-math, once per machine into $XDG_CACHE_HOME/ifutsvm (else
+~/.cache/ifutsvm), named by the SHA-256 of the source and the command; a warm
+import runs no compiler, and a cold one without gcc raises ImportError.
+BoxQP checks and symmetrises Q and takes its diagonals once; with_bounds
+gives that Q another c and upper, so the lattice points that share a dual
+Hessian share one checked Q.
 
 The duals are small (order m + 1, a few hundred on KEEL-sized sets), so
 OpenBLAS's thread hand-offs cost more than they save: every fit runs its
@@ -43,8 +52,13 @@ gives the caller back the counts it had.
 from __future__ import annotations
 
 import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
@@ -53,6 +67,52 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
 DIAG_FLOOR = 1e-12
+
+_SOURCE = Path(__file__).with_name("_solve.c")
+# no FMA contraction and no -ffast-math: the loop must round as the reference does
+_COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# solve_loop's return codes and the slots of its state vector (see _solve.c)
+_PROBE, _REPEAT, _LIMIT = range(3)
+_SWEEPS, _WORST, _REFINED, _CLASSIFY = range(4)
+
+
+def _load_solve_loop():
+    """The C solve loop, compiled into the per-user cache when that misses.
+
+    The library's name carries the SHA-256 of the source and the compile
+    command, so a warm cache costs one file read and one dlopen and runs no
+    compiler.  A build writes a temporary file in the cache and moves it into
+    place, so processes that build at once leave one library and no partial one.
+    """
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_COMPILE).encode()).hexdigest()[:16]
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "ifutsvm"
+    library = cache / f"_solve-{key}.so"
+    if not library.exists():
+        try:
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=f"{library.name}.", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)], check=True,
+                               capture_output=True, text=True)
+                os.replace(tmp, library)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            raise ImportError(f"ifutsvm needs a C compiler to build its box-QP solve loop "
+                              f"once: `{' '.join(_COMPILE)}` on {_SOURCE} into the cache "
+                              f"at {library} failed: {detail}") from None
+    solve_loop = ctypes.CDLL(str(library)).solve_loop
+    solve_loop.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 7, ctypes.c_double,
+                           ctypes.c_int64, *[ctypes.c_void_p] * 5]
+    solve_loop.restype = ctypes.c_int
+    return solve_loop
+
+
+_solve_loop = _load_solve_loop()
 
 
 class NumericalError(RuntimeError):
@@ -91,8 +151,8 @@ class BoxQP:
     Q: np.ndarray
     c: np.ndarray
     upper: np.ndarray
-    # the sweep's row views of Q, its diagonal and floored diagonal, built once per Q
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    # Q's diagonal and floored diagonal, built once per Q
+    _diagonals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.ascontiguousarray(self.Q, dtype=np.float64)
@@ -106,18 +166,17 @@ class BoxQP:
             raise ValueError("Q must be symmetric")
         Q_sym = Q + Q.T
         Q_sym *= 0.5
-        diag = Q_sym.diagonal().tolist()
+        diag = Q_sym.diagonal().copy()
         object.__setattr__(self, "Q", Q_sym)
-        object.__setattr__(self, "_rows", (list(Q_sym), diag,
-                                           [max(d, DIAG_FLOOR) for d in diag]))
+        object.__setattr__(self, "_diagonals", (diag, np.maximum(diag, DIAG_FLOOR)))
         self._set_bounds(self.c, self.upper)
 
     def with_bounds(self, c, upper) -> "BoxQP":
-        """This problem's Q and sweep rows with another linear term and box;
+        """This problem's Q and diagonals with another linear term and box;
         only c and upper are checked."""
         problem = object.__new__(BoxQP)
         object.__setattr__(problem, "Q", self.Q)
-        object.__setattr__(problem, "_rows", self._rows)
+        object.__setattr__(problem, "_diagonals", self._diagonals)
         problem._set_bounds(c, upper)
         return problem
 
@@ -171,42 +230,6 @@ def _objective(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
     return float(problem.c @ z - 0.5 * (z @ q))
 
 
-def _sweeper(problem: BoxQP):
-    """Return sweep(z, q): one cyclic pass of exact per-coordinate maximization.
-
-    z and q (= Q @ z, maintained incrementally) are float64 vectors updated
-    in place.  The coordinate step runs on Python floats read and written
-    through memoryviews (the same floats as ndarray.item, at less cost per
-    access); each gradient update is one multiply and one add over a row of
-    the symmetric Q, so every element gets the two roundings of the scalar
-    q[j] += delta * Q[i, j] (a fused update would round once and change the
-    bits).  The rows and diagonals come with the problem's Q; only c and upper
-    are read per problem.
-    """
-    rows, diag, floored = problem._rows
-    steps = list(zip(range(problem.size), rows, problem.c.tolist(), diag, floored,
-                     problem.upper.tolist()))
-    tmp = np.empty(problem.size)
-    mul, add = np.multiply, np.add
-
-    def sweep(z: np.ndarray, q: np.ndarray) -> None:
-        zv, qv = memoryview(z), memoryview(q)
-        for i, row, ci, di, dn, ui in steps:
-            zi_old = zv[i]
-            zi = (ci - qv[i] + di * zi_old) / dn
-            if zi < 0.0:
-                zi = 0.0
-            elif zi > ui:
-                zi = ui
-            delta = zi - zi_old
-            if delta != 0.0:
-                zv[i] = zi
-                mul(row, delta, tmp)
-                add(q, tmp, q)
-
-    return sweep
-
-
 def _active_set_polish(problem: BoxQP, z: np.ndarray, q: np.ndarray, free: np.ndarray):
     """Newton step on the free coordinates, kept only if it ascends.
 
@@ -258,50 +281,48 @@ def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
     if problem.size == 0:
         return QPSolution(np.zeros(0), 0.0, 0.0, 0)
 
-    Q, c, upper = problem.Q, problem.c.tolist(), problem.upper.tolist()
-    sweep = _sweeper(problem)
+    Q, upper = problem.Q, problem.upper
+    k = problem.size
     # a coordinate within margin of a bound is at it, every other one is free
-    margin = 1e-10 * (1.0 + problem.upper)
-    below_top = problem.upper - margin
-    z = np.zeros(problem.size)
-    q = np.zeros(problem.size)  # running Q @ z
-    worst = 0  # argmax of the last residual vector
+    margin = 1e-10 * (1.0 + upper)
+    below_top = upper - margin
+    z, q = np.zeros(k), np.zeros(k)  # q: the running Q @ z
+    state = np.zeros(4, dtype=np.int64)  # sweeps, probed coordinate, refined, classify
+    pattern = np.full(k, 3, dtype=np.uint8)  # the last sweep's bound pattern; 3 is none
+    scratch = np.empty(k, dtype=np.uint8)
+    arrays = (Q, problem.c, upper, *problem._diagonals, margin, below_top)
+    args = (k, *(a.ctypes.data for a in arrays), tol, max_iter,
+            *(a.ctypes.data for a in (z, q, state, pattern, scratch)))
 
-    def certify(z, q):
-        """(q, residual): the residual on a fresh q = Q z once z passes, else None."""
-        nonlocal worst
-        # the vector's float operations on one coordinate; a NaN falls through
-        zi = z.item(worst)
-        if abs(min(max(zi - (q.item(worst) - c[worst]), 0.0), upper[worst]) - zi) > tol:
-            return q, None
+    def confirm():
+        """The residual on a fresh q = Q z if z passes the full test, else None."""
         r = _residuals(problem, z, q)
-        worst = int(r.argmax())
+        state[_WORST] = r.argmax()
         if not np.maximum.reduce(r, initial=0.0) <= tol:
-            return q, None
-        q = Q @ z  # confirm against a freshly computed gradient before reporting
+            return None
+        q[:] = Q @ z  # confirm against a freshly computed gradient before reporting
         resid = _kkt_residual(problem, z, q)
-        return q, (resid if resid <= tol else None)
+        return resid if resid <= tol else None
 
-    last, refined = None, set()  # the previous sweep's pattern, the refined ones
-    for it in range(1, max_iter + 1):
-        sweep(z, q)
-        q, resid = certify(z, q)
+    refined = set()  # the patterns refined in this solve
+    while (status := _solve_loop(*args)) != _LIMIT:
+        if status == _PROBE:
+            resid = confirm()
+            state[_CLASSIFY] = 1  # the sweep's pattern test comes next
+        else:  # a repeated pattern the loop does not know to be refined
+            state[_REFINED] = 1
+            key = pattern.tobytes()
+            if key in refined:
+                continue
+            refined.add(key)
+            q[:] = Q @ z  # refresh the incrementally tracked gradient
+            polished, q_polished = _active_set_polish(problem, z, q, pattern == 1)
+            if polished is z:
+                continue
+            z[:], q[:] = polished, q_polished
+            resid = confirm()
         if resid is not None:
-            return QPSolution(z, _objective(problem, z, q), resid, it)
-        # each coordinate is at 0, at its upper bound or free
-        off_zero = z > margin
-        free = off_zero & (z < below_top)
-        pattern = off_zero.tobytes() + free.tobytes()
-        if pattern == last and pattern not in refined:
-            refined.add(pattern)
-            q = Q @ z  # refresh the incrementally tracked gradient
-            polished, q = _active_set_polish(problem, z, q, free)
-            if polished is not z:
-                z = polished
-                q, resid = certify(z, q)
-                if resid is not None:
-                    return QPSolution(z, _objective(problem, z, q), resid, it)
-        last = pattern
+            return QPSolution(z, _objective(problem, z, q), resid, int(state[_SWEEPS]))
     q = Q @ z
     resid = _kkt_residual(problem, z, q)
     raise NonConvergenceError(QPSolution(z, _objective(problem, z, q), resid, max_iter))

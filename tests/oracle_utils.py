@@ -3,11 +3,11 @@
 gaussian and score are the scalar forms of the Gaussian kernel and of the
 fuzzy score, one value at a time: the references for
 ifutsvm.kernels.gram_values and ifutsvm.membership.score_vector.
-scalar_cyclic_sweep is the box-QP sweep written as a plain scalar loop, the
-reference the vectorised sweep in ifutsvm.qp must match bit for bit, and
-full_check_box_qp is the solver loop with the full KKT vector formed after
-every sweep, the reference for the solver's one-coordinate test.  The
-box-QP oracle never touches the solver's update algebra: it only
+scalar_cyclic_sweep is the box-QP sweep written as a plain scalar loop, and
+full_check_box_qp is the solver loop around it with the full KKT vector formed
+after every sweep: together they are the reference that the C solve loop
+behind ifutsvm.qp.solve_box_qp, with its one-coordinate test, must match bit
+for bit.  The box-QP oracle never touches the solver's update algebra: it only
 evaluates the objective on grid candidates.  For k <= 2 it enumerates the
 full 0.001-step grid; for larger k it alternates exhaustive single-coordinate
 scans with exhaustive local two-coordinate scans until no grid move improves.
@@ -100,11 +100,11 @@ def scalar_cyclic_sweep(Q, c, upper, z, q, diag_floor=1e-12):
                 q[j] += delta * Q[j, i]
 
 
-def full_check_box_qp(problem, sweeper, polish, tol, max_iter):
-    """Solve a box QP with the given sweep and polish, forming the full KKT
-    residual max_i |clip(z_i - (q_i - c_i), 0, u_i) - z_i| after every sweep
-    and after every accepted polish step, and confirming a passing one on a
-    fresh q = Q z.  A sweep that fails the check classifies each coordinate
+def full_check_box_qp(problem, polish, tol, max_iter):
+    """Solve a box QP by scalar_cyclic_sweep and the given polish, forming the
+    full KKT residual max_i |clip(z_i - (q_i - c_i), 0, u_i) - z_i| after every
+    sweep and after every accepted polish step, and confirming a passing one on
+    a fresh q = Q z.  A sweep that fails the check classifies each coordinate
     as at 0, at its upper bound or free (within 1e-10 (1 + u_i) of a bound);
     when that pattern equals the previous sweep's and was not polished before,
     the polish runs on the free coordinates with a fresh q.
@@ -127,11 +127,10 @@ def full_check_box_qp(problem, sweeper, polish, tol, max_iter):
             return residual(z, q) <= tol, q
         return False, q
 
-    sweep = sweeper(problem)
     z, q = np.zeros(c.size), np.zeros(c.size)
     previous, polished = None, []
     for it in range(1, max_iter + 1):
-        sweep(z, q)
+        scalar_cyclic_sweep(Q, c, upper, z, q)
         converged, q = check(z, q)
         if not converged:
             state = np.select([z <= margin, z >= upper - margin], [0, 2], 1)

@@ -1072,13 +1072,15 @@ class TestStatisticsFlags:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.spatial", "scipy.special"])
-def test_import_does_not_load(module):
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.spatial", "scipy.special", "cffi",
+                                    "setuptools", "distutils", "pycparser"])
+def test_import_does_not_load(module, tmp_path):
     # every command and every pool worker pays the package import: scipy.stats
     # alone took most of it, and scipy.spatial with scipy.special cost about 9 MB
-    # of resident memory (scipy.special loads when a statistics block is computed)
+    # of resident memory (scipy.special loads when a statistics block is computed);
+    # the solve loop's build runs the compiler alone, with no FFI or build toolchain
     src = str(Path(ifutsvm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = f"import sys, ifutsvm, ifutsvm.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -465,7 +465,7 @@ class TestOneBoxQPPerHessian:
         for plane in (0, 1):
             first, *rest = problems[plane::2]
             for problem in rest:
-                assert problem.Q is first.Q and problem._rows is first._rows
+                assert problem.Q is first.Q and problem._diagonals is first._diagonals
         # and the shared Q gives the bits of a fit that checks its own
         for point, shared in zip(points, fits):
             alone = fit_ifutsvm_id(ds, Hyperparams(**point, kernel=KernelSpec(2.0), seed=5))

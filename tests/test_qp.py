@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
 
+import ifutsvm
 from ifutsvm import (BoxQP, FactorizationError, NonConvergenceError, NumericalError, qp,
                      solve_box_qp)
 from ifutsvm.qp import NonFiniteError, kkt_residual, spd_factor
 
-from oracle_utils import (full_check_box_qp, grid_box_qp_oracle, qp_objective_rows,
-                          random_box_qp, scalar_cyclic_sweep)
+from oracle_utils import full_check_box_qp, grid_box_qp_oracle, qp_objective_rows, random_box_qp
 
 
 class TestSolveBoxQP:
@@ -83,14 +88,16 @@ class TestSolveBoxQP:
         assert best.kkt_residual > 1e-14
 
     def test_monotone_ascent_across_sweeps(self):
+        # the smallest positive tolerance keeps every solve sweeping to its limit
         rng = np.random.default_rng(3)
         Q, c, upper = random_box_qp(rng)
-        sweep = qp._sweeper(BoxQP(Q, c, upper))
-        z = np.zeros_like(c)
-        q = np.zeros_like(c)
+        problem = BoxQP(Q, c, upper)
         prev = 0.0
-        for _ in range(50):
-            sweep(z, q)
+        for max_iter in range(1, 51):
+            try:
+                z = solve_box_qp(problem, tol=np.finfo(float).tiny, max_iter=max_iter).z
+            except NonConvergenceError as err:
+                z = err.best.z
             obj = float(c @ z - 0.5 * z @ (Q @ z))
             assert obj >= prev - 1e-10 * (1.0 + abs(prev))
             prev = obj
@@ -187,62 +194,66 @@ SWEEP_CASES = pytest.mark.parametrize("k, rank, zero_box_share, asymmetry, max_i
         "near-symmetric", "keel-size", "keel-size-near-symmetric"])
 
 
+def assert_matches_reference(problems, max_iter):
+    """The solver reports the bits, the sweep count and, short of convergence,
+    the best iterate of the scalar reference loop with a full check per sweep."""
+    for problem in problems:
+        converged, z, objective, residual, sweeps = full_check_box_qp(
+            problem, qp._active_set_polish, qp.DEFAULT_TOL, max_iter)
+        assert solution_bits(problem, max_iter) == (
+            converged, z.tobytes(), objective.hex(), residual.hex(), sweeps)
+
+
 class TestVectorisedSweep:
-    """The numpy sweep must reproduce the scalar loop bit for bit.
+    """The C solve loop must reproduce the scalar reference loop bit for bit.
 
     The active-set refinement runs as soon as a sweep leaves the bound pattern
     unchanged, so most solves here end in a refinement step; the sweeps before
     it must still match, or the pattern, the step and the sweep count differ.
+    Each problem is also cut short, where the loop's state crosses between C
+    and Python at other points.
     """
 
     @SWEEP_CASES
-    def test_matches_scalar_loop(self, monkeypatch, k, rank, zero_box_share, asymmetry,
-                                 max_iter, seed):
+    def test_matches_scalar_loop(self, k, rank, zero_box_share, asymmetry, max_iter, seed):
         problem = psd_box_qp(np.random.default_rng(seed), k, rank, zero_box_share,
                              asymmetry)
-        self.assert_matches([problem], max_iter, monkeypatch)
+        for cut in (1, 7, 33, max_iter):
+            assert_matches_reference([problem], cut)
 
-    def test_random_problems_match_scalar_loop(self, monkeypatch):
+    def test_random_problems_match_scalar_loop(self):
         rng = np.random.default_rng(18)
         problems = []
         for _ in range(40):
             k = int(rng.integers(1, 25))
             problems.append(psd_box_qp(rng, k, int(rng.integers(1, k + 1)),
                                        zero_box_share=0.2))
-        self.assert_matches(problems, 200, monkeypatch)
+        assert_matches_reference(problems, 200)
 
-    @staticmethod
-    def assert_matches(problems, max_iter, monkeypatch):
-        fast = [solution_bits(p, max_iter) for p in problems]
-        swept = []
-
-        def scalar_sweeper(p):
-            swept.append(p)
-            return lambda z, q: scalar_cyclic_sweep(p.Q, p.c, p.upper, z, q)
-
-        monkeypatch.setattr(qp, "_sweeper", scalar_sweeper)
-        assert [solution_bits(p, max_iter) for p in problems] == fast
-        assert swept == problems
+    def test_four_hundred_random_problems_match_scalar_loop(self):
+        # rank-deficient, zero-row and zero-box problems, each cut at one of
+        # 1, 7, 33 or 10,000 sweeps in turn
+        rng = np.random.default_rng(27)
+        for n in range(400):
+            if n % 5 == 0:
+                problem = BoxQP(*psd_box_qp_with_zero_rows(rng))
+            else:
+                k = int(rng.integers(1, 30))
+                problem = psd_box_qp(rng, k, int(rng.integers(1, k + 1)),
+                                     zero_box_share=float(rng.choice([0.0, 0.3, 1.0])))
+            assert_matches_reference([problem], (1, 7, 33, 10_000)[n % 4])
 
 
 class TestOneCoordinateProbe:
     """The convergence test reads one coordinate until it can pass; everything
     the solver reports must equal a full KKT check after every sweep."""
 
-    @staticmethod
-    def assert_matches(problems, max_iter):
-        for problem in problems:
-            converged, z, objective, residual, sweeps = full_check_box_qp(
-                problem, qp._sweeper, qp._active_set_polish, qp.DEFAULT_TOL, max_iter)
-            assert solution_bits(problem, max_iter) == (
-                converged, z.tobytes(), objective.hex(), residual.hex(), sweeps)
-
     @SWEEP_CASES
     def test_matches_a_full_check_after_every_sweep(self, k, rank, zero_box_share,
                                                     asymmetry, max_iter, seed):
         problem = psd_box_qp(np.random.default_rng(seed), k, rank, zero_box_share,
                              asymmetry)
-        self.assert_matches([problem], max_iter)
+        assert_matches_reference([problem], max_iter)
 
     @pytest.mark.parametrize("max_iter", [10_000, 1, 7, 33], ids=lambda n: f"max_iter={n}")
     def test_random_rank_deficient_and_zero_box_problems(self, max_iter):
@@ -252,7 +263,7 @@ class TestOneCoordinateProbe:
             k = int(rng.integers(1, 40))
             problems.append(psd_box_qp(rng, k, int(rng.integers(1, k + 1)),
                                        zero_box_share=float(rng.choice([0.0, 0.3, 1.0]))))
-        self.assert_matches(problems, max_iter)
+        assert_matches_reference(problems, max_iter)
 
     def test_full_check_runs_on_fewer_sweeps_than_were_run(self, monkeypatch):
         checks = []
@@ -274,65 +285,72 @@ class TestActiveSetRefinement:
 
     @staticmethod
     def spies(monkeypatch):
-        """Lists that collect one entry per sweep, (sweeps so far, pattern,
-        accepted) per refinement, and one entry per least-squares fallback."""
-        sweeps, refinements, fallbacks = [], [], []
-        sweeper, polish, lstsq = qp._sweeper, qp._active_set_polish, np.linalg.lstsq
-
-        def counted_sweeper(problem):
-            sweep = sweeper(problem)
-
-            def counted(z, q):
-                sweeps.append(1)
-                sweep(z, q)
-            return counted
+        """Lists that collect (pattern, accepted) per refinement and one entry
+        per least-squares fallback."""
+        refinements, fallbacks = [], []
+        polish, lstsq = qp._active_set_polish, np.linalg.lstsq
 
         def spy(problem, z, q, free):
             margin = 1e-10 * (1.0 + problem.upper)
             pattern = np.select([z <= margin, z >= problem.upper - margin], [0, 2], 1)
             assert_array_equal(free, pattern == 1)
             out = polish(problem, z, q, free)
-            refinements.append((len(sweeps), pattern.tobytes(), out[0] is not z))
+            refinements.append((pattern.tobytes(), out[0] is not z))
             return out
 
         def counted_lstsq(*args, **kwargs):
             fallbacks.append(1)
             return lstsq(*args, **kwargs)
 
-        monkeypatch.setattr(qp, "_sweeper", counted_sweeper)
         monkeypatch.setattr(qp, "_active_set_polish", spy)
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        return sweeps, refinements, fallbacks
+        return refinements, fallbacks
+
+    @staticmethod
+    def accepted_within(problem, max_iter, refinements):
+        """Refinements accepted in the first max_iter sweeps of a solve: a solve
+        cut at max_iter runs the same sweeps up to its limit."""
+        refinements.clear()
+        try:
+            solve_box_qp(problem, max_iter=max_iter)
+        except NonConvergenceError:
+            pass
+        return sum(accepted for _, accepted in refinements)
 
     def test_a_settled_pattern_is_refined_at_once(self, monkeypatch):
         # two nearly parallel coordinates: sweeps crawl along the valley, but
         # both are free after the first sweep, so the second one refines
         problem = BoxQP(np.array([[1.0, 0.999], [0.999, 1.0]]), np.ones(2), np.full(2, 10.0))
-        _, refinements, _ = self.spies(monkeypatch)
+        refinements, _ = self.spies(monkeypatch)
+        with pytest.raises(NonConvergenceError):
+            solve_box_qp(problem, max_iter=1)
+        assert refinements == []  # none in sweep 1
         sol = solve_box_qp(problem)
-        assert [(n, accepted) for n, _, accepted in refinements] == [(2, True)]
+        assert [accepted for _, accepted in refinements] == [True]
         assert sol.iterations == 2
         assert_allclose(sol.z, np.full(2, 1.0 / 1.999), rtol=1e-12)
 
     def test_solves_return_in_the_sweep_of_their_accepted_step(self, monkeypatch):
         rng = np.random.default_rng(23)
-        sweeps, refinements, _ = self.spies(monkeypatch)
+        refinements, _ = self.spies(monkeypatch)
         for _ in range(10):
-            sweeps.clear()
-            refinements.clear()
-            sol = solve_box_qp(psd_box_qp(rng, 40, 40))
-            first, *_ = refinements
-            assert first[0] < 16
-            accepted = [n for n, _, ok in refinements if ok]
-            assert accepted and accepted[-1] == sol.iterations
+            problem = psd_box_qp(rng, 40, 40)
+            sol = solve_box_qp(problem)
+            accepted = self.accepted_within(problem, sol.iterations, refinements)
+            # the first refinement comes within 15 sweeps
+            self.accepted_within(problem, 15, refinements)
+            assert refinements
+            # and the last accepted one in the sweep the solve returned in
+            assert accepted and self.accepted_within(problem, sol.iterations - 1,
+                                                     refinements) == accepted - 1
 
     def test_each_pattern_is_refined_at_most_once(self, monkeypatch):
         rng = np.random.default_rng(24)
-        _, refinements, _ = self.spies(monkeypatch)
+        refinements, _ = self.spies(monkeypatch)
         for _ in range(10):
             refinements.clear()
             solve_box_qp(psd_box_qp(rng, 40, 5, zero_box_share=0.2), max_iter=2_000)
-            patterns = [pattern for _, pattern, _ in refinements]
+            patterns = [pattern for pattern, _ in refinements]
             assert len(set(patterns)) == len(patterns) > 0
 
     def test_a_rejected_pattern_is_not_refined_again(self, monkeypatch):
@@ -347,7 +365,7 @@ class TestActiveSetRefinement:
     def test_positive_definite_blocks_never_take_least_squares(self, monkeypatch):
         # every principal block of a positive-definite Q is positive definite
         rng = np.random.default_rng(25)
-        _, refinements, fallbacks = self.spies(monkeypatch)
+        refinements, fallbacks = self.spies(monkeypatch)
         for _ in range(25):
             Q, c, upper = random_box_qp(rng)
             sol = solve_box_qp(BoxQP(Q, c, upper))
@@ -359,7 +377,7 @@ class TestActiveSetRefinement:
         # the rank is singular, and its z is not unique, so the oracle checks
         # the objective
         rng = np.random.default_rng(26)
-        *_, fallbacks = self.spies(monkeypatch)
+        _, fallbacks = self.spies(monkeypatch)
         for _ in range(8):
             problem = psd_box_qp(rng, 8, 1)
             problem = problem.with_bounds(np.abs(problem.c), problem.upper)
@@ -374,7 +392,7 @@ class TestActiveSetRefinement:
         # rows 0 and 1 are equal, so the factorization's second pivot is 0
         Q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         problem = BoxQP(Q, np.ones(3), np.full(3, 5.0))
-        *_, fallbacks = self.spies(monkeypatch)
+        _, fallbacks = self.spies(monkeypatch)
         z = np.array([0.2, 0.1, 0.1])
         polished, q = qp._active_set_polish(problem, z, Q @ z, np.ones(3, dtype=bool))
         assert len(fallbacks) == 1
@@ -397,7 +415,7 @@ class TestWithBounds:
             upper = rng.uniform(0.0, 3.0, size=12)
             upper[rng.random(12) < 0.2] = 0.0
             problem = base.with_bounds(c, upper)
-            assert problem.Q is base.Q and problem._rows is base._rows
+            assert problem.Q is base.Q and problem._diagonals is base._diagonals
             assert_array_equal(problem.c, c)
             assert_array_equal(problem.upper, upper)
             assert (solution_bits(problem, 10_000)
@@ -497,3 +515,49 @@ class TestSpdSolve:
         M = np.diag([1.0, -5.0])
         with pytest.raises(FactorizationError, match="ridge"):
             spd_factor(M, 0.0)
+
+
+def import_in_subprocess(cache, path=None):
+    """Start `import ifutsvm` from this checkout with XDG_CACHE_HOME=cache and,
+    if given, PATH=path."""
+    src = str(Path(ifutsvm.__file__).resolve().parents[1])
+    env = {**os.environ, "XDG_CACHE_HOME": str(cache), "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    if path is not None:
+        env["PATH"] = str(path)
+    return subprocess.Popen([sys.executable, "-c", "import ifutsvm"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def finished(process):
+    """(returncode, stderr) of a started import."""
+    _, err = process.communicate(timeout=120)
+    return process.returncode, err
+
+
+class TestSolveLoopBuild:
+    """The C loop is compiled once into the per-user cache; a warm import
+    runs no compiler, and a cold one without a compiler says what it needs."""
+
+    def test_a_warm_import_runs_no_compiler(self, tmp_path):
+        no_tools = tmp_path / "bin"
+        no_tools.mkdir()
+        for path in (None, no_tools):
+            code, err = finished(import_in_subprocess(tmp_path, path))
+            assert code == 0, err
+
+    def test_a_cold_import_without_a_compiler_names_the_command_and_cache(self, tmp_path):
+        no_tools = tmp_path / "bin"
+        no_tools.mkdir()
+        code, err = finished(import_in_subprocess(tmp_path, no_tools))
+        assert code != 0
+        assert "ImportError" in err
+        assert " ".join(qp._COMPILE) in err and str(tmp_path / "ifutsvm") in err
+        assert list((tmp_path / "ifutsvm").iterdir()) == []
+
+    def test_concurrent_cold_imports_leave_one_library(self, tmp_path):
+        imports = [import_in_subprocess(tmp_path) for _ in range(2)]
+        for code, err in map(finished, imports):
+            assert code == 0, err
+        (library,) = (tmp_path / "ifutsvm").iterdir()
+        assert library.name.startswith("_solve-") and library.suffix == ".so"
