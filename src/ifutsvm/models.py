@@ -58,15 +58,15 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .data import Dataset, ParseError
 from .kernels import KernelSpec, gram_values
 from .membership import FuzzyParams, ScoreWeights, assign_scores, uniform_scores
-from .qp import DEFAULT_TOL, BoxQP, QPSolution, _one_blas_thread, solve_box_qp, spd_factor
+from .qp import (DEFAULT_TOL, BoxQP, QPSolution, _one_blas_thread, cho_solve, solve_box_qp,
+                 spd_factor)
 from .sampling import SamplingPlan, build_plan
 
 MAGIC = b"TWINSVM1"
@@ -261,7 +261,7 @@ class FitStages:
 def _hessian(plane: _Plane) -> _Hessian:
     MtM = plane.M.T @ plane.M
     factor = spd_factor(MtM, plane.ridge)
-    S = cho_solve(factor, plane.H.T, check_finite=False)
+    S = cho_solve(factor, plane.H.T)
     return _Hessian(factor, BoxQP(plane.H @ S, plane.lin, plane.upper))
 
 
@@ -272,7 +272,7 @@ def _tolerance(plane: _Plane) -> float:
 
 def _solve_plane(plane: _Plane, hess: _Hessian) -> tuple[np.ndarray, QPSolution]:
     sol = solve_box_qp(hess.problem.with_bounds(plane.lin, plane.upper), tol=_tolerance(plane))
-    z = plane.sign * cho_solve(hess.factor, plane.H.T @ sol.z, check_finite=False)
+    z = plane.sign * cho_solve(hess.factor, plane.H.T @ sol.z)
     return z, sol
 
 
@@ -290,8 +290,8 @@ def _solve(stages: FitStages, index: int, plane: _Plane) -> tuple[np.ndarray, QP
     worst = float(residual.max(initial=0.0))
     if worst > _tolerance(plane):
         return (*_solve_plane(plane, _hessian(plane)), True)
-    full = QPSolution(np.concatenate([sol.z, np.zeros(residual.shape[0])]), sol.objective,
-                      max(sol.kkt_residual, worst), sol.iterations)
+    full = replace(sol, z=np.concatenate([sol.z, np.zeros(residual.shape[0])]),
+                   kkt_residual=max(sol.kkt_residual, worst))
     return z, full, False
 
 

@@ -26,18 +26,25 @@ with a least-squares fallback for a singular block.  The step is clipped to
 the box and kept only if the objective rises, and a kept step is tested at
 once, so a dual the refinement solves returns in that sweep.
 
-The loop runs in C (`_solve.c`, loaded with ctypes): the sweeps, the
-one-coordinate test and the pattern test.  It comes back to Python only to
-form the full residual once the test passes, to refine a repeated pattern
-by LAPACK, and at the sweep limit; its state (sweeps, the tested coordinate,
-the last pattern and whether that was refined) goes in and out each time.
-It keeps the bits of the scalar reference loop in tests/oracle_utils.py:
-each step is (c_i - q_i + Q_ii z_i) / max(Q_ii, DIAG_FLOOR), and each
-gradient update q_j + Q_ij * delta rounds twice.  It is built with
-`gcc -O2 -ffp-contract=off -shared -fPIC`, so with no FMA contraction and no
--ffast-math, once per machine into $XDG_CACHE_HOME/ifutsvm (else
+The whole solve is one C call (`_solve.c`, loaded with ctypes): the sweeps,
+the one-coordinate test, the full residual and its confirmation on a fresh
+Qz, the pattern test with the set of patterns refined, and the refinement
+itself.  It returns to Python at convergence, at the sweep limit, and when
+potrf rejects a free block: Python then takes np.linalg.lstsq on the block
+and calls again with the step, and the C side goes on where it stopped.
+It keeps the bits of the scalar reference loop and the reference refinement
+in tests/oracle_utils.py: each step is (c_i - q_i + Q_ii z_i) /
+max(Q_ii, DIAG_FLOOR), each gradient update q_j + Q_ij * delta rounds twice,
+Q @ z and c @ z are numpy's own cblas_dgemv and cblas_ddot called as numpy's
+matmul calls them, and the factor and solve are scipy's LAPACK potrf and
+potrs (through scipy.linalg.cython_lapack).  Those entry points are found
+once, at import, and a missing one raises ImportError.  The C file is built
+with `gcc -O2 -ffp-contract=off -shared -fPIC`, so with no FMA contraction
+and no -ffast-math, once per machine into $XDG_CACHE_HOME/ifutsvm (else
 ~/.cache/ifutsvm), named by the SHA-256 of the source and the command; a warm
 import runs no compiler, and a cold one without gcc raises ImportError.
+Each solution counts its path: full residuals formed, refinements tried,
+kept and solved by least squares.
 BoxQP checks and symmetrises Q and takes its diagonals once; with_bounds
 gives that Q another c and upper, so the lattice points that share a dual
 Hessian share one checked Q.
@@ -61,8 +68,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg import LinAlgError, cho_factor, cython_lapack
+from scipy.linalg.lapack import dpotrs
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000
@@ -71,13 +83,52 @@ DIAG_FLOOR = 1e-12
 _SOURCE = Path(__file__).with_name("_solve.c")
 # no FMA contraction and no -ffast-math: the loop must round as the reference does
 _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# solve_loop's return codes and the slots of its state vector (see _solve.c)
-_PROBE, _REPEAT, _LIMIT = range(3)
-_SWEEPS, _WORST, _REFINED, _CLASSIFY = range(4)
+# numpy's cblas names, the ILP64 ones first; the ddot of the same build goes with each
+_DGEMV_NAMES = ("scipy_cblas_dgemv64_", "cblas_dgemv64_", "scipy_cblas_dgemv", "cblas_dgemv")
+# solve_box_qp's return codes and the slots of its state vector (see _solve.c)
+_SOLVE_LIMIT, _SOLVE_LEAST_SQUARES, _SOLVE_NO_MEMORY = range(1, 4)  # 0: converged
+_SWEEPS, _CHECKS, _REFINEMENTS, _ACCEPTED, _LEAST_SQUARES, _CONTEXT, _FREE, _BLOCK = range(8)
+_State = ctypes.c_int64 * 8
+_Values = ctypes.c_double * 2  # objective, residual
 
 
-def _load_solve_loop():
-    """The C solve loop, compiled into the per-user cache when that misses.
+def _symbol(library: ctypes.CDLL, names) -> tuple[str, int]:
+    """The first of names that library exports, with its address."""
+    for name in names:
+        try:
+            return name, ctypes.cast(getattr(library, name), ctypes.c_void_p).value
+        except AttributeError:
+            continue
+    raise ImportError(f"ifutsvm's box-QP solver needs {' or '.join(names)} from "
+                      f"{library._name}, which exports none of them")
+
+
+def _capsule(module, name: str) -> int:
+    """The address of the C function a Cython module exports as name."""
+    capsule = module.__pyx_capi__.get(name)
+    if capsule is None:
+        raise ImportError(f"ifutsvm's box-QP solver needs {name} from {module.__file__}, "
+                          f"which does not export it")
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get_pointer(capsule, get_name(capsule))
+
+
+def _entry_points() -> tuple:
+    """(ilp64, dgemv, ddot, dpotrf, dpotrs): numpy's cblas_dgemv and cblas_ddot,
+    found through its own extension module's handle, and scipy's LAPACK."""
+    numpy_blas = ctypes.CDLL(_umath.__file__)
+    dgemv_name, dgemv = _symbol(numpy_blas, _DGEMV_NAMES)
+    _, ddot = _symbol(numpy_blas, [dgemv_name.replace("dgemv", "ddot")])
+    return (int(dgemv_name.endswith("64_")), dgemv, ddot,
+            _capsule(cython_lapack, "dpotrf"), _capsule(cython_lapack, "dpotrs"))
+
+
+def _load_solver():
+    """The C solver, compiled into the per-user cache when that misses, bound to
+    numpy's BLAS and scipy's LAPACK; (solve_box_qp, solve_release).
 
     The library's name carries the SHA-256 of the source and the compile
     command, so a warm cache costs one file read and one dlopen and runs no
@@ -102,17 +153,24 @@ def _load_solve_loop():
                     os.unlink(tmp)
         except (OSError, subprocess.CalledProcessError) as exc:
             detail = getattr(exc, "stderr", None) or exc
-            raise ImportError(f"ifutsvm needs a C compiler to build its box-QP solve loop "
+            raise ImportError(f"ifutsvm needs a C compiler to build its box-QP solver "
                               f"once: `{' '.join(_COMPILE)}` on {_SOURCE} into the cache "
                               f"at {library} failed: {detail}") from None
-    solve_loop = ctypes.CDLL(str(library)).solve_loop
-    solve_loop.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 7, ctypes.c_double,
-                           ctypes.c_int64, *[ctypes.c_void_p] * 5]
-    solve_loop.restype = ctypes.c_int
-    return solve_loop
+    lib = ctypes.CDLL(str(library))
+    lib.solve_bind.argtypes = [ctypes.c_int, *[ctypes.c_void_p] * 4]
+    lib.solve_bind.restype = None
+    lib.solve_bind(*_entry_points())
+    solve, release = lib.solve_box_qp, lib.solve_release
+    solve.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 4, ctypes.c_double, ctypes.c_int64,
+                      ctypes.c_void_p, ctypes.POINTER(ctypes.c_double),
+                      ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p]
+    solve.restype = ctypes.c_int
+    release.argtypes = [ctypes.POINTER(ctypes.c_int64)]
+    release.restype = None
+    return solve, release
 
 
-_solve_loop = _load_solve_loop()
+_solve, _release = _load_solver()
 
 
 class NumericalError(RuntimeError):
@@ -151,8 +209,8 @@ class BoxQP:
     Q: np.ndarray
     c: np.ndarray
     upper: np.ndarray
-    # Q's diagonal and floored diagonal, built once per Q
-    _diagonals: tuple = field(init=False, repr=False, compare=False)
+    # Q's diagonal over its floored diagonal, built once per Q
+    _diagonals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.ascontiguousarray(self.Q, dtype=np.float64)
@@ -166,9 +224,11 @@ class BoxQP:
             raise ValueError("Q must be symmetric")
         Q_sym = Q + Q.T
         Q_sym *= 0.5
-        diag = Q_sym.diagonal().copy()
+        diagonals = np.empty((2, k))
+        diagonals[0] = Q_sym.diagonal()
+        np.maximum(diagonals[0], DIAG_FLOOR, out=diagonals[1])
         object.__setattr__(self, "Q", Q_sym)
-        object.__setattr__(self, "_diagonals", (diag, np.maximum(diag, DIAG_FLOOR)))
+        object.__setattr__(self, "_diagonals", diagonals)
         self._set_bounds(self.c, self.upper)
 
     def with_bounds(self, c, upper) -> "BoxQP":
@@ -202,23 +262,25 @@ class BoxQP:
 
 @dataclass(frozen=True)
 class QPSolution:
+    """A solve's iterate and how it got there: the sweeps run, the full KKT
+    residuals formed, the refinements tried, those kept and those whose
+    block was solved by least squares."""
+
     z: np.ndarray
     objective: float
     kkt_residual: float
     iterations: int
-
-
-def _residuals(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-coordinate KKT residuals of z given q = Q @ z."""
-    # np.clip spelled as the ufuncs it wraps: the same bits, less call overhead
-    r = np.minimum(np.maximum(z - (q - problem.c), 0.0), problem.upper)
-    r -= z
-    return np.abs(r, out=r)
+    checks: int = 0
+    refinements: int = 0
+    accepted: int = 0
+    least_squares: int = 0
 
 
 def _kkt_residual(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
     """KKT residual of z given q = Q @ z."""
-    return float(np.maximum.reduce(_residuals(problem, z, q), initial=0.0))
+    r = np.clip(z - (q - problem.c), 0.0, problem.upper)
+    r -= z
+    return float(np.maximum.reduce(np.abs(r, out=r), initial=0.0))
 
 
 def kkt_residual(problem: BoxQP, z: np.ndarray) -> float:
@@ -226,47 +288,16 @@ def kkt_residual(problem: BoxQP, z: np.ndarray) -> float:
     return _kkt_residual(problem, z, problem.Q @ z)
 
 
-def _objective(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
-    return float(problem.c @ z - 0.5 * (z @ q))
-
-
-def _active_set_polish(problem: BoxQP, z: np.ndarray, q: np.ndarray, free: np.ndarray):
-    """Newton step on the free coordinates, kept only if it ascends.
-
-    Cyclic sweeps identify the active set quickly but crawl along
-    ill-conditioned valleys; solving the free block exactly jumps to its
-    optimum.  The block is solved by Cholesky (LAPACK potrf/potrs); a
-    non-positive pivot means it is singular, as a linear-mode block with more
-    than n + 1 free coordinates is, and then the min-norm least-squares
-    solution is taken instead, since a plain solve would blow up along the
-    null space and always be rejected.  The step is clipped to the box and
-    accepted only when the objective improves, so the monotone-ascent
-    invariant survives.  q must be Q @ z.
-    """
-    idx = np.flatnonzero(free)
-    if not idx.size:
-        return z, q
-    Q, c, upper = problem.Q, problem.c, problem.upper
-    rows = Q.take(idx, 0)
-    bound = z.copy()
-    bound[idx] = 0.0
-    rhs = c[idx] - rows @ bound
-    Qff = rows.take(idx, 1)
-    # LAPACK reads the C-ordered block as its transpose, the same symmetric matrix
-    chol, info = dpotrf(Qff, lower=1, clean=0)
-    if info == 0:
-        z_free, _ = dpotrs(chol, rhs, lower=1)
-    else:
-        try:
-            z_free = np.linalg.lstsq(Qff, rhs, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return z, q
-    cand = z.copy()
-    cand[idx] = np.clip(z_free, 0.0, upper[idx])
-    q_cand = Q @ cand
-    if _objective(problem, cand, q_cand) > _objective(problem, z, q):
-        return cand, q_cand
-    return z, q
+def _least_squares(state) -> np.ndarray | None:
+    """The min-norm least-squares step on the free block a solve stopped at,
+    or None when lstsq does not converge."""
+    f = state[_FREE]
+    data = np.frombuffer((ctypes.c_double * (f * (f + 1))).from_address(state[_BLOCK]))
+    try:
+        return np.ascontiguousarray(np.linalg.lstsq(data[:f * f].reshape(f, f), data[f * f:],
+                                                    rcond=None)[0])
+    except np.linalg.LinAlgError:
+        return None
 
 
 def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
@@ -278,54 +309,39 @@ def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if problem.size == 0:
-        return QPSolution(np.zeros(0), 0.0, 0.0, 0)
-
-    Q, upper = problem.Q, problem.upper
     k = problem.size
-    # a coordinate within margin of a bound is at it, every other one is free
-    margin = 1e-10 * (1.0 + upper)
-    below_top = upper - margin
-    z, q = np.zeros(k), np.zeros(k)  # q: the running Q @ z
-    state = np.zeros(4, dtype=np.int64)  # sweeps, probed coordinate, refined, classify
-    pattern = np.full(k, 3, dtype=np.uint8)  # the last sweep's bound pattern; 3 is none
-    scratch = np.empty(k, dtype=np.uint8)
-    arrays = (Q, problem.c, upper, *problem._diagonals, margin, below_top)
-    args = (k, *(a.ctypes.data for a in arrays), tol, max_iter,
-            *(a.ctypes.data for a in (z, q, state, pattern, scratch)))
+    if k == 0:
+        return QPSolution(np.zeros(0), 0.0, 0.0, 0)
+    z = np.zeros(k)
+    values, state = _Values(), _State()
+    args = (k, problem.Q.ctypes.data, problem._diagonals.ctypes.data, problem.c.ctypes.data,
+            problem.upper.ctypes.data, tol, max_iter, z.ctypes.data, values, state)
+    status = _solve(*args, None)
+    try:
+        while status == _SOLVE_LEAST_SQUARES:  # potrf rejected a free block
+            step = _least_squares(state)
+            status = _solve(*args, None if step is None else step.ctypes.data)
+    finally:
+        if state[_CONTEXT]:  # a solve stopped for least squares and not resumed
+            _release(state)
+    if status == _SOLVE_NO_MEMORY:
+        raise MemoryError(f"no memory for a box QP of size {k}")
+    sol = QPSolution(z, values[0], values[1],
+                     max_iter if status == _SOLVE_LIMIT else state[_SWEEPS], state[_CHECKS],
+                     state[_REFINEMENTS], state[_ACCEPTED], state[_LEAST_SQUARES])
+    if status == _SOLVE_LIMIT:
+        raise NonConvergenceError(sol)
+    return sol
 
-    def confirm():
-        """The residual on a fresh q = Q z if z passes the full test, else None."""
-        r = _residuals(problem, z, q)
-        state[_WORST] = r.argmax()
-        if not np.maximum.reduce(r, initial=0.0) <= tol:
-            return None
-        q[:] = Q @ z  # confirm against a freshly computed gradient before reporting
-        resid = _kkt_residual(problem, z, q)
-        return resid if resid <= tol else None
 
-    refined = set()  # the patterns refined in this solve
-    while (status := _solve_loop(*args)) != _LIMIT:
-        if status == _PROBE:
-            resid = confirm()
-            state[_CLASSIFY] = 1  # the sweep's pattern test comes next
-        else:  # a repeated pattern the loop does not know to be refined
-            state[_REFINED] = 1
-            key = pattern.tobytes()
-            if key in refined:
-                continue
-            refined.add(key)
-            q[:] = Q @ z  # refresh the incrementally tracked gradient
-            polished, q_polished = _active_set_polish(problem, z, q, pattern == 1)
-            if polished is z:
-                continue
-            z[:], q[:] = polished, q_polished
-            resid = confirm()
-        if resid is not None:
-            return QPSolution(z, _objective(problem, z, q), resid, int(state[_SWEEPS]))
-    q = Q @ z
-    resid = _kkt_residual(problem, z, q)
-    raise NonConvergenceError(QPSolution(z, _objective(problem, z, q), resid, max_iter))
+def cho_solve(factor, b) -> np.ndarray:
+    """scipy.linalg.cho_solve(factor, b, check_finite=False) for float64: the
+    same LAPACK dpotrs, without scipy's batching and lookup on every call."""
+    c, lower = factor
+    x, info = dpotrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def spd_factor(M: np.ndarray, ridge: float):

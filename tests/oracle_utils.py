@@ -3,11 +3,12 @@
 gaussian and score are the scalar forms of the Gaussian kernel and of the
 fuzzy score, one value at a time: the references for
 ifutsvm.kernels.gram_values and ifutsvm.membership.score_vector.
-scalar_cyclic_sweep is the box-QP sweep written as a plain scalar loop, and
-full_check_box_qp is the solver loop around it with the full KKT vector formed
-after every sweep: together they are the reference that the C solve loop
-behind ifutsvm.qp.solve_box_qp, with its one-coordinate test, must match bit
-for bit.  The box-QP oracle never touches the solver's update algebra: it only
+scalar_cyclic_sweep is the box-QP sweep written as a plain scalar loop,
+active_set_polish is the refinement on the free block written with numpy and
+scipy's LAPACK, and full_check_box_qp is the solver loop around them with the
+full KKT vector formed after every sweep: together they are the reference that
+the C solver behind ifutsvm.qp.solve_box_qp, with its one-coordinate test,
+must match bit for bit.  The box-QP oracle never touches the solver's update algebra: it only
 evaluates the objective on grid candidates.  For k <= 2 it enumerates the
 full 0.001-step grid; for larger k it alternates exhaustive single-coordinate
 scans with exhaustive local two-coordinate scans until no grid move improves.
@@ -15,6 +16,7 @@ Every scan axis is clipped to its box, so each candidate is feasible.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 def gaussian(p, q, spec):
@@ -100,17 +102,56 @@ def scalar_cyclic_sweep(Q, c, upper, z, q, diag_floor=1e-12):
                 q[j] += delta * Q[j, i]
 
 
-def full_check_box_qp(problem, polish, tol, max_iter):
-    """Solve a box QP by scalar_cyclic_sweep and the given polish, forming the
+def active_set_polish(problem, z, q, free):
+    """Newton step on the free coordinates, kept only if it ascends.
+
+    The block is solved by Cholesky (LAPACK potrf/potrs); a non-positive pivot
+    means it is singular, and then the min-norm least-squares solution is
+    taken instead.  The step is clipped to the box and accepted only when the
+    objective improves.  q must be Q @ z.  Returns (z, q, least_squares): the
+    input pair itself when the step is rejected, and whether the block was
+    solved by least squares.
+    """
+    idx = np.flatnonzero(free)
+    if not idx.size:
+        return z, q, False
+    Q, c, upper = problem.Q, problem.c, problem.upper
+    rows = Q.take(idx, 0)
+    bound = z.copy()
+    bound[idx] = 0.0
+    rhs = c[idx] - rows @ bound
+    Qff = rows.take(idx, 1)
+    # LAPACK reads the C-ordered block as its transpose, the same symmetric matrix
+    chol, info = dpotrf(Qff, lower=1, clean=0)
+    if info == 0:
+        z_free, _ = dpotrs(chol, rhs, lower=1)
+    else:
+        try:
+            z_free = np.linalg.lstsq(Qff, rhs, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            return z, q, True
+    cand = z.copy()
+    cand[idx] = np.clip(z_free, 0.0, upper[idx])
+    q_cand = Q @ cand
+    if float(c @ cand - 0.5 * (cand @ q_cand)) > float(c @ z - 0.5 * (z @ q)):
+        return cand, q_cand, info != 0
+    return z, q, info != 0
+
+
+def full_check_box_qp(problem, tol, max_iter, remember=True):
+    """Solve a box QP by scalar_cyclic_sweep and active_set_polish, forming the
     full KKT residual max_i |clip(z_i - (q_i - c_i), 0, u_i) - z_i| after every
     sweep and after every accepted polish step, and confirming a passing one on
     a fresh q = Q z.  A sweep that fails the check classifies each coordinate
     as at 0, at its upper bound or free (within 1e-10 (1 + u_i) of a bound);
     when that pattern equals the previous sweep's and was not polished before,
-    the polish runs on the free coordinates with a fresh q.
+    the polish runs on the free coordinates with a fresh q.  With remember
+    False, "before" means in the current run of that pattern only, so a
+    pattern that recurs after others is polished again.
 
-    Returns (converged, z, objective, residual, sweeps), the last iterate's
-    when max_iter sweeps do not converge.
+    Returns (converged, z, objective, residual, sweeps, refinements), the last
+    iterate's when max_iter sweeps do not converge; refinements holds
+    (pattern bytes, accepted, least_squares) per polish run.
     """
     Q, c, upper = problem.Q, problem.c, problem.upper
     margin = 1e-10 * (1.0 + upper)
@@ -128,25 +169,28 @@ def full_check_box_qp(problem, polish, tol, max_iter):
         return False, q
 
     z, q = np.zeros(c.size), np.zeros(c.size)
-    previous, polished = None, []
+    previous, refinements, run_refined = None, [], False
     for it in range(1, max_iter + 1):
         scalar_cyclic_sweep(Q, c, upper, z, q)
         converged, q = check(z, q)
         if not converged:
             state = np.select([z <= margin, z >= upper - margin], [0, 2], 1)
-            pattern = tuple(state.tolist())
-            if pattern == previous and pattern not in polished:
-                polished.append(pattern)
+            pattern = state.astype(np.uint8).tobytes()
+            if pattern != previous:
+                run_refined = False
+            elif not run_refined and not (remember and pattern in [p for p, *_ in refinements]):
+                run_refined = True
                 q = Q @ z
-                z_new, q = polish(problem, z, q, state == 1)
+                z_new, q, least_squares = active_set_polish(problem, z, q, state == 1)
+                refinements.append((pattern, z_new is not z, least_squares))
                 if z_new is not z:
                     z = z_new
                     converged, q = check(z, q)
             previous = pattern
         if converged:
-            return True, z, objective(z, q), residual(z, q), it
+            return True, z, objective(z, q), residual(z, q), it, refinements
     q = Q @ z
-    return False, z, objective(z, q), residual(z, q), max_iter
+    return False, z, objective(z, q), residual(z, q), max_iter, refinements
 
 
 def random_box_qp(rng):

@@ -1,19 +1,25 @@
+import copy
+import ctypes
+import gc
 import os
+import pickle
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, cython_lapack
 
 import ifutsvm
 from ifutsvm import (BoxQP, FactorizationError, NonConvergenceError, NumericalError, qp,
                      solve_box_qp)
 from ifutsvm.qp import NonFiniteError, kkt_residual, spd_factor
 
-from oracle_utils import full_check_box_qp, grid_box_qp_oracle, qp_objective_rows, random_box_qp
+from oracle_utils import (active_set_polish, full_check_box_qp, grid_box_qp_oracle,
+                          qp_objective_rows, random_box_qp)
 
 
 class TestSolveBoxQP:
@@ -171,14 +177,20 @@ def psd_box_qp(rng, k, rank, zero_box_share=0.0, asymmetry=0.0):
     return BoxQP(Q, c, upper)
 
 
+def solved(problem, max_iter):
+    """(converged, solution) of a solve, the NonConvergenceError's best iterate
+    when it does not converge."""
+    try:
+        return True, solve_box_qp(problem, max_iter=max_iter)
+    except NonConvergenceError as err:
+        return False, err.best
+
+
 def solution_bits(problem, max_iter):
     """Everything solve_box_qp reports, as exact bytes, converged or not."""
-    try:
-        sol, converged = solve_box_qp(problem, max_iter=max_iter), True
-    except NonConvergenceError as err:
-        sol, converged = err.best, False
+    converged, sol = solved(problem, max_iter)
     return (converged, sol.z.tobytes(), sol.objective.hex(), sol.kkt_residual.hex(),
-            sol.iterations)
+            sol.iterations, sol.checks, sol.refinements, sol.accepted, sol.least_squares)
 
 
 SWEEP_CASES = pytest.mark.parametrize("k, rank, zero_box_share, asymmetry, max_iter, seed", [
@@ -195,17 +207,23 @@ SWEEP_CASES = pytest.mark.parametrize("k, rank, zero_box_share, asymmetry, max_i
 
 
 def assert_matches_reference(problems, max_iter):
-    """The solver reports the bits, the sweep count and, short of convergence,
-    the best iterate of the scalar reference loop with a full check per sweep."""
+    """The solver reports the bits, the sweep count, the refinements and, short
+    of convergence, the best iterate of the scalar reference loop with a full
+    check per sweep."""
     for problem in problems:
-        converged, z, objective, residual, sweeps = full_check_box_qp(
-            problem, qp._active_set_polish, qp.DEFAULT_TOL, max_iter)
-        assert solution_bits(problem, max_iter) == (
-            converged, z.tobytes(), objective.hex(), residual.hex(), sweeps)
+        converged, z, objective, residual, sweeps, refinements = full_check_box_qp(
+            problem, qp.DEFAULT_TOL, max_iter)
+        ok, sol = solved(problem, max_iter)
+        assert (ok, sol.z.tobytes(), sol.objective.hex(), sol.kkt_residual.hex(),
+                sol.iterations) == (converged, z.tobytes(), objective.hex(), residual.hex(),
+                                    sweeps)
+        assert (sol.refinements, sol.accepted, sol.least_squares) == (
+            len(refinements), sum(kept for _, kept, _ in refinements),
+            sum(lstsq for *_, lstsq in refinements))
 
 
 class TestVectorisedSweep:
-    """The C solve loop must reproduce the scalar reference loop bit for bit.
+    """The C solver must reproduce the scalar reference loop bit for bit.
 
     The active-set refinement runs as soon as a sweep leaves the bound pattern
     unchanged, so most solves here end in a refinement step; the sweeps before
@@ -265,119 +283,96 @@ class TestOneCoordinateProbe:
                                        zero_box_share=float(rng.choice([0.0, 0.3, 1.0]))))
         assert_matches_reference(problems, max_iter)
 
-    def test_full_check_runs_on_fewer_sweeps_than_were_run(self, monkeypatch):
-        checks = []
-        residuals = qp._residuals
-
-        def counted(*args):
-            checks.append(1)
-            return residuals(*args)
-
-        monkeypatch.setattr(qp, "_residuals", counted)
+    def test_full_check_runs_on_fewer_sweeps_than_were_run(self):
         problem = psd_box_qp(np.random.default_rng(11), 40, 5)  # rank-deficient
-        converged, *_, sweeps = solution_bits(problem, 10_000)
-        assert converged and sweeps > 100 and len(checks) < sweeps / 10
+        converged, sol = solved(problem, 10_000)
+        assert converged and sol.iterations > 100 and 0 < sol.checks < sol.iterations / 10
 
 
 class TestActiveSetRefinement:
     """The free block is solved as soon as one sweep leaves the bound pattern
-    unchanged, once per pattern, by Cholesky unless the block is singular."""
+    unchanged, once per pattern, by Cholesky unless the block is singular.
+    Each solution counts the refinements tried, kept and solved by least
+    squares; a solve cut at max_iter runs the same sweeps up to its limit, so
+    the counts of cut solves show in which sweep each refinement ran."""
 
     @staticmethod
-    def spies(monkeypatch):
-        """Lists that collect (pattern, accepted) per refinement and one entry
-        per least-squares fallback."""
-        refinements, fallbacks = [], []
-        polish, lstsq = qp._active_set_polish, np.linalg.lstsq
+    def within(problem, max_iter):
+        """The solution after the first max_iter sweeps of a solve."""
+        return solved(problem, max_iter)[1]
 
-        def spy(problem, z, q, free):
-            margin = 1e-10 * (1.0 + problem.upper)
-            pattern = np.select([z <= margin, z >= problem.upper - margin], [0, 2], 1)
-            assert_array_equal(free, pattern == 1)
-            out = polish(problem, z, q, free)
-            refinements.append((pattern.tobytes(), out[0] is not z))
-            return out
-
-        def counted_lstsq(*args, **kwargs):
-            fallbacks.append(1)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(qp, "_active_set_polish", spy)
-        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        return refinements, fallbacks
-
-    @staticmethod
-    def accepted_within(problem, max_iter, refinements):
-        """Refinements accepted in the first max_iter sweeps of a solve: a solve
-        cut at max_iter runs the same sweeps up to its limit."""
-        refinements.clear()
-        try:
-            solve_box_qp(problem, max_iter=max_iter)
-        except NonConvergenceError:
-            pass
-        return sum(accepted for _, accepted in refinements)
-
-    def test_a_settled_pattern_is_refined_at_once(self, monkeypatch):
+    def test_a_settled_pattern_is_refined_at_once(self):
         # two nearly parallel coordinates: sweeps crawl along the valley, but
         # both are free after the first sweep, so the second one refines
         problem = BoxQP(np.array([[1.0, 0.999], [0.999, 1.0]]), np.ones(2), np.full(2, 10.0))
-        refinements, _ = self.spies(monkeypatch)
-        with pytest.raises(NonConvergenceError):
-            solve_box_qp(problem, max_iter=1)
-        assert refinements == []  # none in sweep 1
+        assert self.within(problem, 1).refinements == 0  # none in sweep 1
         sol = solve_box_qp(problem)
-        assert [accepted for _, accepted in refinements] == [True]
+        assert (sol.refinements, sol.accepted) == (1, 1)
         assert sol.iterations == 2
         assert_allclose(sol.z, np.full(2, 1.0 / 1.999), rtol=1e-12)
 
-    def test_solves_return_in_the_sweep_of_their_accepted_step(self, monkeypatch):
+    def test_solves_return_in_the_sweep_of_their_accepted_step(self):
         rng = np.random.default_rng(23)
-        refinements, _ = self.spies(monkeypatch)
         for _ in range(10):
             problem = psd_box_qp(rng, 40, 40)
             sol = solve_box_qp(problem)
-            accepted = self.accepted_within(problem, sol.iterations, refinements)
             # the first refinement comes within 15 sweeps
-            self.accepted_within(problem, 15, refinements)
-            assert refinements
+            assert self.within(problem, 15).refinements
             # and the last accepted one in the sweep the solve returned in
-            assert accepted and self.accepted_within(problem, sol.iterations - 1,
-                                                     refinements) == accepted - 1
+            assert sol.accepted and self.within(problem, sol.iterations - 1).accepted == (
+                sol.accepted - 1)
 
-    def test_each_pattern_is_refined_at_most_once(self, monkeypatch):
+    def test_each_pattern_is_refined_at_most_once(self):
+        # the reference refines each repeated pattern once, so its patterns are
+        # distinct, and the solver, on the same sweeps, refines as often
         rng = np.random.default_rng(24)
-        refinements, _ = self.spies(monkeypatch)
         for _ in range(10):
-            refinements.clear()
-            solve_box_qp(psd_box_qp(rng, 40, 5, zero_box_share=0.2), max_iter=2_000)
-            patterns = [pattern for pattern, _ in refinements]
-            assert len(set(patterns)) == len(patterns) > 0
+            problem = psd_box_qp(rng, 40, 5, zero_box_share=0.2)
+            sol = solve_box_qp(problem, max_iter=2_000)
+            *_, refinements = full_check_box_qp(problem, qp.DEFAULT_TOL, 2_000)
+            patterns = [pattern for pattern, *_ in refinements]
+            assert sol.refinements == len(patterns) == len(set(patterns)) > 0
 
-    def test_a_rejected_pattern_is_not_refined_again(self, monkeypatch):
-        # with every step rejected the sweeps must finish alone, on one pattern
-        calls = []
-        monkeypatch.setattr(qp, "_active_set_polish",
-                            lambda problem, z, q, free: calls.append(1) or (z, q))
-        problem = BoxQP(np.array([[1.0, 0.999], [0.999, 1.0]]), np.ones(2), np.full(2, 10.0))
+    def test_a_pattern_refined_before_is_not_refined_when_it_recurs(self):
+        # here a refined pattern gives way to others and then settles again: a
+        # reference that forgets it refines it a second time, and the solver
+        # matches the reference that remembers every pattern it refined
+        problem = psd_box_qp(np.random.default_rng(126), 10, 2)
+        *_, forgetful = full_check_box_qp(problem, qp.DEFAULT_TOL, 10_000, remember=False)
+        *_, refinements = full_check_box_qp(problem, qp.DEFAULT_TOL, 10_000)
+        assert len(forgetful) > len(refinements) > 0
+        assert_matches_reference([problem], 10_000)
+
+    def test_a_rejected_pattern_is_not_refined_again(self):
+        # a singular free block whose min-norm step, clipped to the box, descends:
+        # with its one refinement rejected the sweeps must finish alone, crawling
+        # along the valley on one pattern until z_2 reaches its bound
+        problem = singular_valley()
         sol = solve_box_qp(problem)
-        assert len(calls) == 1 and sol.iterations > 100
+        assert (sol.refinements, sol.accepted, sol.least_squares) == (1, 0, 1)
+        assert sol.iterations > 100
+        for n in range(2, sol.iterations - 1):
+            best = self.within(problem, n)
+            assert best.refinements == 1 and np.all((best.z > 0.0) & (best.z < problem.upper))
 
-    def test_positive_definite_blocks_never_take_least_squares(self, monkeypatch):
+    def test_positive_definite_blocks_never_take_least_squares(self):
         # every principal block of a positive-definite Q is positive definite
         rng = np.random.default_rng(25)
-        refinements, fallbacks = self.spies(monkeypatch)
+        refinements = least_squares = 0
         for _ in range(25):
             Q, c, upper = random_box_qp(rng)
             sol = solve_box_qp(BoxQP(Q, c, upper))
             assert np.max(np.abs(sol.z - grid_box_qp_oracle(Q, c, upper))) <= 2e-3
-        assert refinements and not fallbacks
+            refinements += sol.refinements
+            least_squares += sol.least_squares
+        assert refinements and not least_squares
 
-    def test_singular_blocks_take_least_squares(self, monkeypatch):
+    def test_singular_blocks_take_least_squares(self):
         # k > rank, as in linear mode: a block of more free coordinates than
         # the rank is singular, and its z is not unique, so the oracle checks
-        # the objective
+        # the objective; the least-squares steps are the reference's, bit for bit
         rng = np.random.default_rng(26)
-        _, fallbacks = self.spies(monkeypatch)
+        least_squares = 0
         for _ in range(8):
             problem = psd_box_qp(rng, 8, 1)
             problem = problem.with_bounds(np.abs(problem.c), problem.upper)
@@ -386,18 +381,117 @@ class TestActiveSetRefinement:
             best = qp_objective_rows(z_ref[None, :], problem.Q, problem.c)[0]
             assert np.all(sol.z >= 0.0) and np.all(sol.z <= problem.upper)
             assert sol.kkt_residual <= 1e-6 and sol.objective >= best
-        assert fallbacks
+            assert_matches_reference([problem], 10_000)
+            least_squares += sol.least_squares
+        assert least_squares
 
     def test_an_exactly_singular_block_takes_the_min_norm_step(self, monkeypatch):
+        # the reference refinement, which the solver's matches bit for bit:
         # rows 0 and 1 are equal, so the factorization's second pivot is 0
         Q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         problem = BoxQP(Q, np.ones(3), np.full(3, 5.0))
-        _, fallbacks = self.spies(monkeypatch)
+        fallbacks, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kwargs: fallbacks.append(1) or lstsq(*args, **kwargs))
         z = np.array([0.2, 0.1, 0.1])
-        polished, q = qp._active_set_polish(problem, z, Q @ z, np.ones(3, dtype=bool))
-        assert len(fallbacks) == 1
+        polished, q, least_squares = active_set_polish(problem, z, Q @ z,
+                                                       np.ones(3, dtype=bool))
+        assert least_squares and len(fallbacks) == 1
         assert_allclose(polished, [0.5, 0.5, 0.5], rtol=1e-12)
         assert_allclose(q, Q @ polished, rtol=1e-12)
+        # the solver on a box whose sweeps settle with all three free: its one
+        # refinement meets the zero pivot, takes least squares and is kept
+        monkeypatch.undo()
+        valley = problem.with_bounds(np.array([1.0, 1.001, 1.0]), problem.upper)
+        refinements = full_check_box_qp(valley, qp.DEFAULT_TOL, 10_000)[-1]
+        assert refinements == [(b"\x01\x01\x01", True, True)]
+        assert_matches_reference([valley], 10_000)
+
+
+def singular_valley():
+    """A rank-one Q whose one refinement takes least squares and is rejected."""
+    return BoxQP(np.ones((2, 2)), np.array([1.0, 1.001]), np.array([10.0, 0.3]))
+
+
+def singular_problems(rng, n):
+    """Problems whose refinements take least squares (see
+    test_singular_blocks_take_least_squares)."""
+    problems = []
+    for _ in range(n):
+        problem = psd_box_qp(rng, 8, 1)
+        problems.append(problem.with_bounds(np.abs(problem.c), problem.upper))
+    return problems
+
+
+class TestOneCallPerSolve:
+    """The solve is one C call, which returns to Python only for least squares;
+    its state lives on the heap of the call, never in statics."""
+
+    def test_two_threads_at_once_get_the_serial_bits(self):
+        rng = np.random.default_rng(28)
+        problems = [singular_valley(), *singular_problems(rng, 5)]
+        problems += [psd_box_qp(rng, int(k), int(k) // 2 + 1, zero_box_share=0.2)
+                     for k in rng.integers(5, 80, size=14)]
+        serial = [solution_bits(problem, 10_000) for problem in problems]
+        assert sum(bits[-1] for bits in serial) > 0  # some solves took least squares
+        with ThreadPoolExecutor(2) as pool:
+            for _ in range(3):
+                assert list(pool.map(solution_bits, problems, [10_000] * 20)) == serial
+
+    def test_a_solve_stopped_for_least_squares_is_released_when_python_raises(
+            self, monkeypatch):
+        problem = singular_valley()
+        expected = solution_bits(problem, 10_000)
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupted(*args, **kwargs):
+            raise Interrupted
+
+        released, release = [], qp._release
+        monkeypatch.setattr(qp, "_release",
+                            lambda state: released.append(state[qp._CONTEXT]) or release(state))
+        monkeypatch.setattr(np.linalg, "lstsq", interrupted)
+        with pytest.raises(Interrupted):
+            solve_box_qp(problem)
+        assert len(released) == 1 and released[0] != 0
+        monkeypatch.undo()
+        assert solution_bits(problem, 10_000) == expected
+
+
+class TestEntryPoints:
+    """numpy's BLAS and scipy's LAPACK are found by name once, at import, and a
+    missing one fails the import with the library and the symbol."""
+
+    def test_a_missing_blas_symbol_names_the_library_and_the_symbol(self, monkeypatch):
+        monkeypatch.setattr(qp, "_DGEMV_NAMES", ("no_such_dgemv64_", "no_such_dgemv"))
+        with pytest.raises(ImportError) as err:
+            qp._entry_points()
+        message = str(err.value)
+        assert qp._umath.__file__ in message
+        assert "no_such_dgemv64_" in message and "no_such_dgemv" in message
+
+    def test_a_missing_lapack_symbol_names_the_module_and_the_symbol(self):
+        with pytest.raises(ImportError) as err:
+            qp._capsule(cython_lapack, "no_such_potrf")
+        assert cython_lapack.__file__ in str(err.value) and "no_such_potrf" in str(err.value)
+
+    def test_the_entry_points_are_numpys_blas_and_scipys_lapack(self):
+        ilp64, dgemv, ddot, dpotrf, dpotrs = qp._entry_points()
+        umath = ctypes.CDLL(qp._umath.__file__)
+        names = [name for name in qp._DGEMV_NAMES if hasattr(umath, name)]
+        assert ilp64 == names[0].endswith("64_")
+        assert dgemv == ctypes.cast(getattr(umath, names[0]), ctypes.c_void_p).value
+        assert ddot == ctypes.cast(getattr(umath, names[0].replace("dgemv", "ddot")),
+                                   ctypes.c_void_p).value
+        assert 0 not in (dpotrf, dpotrs) and dpotrf != dpotrs
+
+
+def test_solver_source_compiles_cleanly_as_c99():
+    source = Path(qp.__file__).with_name("_solve.c")
+    subprocess.run(["gcc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                    str(source)], check=True, capture_output=True, text=True)
 
 
 class TestWithBounds:
@@ -421,6 +515,20 @@ class TestWithBounds:
             assert (solution_bits(problem, 10_000)
                     == solution_bits(BoxQP(base.Q, c, upper), 10_000))
         assert base.with_bounds(base.c, base.upper) == base
+
+    def test_copies_solve_alone_after_the_original_is_gone(self):
+        # pickle and deepcopy rebuild a problem without __post_init__, so the
+        # solver must read the copy's own arrays, never addresses of the original
+        rng = np.random.default_rng(22)
+        originals = [self.base(k=12), singular_valley()]
+        originals.append(originals[0].with_bounds(rng.normal(size=12), np.ones(12)))
+        expected = [solution_bits(problem, 10_000) for problem in originals]
+        pickled = [pickle.loads(pickle.dumps(problem)) for problem in originals]
+        copied = [copy.deepcopy(problem) for problem in originals]
+        del originals
+        gc.collect()
+        for copies in (pickled, copied):
+            assert [solution_bits(problem, 10_000) for problem in copies] == expected
 
     @pytest.mark.parametrize("part", ["c", "upper"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -490,7 +598,7 @@ def test_kkt_residual_zero_at_solution():
 
 def spd_solve(M, ridge, rhs):
     """(M + ridge I) x = rhs the way the models solve it: spd_factor, then cho_solve."""
-    return cho_solve(spd_factor(M, ridge), rhs, check_finite=False)
+    return qp.cho_solve(spd_factor(M, ridge), rhs)
 
 
 class TestSpdSolve:
@@ -510,6 +618,16 @@ class TestSpdSolve:
         x = spd_solve(M, 1e-3, rhs)
         expected = np.linalg.solve(M + 1e-3 * np.eye(6), rhs)
         assert_allclose(x, expected, atol=1e-9)
+
+    def test_cho_solve_is_scipys_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 7, 40):
+            G = rng.normal(size=(n, n))
+            factor = spd_factor(G.T @ G, 1e-3)
+            H = rng.normal(size=(5, n))
+            for rhs in (rng.normal(size=n), H.T, np.zeros((n, 0))):
+                expected = cho_solve(factor, rhs, check_finite=False)
+                assert qp.cho_solve(factor, rhs).tobytes() == expected.tobytes()
 
     def test_indefinite_matrix_rejected(self):
         M = np.diag([1.0, -5.0])
