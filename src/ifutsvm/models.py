@@ -27,12 +27,14 @@ come from one Gram evaluation of its stacked class and universum rows.
 
 A fit runs in three stages: prepare (scores, sampling plan or universum, and
 the M/H blocks), hessian (per plane, the Cholesky factor of M'M + ridge I and
-the checked Q) and solve (per lattice point, the box QP on that Q with the
-point's own bounds, and the recovery of (w; b)).  A FitStages memo lets
-consecutive fits share the first two, and the last solve of each plane while
-its Hessian, linear term and box stay the same.  All three run with OpenBLAS
-on one thread (qp._one_blas_thread), and the caller gets its own thread
-count back when the fit returns or raises.
+the checked Q, held with H, the class weights and the sign as a qp.PlaneQP)
+and solve.  The solve stage is one C call per plane (qp.solve_plane): from the
+point's penalty, cu and epsilon it builds the linear term and the box, solves
+the box QP on the held Q and recovers (w; b).  A FitStages memo lets
+consecutive fits share the first two stages, and the last solve of each plane
+while its Hessian and the penalty, cu and epsilon its dual reads stay the
+same.  All three run with OpenBLAS on one thread (qp._one_blas_thread), and
+the caller gets its own thread count back when the fit returns or raises.
 
 A plane whose class weights are all zero (IFUTSVM-ID's plane 2 when every
 minority score collapses) fails after the prepare stage, plane 1 checked
@@ -42,7 +44,8 @@ universum rows have epsilon - 1 < 0, so z = 0 solves its dual, and w = 0.
 A screened plane (IFUTSVM-ID's plane 2) forms Q from its class rows only and
 solves that dual, whose bounds read neither cu nor epsilon, so the lattice
 points that differ only in those share one solve.  Its universum rows are
-then checked on the recovered plane: the KKT residual of a universum
+then checked on the recovered plane, in the same C call or, for a shared
+solve, in one more (PlaneQP.screen): the KKT residual of a universum
 multiplier held at zero is clip(lin_j - sign H_j (w; b), 0, cu).  When none
 exceeds the full dual's box-scaled tolerance, the class-row solution padded
 with zeros solves the full dual to that tolerance; otherwise the full dual is
@@ -58,15 +61,16 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, ParseError
 from .kernels import KernelSpec, gram_values
 from .membership import FuzzyParams, ScoreWeights, assign_scores, uniform_scores
-from .qp import (DEFAULT_TOL, BoxQP, QPSolution, _one_blas_thread, cho_solve, solve_box_qp,
-                 spd_factor)
+from .qp import DEFAULT_TOL, BoxQP, PlaneQP, PlaneSolution, _one_blas_thread, cho_solve, spd_factor
+# the solve stage's one call per plane, under the name the benchmark's trace wraps
+from .qp import solve_plane as solve_box_qp
 from .sampling import SamplingPlan, build_plan
 
 MAGIC = b"TWINSVM1"
@@ -179,8 +183,8 @@ class TwinModel:
 
 @dataclass(frozen=True)
 class _Plane:
-    """One dual in standard form (see module docstring); its first `classes`
-    rows are class rows, and a screened plane solves those first."""
+    """One dual in standard form (see module docstring), whole: the primal
+    that duality_gaps reassembles; its first `classes` rows are class rows."""
 
     M: np.ndarray
     ridge: float
@@ -189,7 +193,6 @@ class _Plane:
     upper: np.ndarray
     sign: float
     classes: int
-    screened: bool = False
 
 
 @dataclass(frozen=True)
@@ -212,15 +215,7 @@ class _Blocks:
     universum: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class _Hessian:
-    """Hessian stage of one plane: the Cholesky factor of M'M + ridge I and
-    the dual of the plane it was built for, whose Q = H (M'M + ridge I)^{-1} H'
-    is checked and symmetrised once; each lattice point swaps in its own
-    linear term and box (BoxQP.with_bounds)."""
-
-    factor: tuple
-    problem: BoxQP
+SIGNS = (-1.0, 1.0)  # of each plane's (w; b) = sign (M'M + ridge I)^{-1} H' z
 
 
 class FitStages:
@@ -230,69 +225,67 @@ class FitStages:
     Fits with the same preparation key (training set, model kind, kernel,
     fuzzy parameters, seed, uniform scores, universum) reuse one set of
     blocks; those that also share a plane's ridge reuse that plane's Hessian,
-    and those that also share its linear term and box reuse its solution.
-    Only the latest blocks and the Hessians and solutions built on them are
-    held, so a caller that orders its fits by key gets the reuse without
-    keeping a lattice of arrays alive.
+    and those that also share the penalty, cu and epsilon its dual reads reuse
+    its solution.  Only the latest blocks and the Hessians and solutions built
+    on them are held, so a caller that orders its fits by key gets the reuse
+    without keeping a lattice of arrays alive.
     """
 
     def __init__(self):
         self._key = None
         self._blocks = None
-        self._planes = [None, None]  # [ridge, _Hessian, (bounds, solution) or None] per plane
+        self._planes = [None, None]  # [ridge, PlaneQP, (key, PlaneSolution) or None] per plane
 
     def blocks(self, train: Dataset, key: tuple, build) -> _Blocks:
         if self._blocks is None or self._key[0] is not train or self._key[1:] != key:
             self._key, self._blocks, self._planes = (train, *key), build(), [None, None]
         return self._blocks
 
-    def solve(self, index: int, plane: _Plane) -> tuple[np.ndarray, QPSolution]:
-        """Hessian and solve stages of plane `index`: (w; b) and the dual's solution."""
+    def solve(self, index: int, ridge: float, penalty: float, cu: float,
+              epsilon: float) -> tuple[PlaneSolution, float, bool]:
+        """Hessian and solve stages of plane `index` of the held blocks at one
+        lattice point: its solution, the KKT residual of its full dual, and
+        whether a screened plane's universum bound, so that the full dual was
+        solved (see the module docstring)."""
         held = self._planes[index]
-        if held is None or held[0] != plane.ridge:
-            held = self._planes[index] = [plane.ridge, _hessian(plane), None]
-        # the tolerance is a function of the box, so the bounds' bytes key the solve
-        bounds = (plane.lin.tobytes(), plane.upper.tobytes())
-        if held[2] is None or held[2][0] != bounds:
-            held[2] = (bounds, _solve_plane(plane, held[1]))
-        return held[2][1]
+        if held is None or held[0] != ridge:
+            held = self._planes[index] = [
+                ridge, _hessian(self._blocks, index, ridge, self._blocks.screened[index]), None]
+        plane = held[1]
+        # the tolerance scales with the box, max(penalty * weights, cu), so that
+        # huge penalty grids stay solvable; a dual without universum rows (a
+        # screened plane's) reads neither cu nor epsilon
+        box, universum = penalty * plane.weight_max, plane.size > plane.classes
+        key = (penalty, cu, epsilon) if universum else penalty
+        if held[2] is None or held[2][0] != key:
+            sol = solve_box_qp(plane, penalty, cu, epsilon,
+                               tol=DEFAULT_TOL * max(1.0, box, cu if universum else 0.0))
+            held[2], worst = (key, sol), sol.universum_residual
+        elif plane.size < plane.rows:
+            sol, worst = held[2][1], plane.screen(held[2][1].coefficients, cu, epsilon)
+        else:
+            sol = held[2][1]
+        if plane.size == plane.rows:  # not screened
+            return sol, sol.kkt_residual, False
+        tol = DEFAULT_TOL * max(1.0, box, cu)
+        if worst > tol:
+            full = solve_box_qp(_hessian(self._blocks, index, ridge, False), penalty, cu, epsilon,
+                                tol=tol)
+            return full, full.kkt_residual, True
+        return sol, max(sol.kkt_residual, worst), False
 
 
-def _hessian(plane: _Plane) -> _Hessian:
-    MtM = plane.M.T @ plane.M
-    factor = spd_factor(MtM, plane.ridge)
-    S = cho_solve(factor, plane.H.T)
-    return _Hessian(factor, BoxQP(plane.H @ S, plane.lin, plane.upper))
-
-
-def _tolerance(plane: _Plane) -> float:
-    # residual tolerance scales with the box so huge penalty grids stay solvable
-    return DEFAULT_TOL * max(1.0, float(plane.upper.max(initial=0.0)))
-
-
-def _solve_plane(plane: _Plane, hess: _Hessian) -> tuple[np.ndarray, QPSolution]:
-    sol = solve_box_qp(hess.problem.with_bounds(plane.lin, plane.upper), tol=_tolerance(plane))
-    z = plane.sign * cho_solve(hess.factor, plane.H.T @ sol.z)
-    return z, sol
-
-
-def _solve(stages: FitStages, index: int, plane: _Plane) -> tuple[np.ndarray, QPSolution, bool]:
-    """Solve stage of one plane: (w; b), the solution of its full dual, and
-    whether a screened plane's universum bound, so that the full dual was
-    solved (see the module docstring)."""
-    if not plane.screened:
-        return (*stages.solve(index, plane), False)
-    k = plane.classes
-    z, sol = stages.solve(index, _Plane(plane.M, plane.ridge, plane.H[:k], plane.lin[:k],
-                                        plane.upper[:k], plane.sign, k))
-    residual = np.minimum(np.maximum(plane.lin[k:] - plane.sign * (plane.H[k:] @ z), 0.0),
-                          plane.upper[k:])
-    worst = float(residual.max(initial=0.0))
-    if worst > _tolerance(plane):
-        return (*_solve_plane(plane, _hessian(plane)), True)
-    full = replace(sol, z=np.concatenate([sol.z, np.zeros(residual.shape[0])]),
-                   kkt_residual=max(sol.kkt_residual, worst))
-    return z, full, False
+def _hessian(blocks: _Blocks, index: int, ridge: float, screened: bool) -> PlaneQP:
+    """Hessian stage of plane `index`: the Cholesky factor of M'M + ridge I and
+    Q = H (M'M + ridge I)^{-1} H', over the class rows alone when screened,
+    checked and symmetrised once for every lattice point that shares it."""
+    M, H, weights = blocks.M[index], blocks.H[index], blocks.weights[index]
+    factor = spd_factor(M.T @ M, ridge)
+    rows = H[:weights.shape[0]] if screened else H
+    S = cho_solve(factor, rows.T)
+    # each solve brings its own bounds (solve_plane): these only pass the check
+    bounds = np.zeros(rows.shape[0])
+    return PlaneQP(BoxQP(rows @ S, bounds, bounds), factor, H, weights, SIGNS[index])
 
 
 def primal_value(plane: _Plane, z: np.ndarray) -> float:
@@ -338,29 +331,30 @@ def _blocks(train: Dataset, kernel: KernelSpec | None, universum: np.ndarray | N
                    scores=scores, universum=universum)
 
 
-def _planes(blocks: _Blocks, hp: Hyperparams, kind: str) -> tuple[_Plane, _Plane]:
-    """Both duals of one lattice point, assembled on prepared blocks."""
+def _ridges(blocks: _Blocks, hp: Hyperparams, kind: str) -> tuple[float, float]:
+    """Each plane's ridge: IFUTSVM-ID's c3 and c4, UTSVM's delta or its default."""
     if kind == "ifutsvm-id":
-        ridges = (hp.c3, hp.c4)
-    elif hp.delta is not None:
-        ridges = (hp.delta, hp.delta)
-    else:
-        # in kernel mode M is wide (m1 rows, m+1 columns): delta is then the
-        # only regularizer acting on null(M), and a vanishing default makes
-        # the dual unsolvable; linear-mode normal matrices are full rank and
-        # tolerate a much smaller stabilization
-        scale = 1e-7 if hp.kernel is None else 1e-3
-        ridges = [scale * float(np.sum(M * M)) / M.shape[1] for M in blocks.M]
+        return hp.c3, hp.c4
+    if hp.delta is not None:
+        return hp.delta, hp.delta
+    # in kernel mode M is wide (m1 rows, m+1 columns): delta is then the only
+    # regularizer acting on null(M), and a vanishing default makes the dual
+    # unsolvable; linear-mode normal matrices are full rank and tolerate a much
+    # smaller stabilization
+    scale = 1e-7 if hp.kernel is None else 1e-3
+    return tuple(scale * float(np.sum(M * M)) / M.shape[1] for M in blocks.M)
+
+
+def _planes(blocks: _Blocks, hp: Hyperparams, kind: str) -> tuple[_Plane, _Plane]:
+    """Both duals of one lattice point, whole, assembled on prepared blocks."""
     planes = []
-    for M, H, weights, penalty, ridge, sign, screened in zip(
-            blocks.M, blocks.H, blocks.weights, (hp.c1, hp.c2), ridges, (-1.0, 1.0),
-            blocks.screened):
+    for M, H, weights, penalty, ridge, sign in zip(
+            blocks.M, blocks.H, blocks.weights, (hp.c1, hp.c2), _ridges(blocks, hp, kind), SIGNS):
         k = weights.shape[0]
         lin, upper = np.empty(H.shape[0]), np.empty(H.shape[0])
         lin[:k], lin[k:] = 1.0, hp.epsilon - 1.0
         upper[:k], upper[k:] = penalty * weights, hp.cu
-        planes.append(_Plane(M=M, ridge=ridge, H=H, lin=lin, upper=upper, sign=sign,
-                             classes=k, screened=screened))
+        planes.append(_Plane(M=M, ridge=ridge, H=H, lin=lin, upper=upper, sign=sign, classes=k))
     return planes[0], planes[1]
 
 
@@ -393,15 +387,17 @@ def _fit(kind: str, train: Dataset, hp: Hyperparams, key: tuple, prepare,
         for which, weights in enumerate(blocks.weights, start=1):
             if not weights.any():  # z = 0 solves its dual (module docstring)
                 raise TrainingError(f"degenerate plane {which}: ||w|| < {DEGENERATE_NORM}")
-        (z1, sol1, _), (z2, sol2, bound2) = [
-            _solve(stages, i, plane) for i, plane in enumerate(_planes(blocks, hp, kind))]
-        w1, b1 = _split_coefficients(z1, "1")
-        w2, b2 = _split_coefficients(z2, "2")
+        (sol1, kkt1, _), (sol2, kkt2, bound2) = [
+            stages.solve(index, ridge, penalty, hp.cu, hp.epsilon)
+            for index, (ridge, penalty) in enumerate(zip(_ridges(blocks, hp, kind),
+                                                         (hp.c1, hp.c2)))]
+        w1, b1 = _split_coefficients(sol1.coefficients, "1")
+        w2, b2 = _split_coefficients(sol2.coefficients, "2")
     k1, k2 = (weights.shape[0] for weights in blocks.weights)
     report = DualReport(
         alpha=sol1.z[:k1], beta=sol1.z[k1:],
         eta=sol2.z[:k2], theta=sol2.z[k2:],
-        kkt_residual_1=sol1.kkt_residual, kkt_residual_2=sol2.kkt_residual,
+        kkt_residual_1=kkt1, kkt_residual_2=kkt2,
         dual_objective_1=sol1.objective, dual_objective_2=sol2.objective,
         iterations_1=sol1.iterations, iterations_2=sol2.iterations,
         plan=blocks.plan, scores=blocks.scores, universum=blocks.universum,

@@ -29,25 +29,32 @@ once, so a dual the refinement solves returns in that sweep.
 The whole solve is one C call (`_solve.c`, loaded with ctypes): the sweeps,
 the one-coordinate test, the full residual and its confirmation on a fresh
 Qz, the pattern test with the set of patterns refined, and the refinement
-itself.  It returns to Python at convergence, at the sweep limit, and when
-potrf rejects a free block: Python then takes np.linalg.lstsq on the block
-and calls again with the step, and the C side goes on where it stopped.
-It keeps the bits of the scalar reference loop and the reference refinement
-in tests/oracle_utils.py: each step is (c_i - q_i + Q_ii z_i) /
-max(Q_ii, DIAG_FLOOR), each gradient update q_j + Q_ij * delta rounds twice,
-Q @ z and c @ z are numpy's own cblas_dgemv and cblas_ddot called as numpy's
-matmul calls them, and the factor and solve are scipy's LAPACK potrf and
-potrs (through scipy.linalg.cython_lapack).  Those entry points are found
-once, at import, and a missing one raises ImportError.  The C file is built
-with `gcc -O2 -ffp-contract=off -shared -fPIC`, so with no FMA contraction
-and no -ffast-math, once per machine into $XDG_CACHE_HOME/ifutsvm (else
-~/.cache/ifutsvm), named by the SHA-256 of the source and the command; a warm
-import runs no compiler, and a cold one without gcc raises ImportError.
+itself, least squares included.  It returns to Python at convergence and at
+the sweep limit.  It keeps the bits of the scalar reference loop and the
+reference refinement in tests/oracle_utils.py: each step is (c_i - q_i +
+Q_ii z_i) / max(Q_ii, DIAG_FLOOR), each gradient update q_j + Q_ij * delta
+rounds twice, Q @ z and c @ z are numpy's own cblas_dgemv and cblas_ddot
+called as numpy's matmul calls them, the least squares are numpy's own
+dgelsd called as np.linalg.lstsq calls it (its workspace query, rcond = eps
+k), and the factor and solve are scipy's LAPACK potrf and potrs (through
+scipy.linalg.cython_lapack).  Those entry points are found once, at import,
+and a missing one raises ImportError.  The C file is built with `gcc -O2
+-ffp-contract=off -shared -fPIC`, so with no FMA contraction and no
+-ffast-math, once per machine into $XDG_CACHE_HOME/ifutsvm (else
+~/.cache/ifutsvm), named by the SHA-256 of the source and the command; a
+warm import runs no compiler, and a cold one without gcc raises ImportError.
 Each solution counts its path: full residuals formed, refinements tried,
 kept and solved by least squares.
 BoxQP checks and symmetrises Q and takes its diagonals once; with_bounds
-gives that Q another c and upper, so the lattice points that share a dual
-Hessian share one checked Q.
+gives that Q another c and upper.
+
+A twin-SVM plane is solved by one C call per lattice point (solve_plane): a
+PlaneQP holds the plane's checked Q, its Cholesky factor, its constraint
+rows, class weights and sign, with their addresses resolved once per
+Hessian, and the call builds the plane's linear term and box from the
+point's penalty, cu and epsilon, solves, and recovers (w; b) by potrs on
+H'z, formed as numpy's matmul forms H.T @ z.  The tests' numpy path
+(reference_plane_solve) is its bit-for-bit reference.
 
 The duals are small (order m + 1, a few hundred on KEEL-sized sets), so
 OpenBLAS's thread hand-offs cost more than they save: every fit runs its
@@ -66,8 +73,10 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg import LinAlgError, cho_factor, cython_lapack
 from scipy.linalg.lapack import dpotrs
 
@@ -83,13 +92,14 @@ DIAG_FLOOR = 1e-12
 _SOURCE = Path(__file__).with_name("_solve.c")
 # no FMA contraction and no -ffast-math: the loop must round as the reference does
 _COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# numpy's cblas names, the ILP64 ones first; the ddot of the same build goes with each
+# numpy's cblas and LAPACK names, the ILP64 ones first; the ddot of the same build
+# goes with each dgemv
 _DGEMV_NAMES = ("scipy_cblas_dgemv64_", "cblas_dgemv64_", "scipy_cblas_dgemv", "cblas_dgemv")
-# solve_box_qp's return codes and the slots of its state vector (see _solve.c)
-_SOLVE_LIMIT, _SOLVE_LEAST_SQUARES, _SOLVE_NO_MEMORY = range(1, 4)  # 0: converged
-_SWEEPS, _CHECKS, _REFINEMENTS, _ACCEPTED, _LEAST_SQUARES, _CONTEXT, _FREE, _BLOCK = range(8)
-_State = ctypes.c_int64 * 8
-_Values = ctypes.c_double * 2  # objective, residual
+_GELSD_NAMES = ("scipy_dgelsd_64_", "dgelsd_64_", "scipy_dgelsd_", "dgelsd_")
+# the C calls' return codes and the slots of their state vector (see _solve.c)
+_SOLVE_LIMIT, _SOLVE_NO_MEMORY, _PLANE_NON_FINITE, _PLANE_NEGATIVE = range(1, 5)  # 0: converged
+_State = ctypes.c_int64 * 5  # sweeps, checks, refinements, accepted, least squares
+_Values = ctypes.c_double * 3  # objective, residual, a screened plane's universum maximum
 
 
 def _symbol(library: ctypes.CDLL, names) -> tuple[str, int]:
@@ -117,18 +127,22 @@ def _capsule(module, name: str) -> int:
 
 
 def _entry_points() -> tuple:
-    """(ilp64, dgemv, ddot, dpotrf, dpotrs): numpy's cblas_dgemv and cblas_ddot,
-    found through its own extension module's handle, and scipy's LAPACK."""
+    """(blas_ilp64, dgemv, ddot, lapack_ilp64, dgelsd, dpotrf, dpotrs): numpy's
+    cblas_dgemv and cblas_ddot, found through its own extension module's handle,
+    numpy's dgelsd, found through the handle of the module behind
+    np.linalg.lstsq, and scipy's LAPACK."""
     numpy_blas = ctypes.CDLL(_umath.__file__)
     dgemv_name, dgemv = _symbol(numpy_blas, _DGEMV_NAMES)
     _, ddot = _symbol(numpy_blas, [dgemv_name.replace("dgemv", "ddot")])
-    return (int(dgemv_name.endswith("64_")), dgemv, ddot,
+    gelsd_name, gelsd = _symbol(ctypes.CDLL(_umath_linalg.__file__), _GELSD_NAMES)
+    return (int(dgemv_name.endswith("64_")), dgemv, ddot, int(gelsd_name.endswith("64_")), gelsd,
             _capsule(cython_lapack, "dpotrf"), _capsule(cython_lapack, "dpotrs"))
 
 
 def _load_solver():
     """The C solver, compiled into the per-user cache when that misses, bound to
-    numpy's BLAS and scipy's LAPACK; (solve_box_qp, solve_release).
+    numpy's BLAS and LAPACK and scipy's LAPACK; (solve_box_qp, solve_plane,
+    plane_screen).
 
     The library's name carries the SHA-256 of the source and the compile
     command, so a warm cache costs one file read and one dlopen and runs no
@@ -157,20 +171,21 @@ def _load_solver():
                               f"once: `{' '.join(_COMPILE)}` on {_SOURCE} into the cache "
                               f"at {library} failed: {detail}") from None
     lib = ctypes.CDLL(str(library))
-    lib.solve_bind.argtypes = [ctypes.c_int, *[ctypes.c_void_p] * 4]
-    lib.solve_bind.restype = None
+    pointer, double, int64 = ctypes.c_void_p, ctypes.c_double, ctypes.c_int64
+    out = [pointer, ctypes.POINTER(double), ctypes.POINTER(int64)]  # z or out, values, state
+    for name, argtypes in (
+            ("solve_bind", [ctypes.c_int, pointer, pointer, ctypes.c_int, *[pointer] * 3]),
+            ("solve_box_qp", [int64, *[pointer] * 4, double, int64, *out]),
+            ("solve_plane", [pointer, *[double] * 4, int64, *out]),
+            ("plane_screen", [pointer, pointer, double, double, ctypes.POINTER(double)])):
+        function = getattr(lib, name)
+        function.argtypes = argtypes
+        function.restype = None if name == "solve_bind" else ctypes.c_int
     lib.solve_bind(*_entry_points())
-    solve, release = lib.solve_box_qp, lib.solve_release
-    solve.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 4, ctypes.c_double, ctypes.c_int64,
-                      ctypes.c_void_p, ctypes.POINTER(ctypes.c_double),
-                      ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p]
-    solve.restype = ctypes.c_int
-    release.argtypes = [ctypes.POINTER(ctypes.c_int64)]
-    release.restype = None
-    return solve, release
+    return lib.solve_box_qp, lib.solve_plane, lib.plane_screen
 
 
-_solve, _release = _load_solver()
+_solve, _solve_plane, _plane_screen = _load_solver()
 
 
 class NumericalError(RuntimeError):
@@ -276,6 +291,79 @@ class QPSolution:
     least_squares: int = 0
 
 
+class PlaneSolution(NamedTuple):
+    """A plane's solve at one lattice point (solve_plane): z over every row of
+    H, zero on the universum rows a screened plane leaves out of its dual,
+    (w; b), and the dual's objective, KKT residual and counts as in
+    QPSolution; universum_residual is a screened plane's largest universum
+    KKT residual (PlaneQP.screen), 0 for any other plane."""
+
+    z: np.ndarray
+    coefficients: np.ndarray
+    objective: float
+    kkt_residual: float
+    iterations: int
+    checks: int
+    refinements: int
+    accepted: int
+    least_squares: int
+    universum_residual: float
+
+
+class _PlaneContext(ctypes.Structure):
+    """struct plane of _solve.c"""
+
+    _fields_ = [*[(name, ctypes.c_int64) for name in ("k", "rows", "classes", "columns")],
+                *[(name, ctypes.c_void_p) for name in ("Q", "diagonals", "L", "H", "weights")],
+                ("sign", ctypes.c_double)]
+
+
+class PlaneQP:
+    """The Hessian context of one plane of a twin-SVM dual (see ifutsvm.models):
+    the checked Q of `problem`, the lower Cholesky `factor` of M'M + ridge I,
+    the constraint rows H (class rows first, then universum rows), the class
+    weights and the sign.  Q spans every row of H, or only the class rows for
+    a screened plane.
+
+    The arrays' addresses are resolved here, once per Hessian, and the
+    context holds the arrays; it cannot be pickled, since a copy would point
+    at the original's memory.
+    """
+
+    def __init__(self, problem: BoxQP, factor, H: np.ndarray, weights: np.ndarray, sign: float):
+        L, lower = factor
+        L = np.asfortranarray(L, dtype=np.float64)
+        H = np.ascontiguousarray(H, dtype=np.float64)
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        (rows, columns), classes, k = H.shape, weights.shape[0], problem.size
+        if not lower or L.shape != (columns, columns) or k not in (classes, rows) or classes > rows:
+            raise ValueError("a plane needs a lower factor of H's order and a Q over its "
+                             "class rows or all of H's rows")
+        self.problem, self.sign, self.size = problem, sign, k
+        self.rows, self.classes = rows, classes
+        self.weight_max = float(weights.max(initial=0.0))
+        self._arrays = (L, H, weights)
+        self._context = _PlaneContext(k, rows, classes, columns, problem.Q.ctypes.data,
+                                      problem._diagonals.ctypes.data, L.ctypes.data,
+                                      H.ctypes.data, weights.ctypes.data, sign)
+        self._address = ctypes.addressof(self._context)
+        self._Out = ctypes.c_double * (rows + columns)  # z over H's rows, then (w; b)
+        self._Coefficients = ctypes.c_double * columns
+
+    def __reduce__(self):
+        raise TypeError("a PlaneQP holds raw addresses and cannot be pickled or copied")
+
+    def screen(self, coefficients: np.ndarray, cu: float, epsilon: float) -> float:
+        """The largest KKT residual of the universum multipliers a screened
+        plane leaves out, held at zero, at (w; b) = coefficients:
+        max_j clip(epsilon - 1 - sign H_j (w; b), 0, cu), 0 without any."""
+        top = ctypes.c_double()
+        if _plane_screen(self._address, self._Coefficients.from_buffer(coefficients), cu, epsilon,
+                         top):
+            raise MemoryError(f"no memory to screen {self.rows - self.size} universum rows")
+        return top.value
+
+
 def _kkt_residual(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
     """KKT residual of z given q = Q @ z."""
     r = np.clip(z - (q - problem.c), 0.0, problem.upper)
@@ -288,16 +376,19 @@ def kkt_residual(problem: BoxQP, z: np.ndarray) -> float:
     return _kkt_residual(problem, z, problem.Q @ z)
 
 
-def _least_squares(state) -> np.ndarray | None:
-    """The min-norm least-squares step on the free block a solve stopped at,
-    or None when lstsq does not converge."""
-    f = state[_FREE]
-    data = np.frombuffer((ctypes.c_double * (f * (f + 1))).from_address(state[_BLOCK]))
-    try:
-        return np.ascontiguousarray(np.linalg.lstsq(data[:f * f].reshape(f, f), data[f * f:],
-                                                    rcond=None)[0])
-    except np.linalg.LinAlgError:
-        return None
+def _solution(status: int, z: np.ndarray, values, state, max_iter: int) -> QPSolution:
+    """The solution a C solve returned, or the error it ended in."""
+    if status == _SOLVE_NO_MEMORY:
+        raise MemoryError(f"no memory for a box QP of size {z.shape[0]}")
+    if status == _PLANE_NON_FINITE:
+        raise NonFiniteError("Q, c and upper must be finite")
+    if status == _PLANE_NEGATIVE:
+        raise ValueError("upper bounds must be nonnegative")
+    sol = QPSolution(z, values[0], values[1], max_iter if status == _SOLVE_LIMIT else state[0],
+                     *state[1:])
+    if status == _SOLVE_LIMIT:
+        raise NonConvergenceError(sol)
+    return sol
 
 
 def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
@@ -309,29 +400,33 @@ def solve_box_qp(problem: BoxQP, tol: float = DEFAULT_TOL,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    k = problem.size
-    if k == 0:
-        return QPSolution(np.zeros(0), 0.0, 0.0, 0)
-    z = np.zeros(k)
+    z = np.zeros(problem.size)
     values, state = _Values(), _State()
-    args = (k, problem.Q.ctypes.data, problem._diagonals.ctypes.data, problem.c.ctypes.data,
-            problem.upper.ctypes.data, tol, max_iter, z.ctypes.data, values, state)
-    status = _solve(*args, None)
-    try:
-        while status == _SOLVE_LEAST_SQUARES:  # potrf rejected a free block
-            step = _least_squares(state)
-            status = _solve(*args, None if step is None else step.ctypes.data)
-    finally:
-        if state[_CONTEXT]:  # a solve stopped for least squares and not resumed
-            _release(state)
-    if status == _SOLVE_NO_MEMORY:
-        raise MemoryError(f"no memory for a box QP of size {k}")
-    sol = QPSolution(z, values[0], values[1],
-                     max_iter if status == _SOLVE_LIMIT else state[_SWEEPS], state[_CHECKS],
-                     state[_REFINEMENTS], state[_ACCEPTED], state[_LEAST_SQUARES])
-    if status == _SOLVE_LIMIT:
-        raise NonConvergenceError(sol)
-    return sol
+    status = _solve(z.shape[0], problem.Q.ctypes.data, problem._diagonals.ctypes.data,
+                    problem.c.ctypes.data, problem.upper.ctypes.data, tol, max_iter,
+                    z.ctypes.data, values, state)
+    return _solution(status, z, values, state, max_iter)
+
+
+def solve_plane(plane: PlaneQP, penalty: float, cu: float, epsilon: float, *, tol: float,
+                max_iter: int = DEFAULT_MAX_ITER) -> PlaneSolution:
+    """The solve stage of one plane at one lattice point, in one C call.
+
+    The dual's linear term is 1 on class rows and epsilon - 1 on universum
+    rows, its box penalty * weights on class rows and cu on universum rows;
+    it is solved as solve_box_qp solves BoxQP(Q, c, upper), with the same
+    errors, and (w; b) = sign * cho_solve(factor, H_k' z) over the rows H_k
+    of its dual.  A screened plane also gets its universum_residual.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    out, values, state = plane._Out(), _Values(), _State()
+    status = _solve_plane(plane._address, penalty, cu, epsilon, tol, max_iter, out, values, state)
+    buffer = np.frombuffer(out)
+    if status:
+        _solution(status, buffer[:plane.size], values, state, max_iter)
+    rows = plane.rows
+    return PlaneSolution(buffer[:rows], buffer[rows:], values[0], values[1], *state, values[2])
 
 
 def cho_solve(factor, b) -> np.ndarray:

@@ -13,10 +13,17 @@ evaluates the objective on grid candidates.  For k <= 2 it enumerates the
 full 0.001-step grid; for larger k it alternates exhaustive single-coordinate
 scans with exhaustive local two-coordinate scans until no grid move improves.
 Every scan axis is clipped to its box, so each candidate is feasible.
+
+reference_plane_solve is the solve stage of one plane formed in numpy, the
+reference for the one C call per plane behind ifutsvm.models.FitStages.solve.
 """
+
+import dataclasses
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
+
+from ifutsvm import models, qp
 
 
 def gaussian(p, q, spec):
@@ -201,3 +208,42 @@ def random_box_qp(rng):
     c = rng.normal(size=k)
     upper = rng.uniform(0.2, 1.5, k)
     return Q, c, upper
+
+
+def reference_plane_solve(blocks, index, hp, kind, max_iter=qp.DEFAULT_MAX_ITER):
+    """The solve stage of plane `index` at the lattice point hp, in numpy.
+
+    The whole dual comes from models._planes; a screened plane solves its
+    class rows, others all their rows: BoxQP and solve_box_qp to the
+    tolerance DEFAULT_TOL * max(1, upper.max()) of those rows, and recovers
+    (w; b) = sign * cho_solve(factor, H_k' z).  A screened plane then checks
+    each universum row on that plane, clip(lin_j - sign H_j (w; b), 0, cu), and
+    solves its full dual the same way when the largest exceeds the full dual's
+    tolerance; otherwise its solution is the class-row one padded with zeros,
+    with the larger of the two residuals.
+
+    Returns ((w; b), the full dual's QPSolution, whether the universum bound);
+    raises what the solve raises.
+    """
+    plane = models._planes(blocks, hp, kind)[index]
+
+    def solve(rows):
+        H, lin, upper = plane.H[:rows], plane.lin[:rows], plane.upper[:rows]
+        factor = qp.spd_factor(plane.M.T @ plane.M, plane.ridge)
+        problem = qp.BoxQP(H @ qp.cho_solve(factor, H.T), lin, upper)
+        tol = qp.DEFAULT_TOL * max(1.0, float(upper.max(initial=0.0)))
+        sol = qp.solve_box_qp(problem, tol=tol, max_iter=max_iter)
+        return plane.sign * qp.cho_solve(factor, H.T @ sol.z), sol
+
+    k, rows = plane.classes, plane.H.shape[0]
+    if not blocks.screened[index]:
+        return (*solve(rows), False)
+    z, sol = solve(k)
+    residual = np.minimum(np.maximum(plane.lin[k:] - plane.sign * (plane.H[k:] @ z), 0.0),
+                          plane.upper[k:])
+    worst = float(residual.max(initial=0.0))
+    if worst > qp.DEFAULT_TOL * max(1.0, float(plane.upper.max(initial=0.0))):
+        return (*solve(rows), True)
+    full = dataclasses.replace(sol, z=np.concatenate([sol.z, np.zeros(rows - k)]),
+                               kkt_residual=max(sol.kkt_residual, worst))
+    return z, full, False

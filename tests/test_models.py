@@ -1,8 +1,12 @@
 import contextlib
+import copy
 import dataclasses
+import functools
 import itertools
+import pickle
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +42,7 @@ from ifutsvm.membership import assign_scores, uniform_scores
 
 import fit_digest
 from conftest import make_blobs, read_model_file, write_model_file
-from oracle_utils import gaussian
+from oracle_utils import gaussian, reference_plane_solve
 
 
 HP = dict(c1=1.0, c2=1.0, c3=0.1, c4=0.1, cu=0.5, epsilon=0.1)
@@ -424,20 +428,22 @@ class TestOneBoxQPPerHessian:
     @pytest.mark.parametrize("kind", ["ifutsvm-id", "utsvm"])
     def test_one_problem_per_hessian_in_a_kernel_search(self, calls, monkeypatch, kind):
         signs = []  # of each plane solved: -1 plane 1, +1 plane 2
-        solve_plane = models._solve_plane
+        c_calls = []  # of the C plane solve behind each
+        solve, c_solve = models.solve_box_qp, qp._solve_plane
 
-        def observed(plane, hess):
+        def observed(plane, *args, **kwargs):
             signs.append(plane.sign)
-            return solve_plane(plane, hess)
+            return solve(plane, *args, **kwargs)
 
-        monkeypatch.setattr(models, "_solve_plane", observed)
+        monkeypatch.setattr(models, "solve_box_qp", observed)
+        monkeypatch.setattr(qp, "_solve_plane", lambda *args: c_calls.append(1) or c_solve(*args))
         grid = GridSpec(c1=(0.1, 10.0), c3=(0.01, 1.0), cu=(0.1, 1.0), epsilon=(0.1, 0.5),
                         width=(1.0, 4.0))
         k = 3
         _, table = grid_search_cv(make_blobs(10, 40, seed=0, d=4), kind, grid, k=k, seed=4)
         assert not any(row["flags"] for row in table)
         assert calls["BoxQP"] == calls["spd_factor"]
-        assert calls["solve_box_qp"] == len(signs)
+        assert calls["solve_box_qp"] == len(signs) == len(c_calls)
         # plane 1 solves once per fold fit; IFUTSVM-ID's screened plane 2
         # solves its class rows, whose dual reads neither cu nor epsilon, once
         # per (fold, width, c3, c1), and no universum row of this clean set binds
@@ -451,9 +457,9 @@ class TestOneBoxQPPerHessian:
         problems = []
         solve = models.solve_box_qp
 
-        def observed(problem, **kwargs):
-            problems.append(problem)
-            return solve(problem, **kwargs)
+        def observed(plane, *args, **kwargs):
+            problems.append(plane.problem)
+            return solve(plane, *args, **kwargs)
 
         monkeypatch.setattr(models, "solve_box_qp", observed)
         ds = make_blobs(10, 30, seed=5, d=3)
@@ -490,6 +496,13 @@ def full_plane_2(model, ds):
     return _planes(_blocks(ds, hp.kernel, plan=rep.plan, scores=rep.scores), hp, "ifutsvm-id")[1]
 
 
+def full_hessian_2(model, ds):
+    """The Hessian context of IFUTSVM-ID's plane 2 of a fit over all its rows."""
+    rep, hp = model.dual_report, model.hyperparams
+    return models._hessian(_blocks(ds, hp.kernel, plan=rep.plan, scores=rep.scores), 1, hp.c4,
+                           False)
+
+
 class TestScreenedPlane2:
     """IFUTSVM-ID's plane 2 solves its class rows, checks its universum rows
     on the recovered plane and solves its full dual only when one binds."""
@@ -500,9 +513,10 @@ class TestScreenedPlane2:
         rows = []
         hessian = models._hessian
 
-        def observed(plane):
-            rows.append((plane.sign, plane.H.shape[0]))
-            return hessian(plane)
+        def observed(*args):
+            plane = hessian(*args)
+            rows.append((plane.sign, plane.size))
+            return plane
 
         monkeypatch.setattr(models, "_hessian", observed)
         return rows
@@ -530,9 +544,10 @@ class TestScreenedPlane2:
         assert rep.universum_bound_2 and np.any(rep.theta > 0)
         assert hessian_rows == [(-1.0, 15), (1.0, 10), (1.0, 40)]
         plane2 = full_plane_2(model, ds)
-        z, sol = models._solve_plane(plane2, models._hessian(plane2))
-        assert_array_equal(model.w2, z[:-1])
-        assert model.b2 == z[-1]
+        sol = models.solve_box_qp(full_hessian_2(model, ds), hp.c2, hp.cu, hp.epsilon,
+                                  tol=qp.DEFAULT_TOL * max(1.0, float(plane2.upper.max())))
+        assert_array_equal(model.w2, sol.coefficients[:-1])
+        assert model.b2 == sol.coefficients[-1]
         assert_array_equal(rep.theta, sol.z[rep.eta.size:])
         assert (rep.kkt_residual_2, rep.dual_objective_2, rep.iterations_2) == (
             sol.kkt_residual, sol.objective, sol.iterations)
@@ -542,9 +557,9 @@ class TestScreenedPlane2:
         sizes = []
         solve = models.solve_box_qp
 
-        def observed(problem, **kwargs):
-            sizes.append(problem.size)
-            return solve(problem, **kwargs)
+        def observed(plane, *args, **kwargs):
+            sizes.append(plane.size)
+            return solve(plane, *args, **kwargs)
 
         monkeypatch.setattr(models, "solve_box_qp", observed)
         ds = make_blobs(10, 40, seed=0, d=4)
@@ -579,10 +594,184 @@ class TestScreenedPlane2:
             assume(False)
         rep = model.dual_report
         plane2 = full_plane_2(model, ds)
-        problem = models._hessian(plane2).problem
+        problem = full_hessian_2(model, ds).problem.with_bounds(plane2.lin, plane2.upper)
         tol = qp.DEFAULT_TOL * max(1.0, float(plane2.upper.max()))
         assert qp.kkt_residual(problem, np.concatenate([rep.eta, rep.theta])) <= tol
         assert rep.kkt_residual_2 <= tol
+
+
+def point(**values):
+    """A lattice point the solve stage reads, unchecked, so that it can hold
+    bounds Hyperparams rejects."""
+    return SimpleNamespace(**{**HP, "c2": values.get("c1", HP["c1"]), "c4": values.get(
+        "c3", HP["c3"]), "delta": None, "kernel": None, **values})
+
+
+def plane_bits(blocks, index, hp, kind, reference=False, max_iter=qp.DEFAULT_MAX_ITER):
+    """Everything the solve stage of one plane reports, as exact bytes: (w; b),
+    z over every row, the objective and the full dual's KKT residual in hex,
+    the counts and whether the universum bound; or the error's type and text
+    (a NonConvergenceError's with its best iterate).  max_iter reaches the
+    reference only."""
+    try:
+        if reference:
+            coefficients, sol, bound = reference_plane_solve(blocks, index, hp, kind, max_iter)
+            kkt = sol.kkt_residual
+        else:
+            stages = models.FitStages()
+            stages.blocks(blocks, (), lambda: blocks)
+            ridge = models._ridges(blocks, hp, kind)[index]
+            sol, kkt, bound = stages.solve(index, ridge, (hp.c1, hp.c2)[index], hp.cu,
+                                           hp.epsilon)
+            coefficients = sol.coefficients
+    except qp.NonConvergenceError as exc:
+        best = exc.best
+        return (type(exc), str(exc), best.z.tobytes(), best.objective.hex(),
+                best.kkt_residual.hex(), best.iterations, best.checks, best.refinements,
+                best.accepted, best.least_squares)
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
+    return (coefficients.tobytes(), sol.z.tobytes(), sol.objective.hex(), kkt.hex(),
+            sol.iterations, sol.checks, sol.refinements, sol.accepted, sol.least_squares, bound)
+
+
+def random_blocks(rng, classes, universum, zero_share=0.0, d=3):
+    """Two planes on random blocks, IFUTSVM-ID's shape: plane 1 solves all its
+    rows, plane 2 only its class rows (screened); `zero_share` of the weights
+    are zero."""
+    def plane(k, u):
+        M = np.hstack([rng.normal(size=(k + 2, d)), np.ones((k + 2, 1))])
+        H = np.hstack([rng.normal(size=(k + u, d)) * rng.uniform(0.5, 3.0), np.ones((k + u, 1))])
+        H[k:] *= rng.choice([-1.0, 1.0])
+        weights = rng.uniform(0.0, 1.0, size=k)
+        weights[rng.random(k) < zero_share] = 0.0
+        return M, H, weights
+
+    (M1, H1, w1), (M2, H2, w2) = plane(classes, universum), plane(classes, universum)
+    return models._Blocks(D=None, M=(M1, M2), H=(H1, H2), weights=(w1, w2),
+                          screened=(False, True))
+
+
+def fitted_blocks(ds, kind, kernel, seed):
+    """The prepare stage of a fit of either kind."""
+    if kind == "utsvm":
+        universum, _ = generate_universum(ds, ds.m2 - ds.m1, seed)
+        return _blocks(ds, kernel, universum)
+    return _blocks(ds, kernel, plan=build_plan(ds, seed),
+                   scores=assign_scores(ds, kernel, FuzzyParams()))
+
+
+class TestOnePlaneCall:
+    """The solve stage of a plane is one C call (qp.solve_plane) that builds the
+    box, solves, recovers (w; b) and screens a screened plane's universum; it
+    gives the bits of the numpy path (reference_plane_solve) it replaced."""
+
+    @pytest.mark.parametrize("kind", ["utsvm", "ifutsvm-id"])
+    @pytest.mark.parametrize("width", [None, 0.5, 2.0])
+    def test_fitted_planes_match_the_reference(self, kind, width):
+        kernel = None if width is None else KernelSpec(width)
+        rng = np.random.default_rng(int(1000 * (width or 0)) + len(kind))
+        bound = set()
+        # the two noisy sets bind plane 2's universum at c1 = 10, cu = 1 and
+        # epsilon = 0.6 (see test_binding_universum_takes_the_full_dual)
+        for seed, ds in ((4, noisy_blobs(4, 3)), (17, noisy_blobs(17, 5)),
+                         (0, noisy_blobs(0, 0, 6, 24)), (1, noisy_blobs(1, 2, 7, 24))):
+            blocks = fitted_blocks(ds, kind, kernel, seed)
+            points = [point(c1=10.0, cu=1.0, epsilon=0.6, kernel=kernel)]
+            points += [point(c1=float(10.0 ** rng.uniform(-2, 2)),
+                             c3=float(10.0 ** rng.uniform(-3, 0)),
+                             cu=float(rng.choice([0.0, 0.1, 1.0])),
+                             epsilon=float(rng.choice([0.1, 0.6])), kernel=kernel)
+                       for _ in range(2)]
+            for hp in points:
+                for index in (0, 1):
+                    bits = plane_bits(blocks, index, hp, kind)
+                    assert bits == plane_bits(blocks, index, hp, kind, reference=True)
+                    if blocks.screened[index] and len(bits) == 10:
+                        bound.add(bits[-1])
+        if kind == "ifutsvm-id" and width != 0.5:
+            assert bound == {False, True}  # screened planes that bind and that do not
+
+    @pytest.mark.parametrize("classes, universum, zero_share, cu_max", [
+        (6, 1, 0.0, 3.0), (5, 9, 0.0, 3.0), (8, 3, 0.5, 3.0), (1, 4, 0.0, 3.0),
+        (7, 0, 0.3, 3.0), (4, 6, 1.0, 3.0), (12, 12, 0.0, 1e3)],
+        ids=["one-universum-row", "universum-heavy", "zero-weights", "one-class-row",
+             "no-universum", "all-weights-zero", "cu-sets-the-tolerance"])
+    def test_random_planes_match_the_reference(self, classes, universum, zero_share, cu_max):
+        rng = np.random.default_rng(100 * classes + universum)
+        for _ in range(6):
+            blocks = random_blocks(rng, classes, universum, zero_share)
+            for epsilon in (0.1, 0.6, 0.95):
+                hp = point(c1=float(10.0 ** rng.uniform(-2, 2)), cu=float(rng.uniform(0, cu_max)),
+                           epsilon=epsilon)
+                for index in (0, 1):
+                    assert plane_bits(blocks, index, hp, "ifutsvm-id") == plane_bits(
+                        blocks, index, hp, "ifutsvm-id", reference=True)
+
+    def test_a_screened_plane_rescreens_a_shared_solve_per_cu_and_epsilon(self):
+        # the class-row solve is held for every (cu, epsilon) with its penalty;
+        # each point screens the held plane again, as the reference screens it
+        rng = np.random.default_rng(7)
+        blocks = random_blocks(rng, 6, 12)
+        stages = models.FitStages()
+        stages.blocks(blocks, (), lambda: blocks)
+        seen = set()
+        for cu in (0.0, 0.1, 1.0, 3.0):
+            for epsilon in (0.1, 0.5, 0.9):
+                hp = point(c1=2.0, cu=cu, epsilon=epsilon)
+                sol, kkt, bound = stages.solve(1, hp.c4, hp.c2, cu, epsilon)
+                coefficients, expected, expected_bound = reference_plane_solve(
+                    blocks, 1, hp, "ifutsvm-id")
+                assert (sol.coefficients.tobytes(), sol.z.tobytes(), kkt.hex(), bound) == (
+                    coefficients.tobytes(), expected.z.tobytes(), expected.kkt_residual.hex(),
+                    expected_bound)
+                seen.add(bound)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("values, error", [
+        (dict(c1=np.inf), qp.NonFiniteError), (dict(cu=np.inf), qp.NonFiniteError),
+        (dict(epsilon=np.nan), qp.NonFiniteError), (dict(cu=-0.5), ValueError)],
+        ids=["infinite-penalty", "infinite-cu", "nan-epsilon", "negative-cu"])
+    def test_rejected_bounds_raise_the_reference_errors(self, values, error):
+        blocks = random_blocks(np.random.default_rng(3), 6, 4)
+        hp = point(**values)
+        for index in (0, 1):
+            bits = plane_bits(blocks, index, hp, "ifutsvm-id")
+            assert bits == plane_bits(blocks, index, hp, "ifutsvm-id", reference=True)
+        # plane 1's dual holds its universum rows; screened plane 2's holds
+        # its class rows only, so only the penalty reaches its box there
+        assert plane_bits(blocks, 0, hp, "ifutsvm-id")[0] is error
+        assert len(plane_bits(blocks, 1, hp, "ifutsvm-id")) == (2 if "c1" in values else 10)
+
+    def test_the_sweep_limit_raises_with_the_reference_best(self, monkeypatch):
+        blocks = fitted_blocks(noisy_blobs(17, 5), "ifutsvm-id", KernelSpec(2.0), 17)
+        hp = point(c1=10.0, cu=1.0, epsilon=0.6, kernel=KernelSpec(2.0))
+        monkeypatch.setattr(models, "solve_box_qp", functools.partial(qp.solve_plane,
+                                                                      max_iter=2))
+        for index in (0, 1):
+            bits = plane_bits(blocks, index, hp, "ifutsvm-id")
+            assert bits[0] is qp.NonConvergenceError and "did not converge in 2 sweeps" in bits[1]
+            assert bits == plane_bits(blocks, index, hp, "ifutsvm-id", reference=True,
+                                      max_iter=2)
+
+    def test_a_degenerate_plane_fails_as_the_reference_does(self):
+        blocks = random_blocks(np.random.default_rng(5), 5, 3, zero_share=1.0)
+        hp = point(cu=0.0)
+        for index, which in ((0, "1"), (1, "2")):
+            errors = []
+            for reference in (False, True):
+                bits = plane_bits(blocks, index, hp, "ifutsvm-id", reference)
+                with pytest.raises(TrainingError) as err:
+                    models._split_coefficients(np.frombuffer(bits[0]), which)
+                errors.append(str(err.value))
+            assert errors == [f"degenerate plane {which}: ||w|| < {models.DEGENERATE_NORM}"] * 2
+
+    def test_the_context_holds_addresses_and_cannot_be_copied(self):
+        blocks = random_blocks(np.random.default_rng(9), 4, 2)
+        plane = models._hessian(blocks, 0, 0.1, False)
+        for copy_of in (pickle.dumps, copy.deepcopy):
+            with pytest.raises(TypeError, match="raw addresses"):
+                copy_of(plane)
 
 
 @pytest.mark.parametrize("call, error, message", [

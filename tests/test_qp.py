@@ -407,6 +407,27 @@ class TestActiveSetRefinement:
         assert refinements == [(b"\x01\x01\x01", True, True)]
         assert_matches_reference([valley], 10_000)
 
+    def test_least_squares_cut_singular_values_at_lstsqs_rcond(self):
+        # a free block with one singular value between eps and k eps times the
+        # largest: np.linalg.lstsq(rcond=None) cuts it at eps max(m, n), and
+        # a solver that cut it at eps alone would take another step
+        for seed in (12, 267):
+            problem = tiny_eigenvalue_box_qp(np.random.default_rng(seed))
+            assert solve_box_qp(problem, max_iter=200).least_squares
+            assert_matches_reference([problem], 200)
+
+
+def tiny_eigenvalue_box_qp(rng):
+    """A PSD Q of rank r with one more eigenvalue between 1 and 6 eps times the
+    largest, a positive c and a wide box."""
+    k = int(rng.integers(3, 9))
+    r = int(rng.integers(1, k))
+    V, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    eigenvalues = np.zeros(k)
+    eigenvalues[:r] = 10.0 ** rng.uniform(-1, 1, r)
+    eigenvalues[r] = eigenvalues[:r].max() * rng.uniform(1, 6) * np.finfo(float).eps
+    return BoxQP((V * eigenvalues) @ V.T, np.abs(rng.normal(size=k)), np.full(k, 10.0))
+
 
 def singular_valley():
     """A rank-one Q whose one refinement takes least squares and is rejected."""
@@ -424,8 +445,8 @@ def singular_problems(rng, n):
 
 
 class TestOneCallPerSolve:
-    """The solve is one C call, which returns to Python only for least squares;
-    its state lives on the heap of the call, never in statics."""
+    """The solve is one C call, least squares included; its state lives on the
+    heap of the call, never in statics."""
 
     def test_two_threads_at_once_get_the_serial_bits(self):
         rng = np.random.default_rng(28)
@@ -437,27 +458,6 @@ class TestOneCallPerSolve:
         with ThreadPoolExecutor(2) as pool:
             for _ in range(3):
                 assert list(pool.map(solution_bits, problems, [10_000] * 20)) == serial
-
-    def test_a_solve_stopped_for_least_squares_is_released_when_python_raises(
-            self, monkeypatch):
-        problem = singular_valley()
-        expected = solution_bits(problem, 10_000)
-
-        class Interrupted(Exception):
-            pass
-
-        def interrupted(*args, **kwargs):
-            raise Interrupted
-
-        released, release = [], qp._release
-        monkeypatch.setattr(qp, "_release",
-                            lambda state: released.append(state[qp._CONTEXT]) or release(state))
-        monkeypatch.setattr(np.linalg, "lstsq", interrupted)
-        with pytest.raises(Interrupted):
-            solve_box_qp(problem)
-        assert len(released) == 1 and released[0] != 0
-        monkeypatch.undo()
-        assert solution_bits(problem, 10_000) == expected
 
 
 class TestEntryPoints:
@@ -477,15 +477,38 @@ class TestEntryPoints:
             qp._capsule(cython_lapack, "no_such_potrf")
         assert cython_lapack.__file__ in str(err.value) and "no_such_potrf" in str(err.value)
 
+    def test_a_missing_least_squares_symbol_names_the_library_and_the_symbol(self, monkeypatch):
+        monkeypatch.setattr(qp, "_GELSD_NAMES", ("no_such_dgelsd_64_", "no_such_dgelsd_"))
+        with pytest.raises(ImportError) as err:
+            qp._entry_points()
+        message = str(err.value)
+        assert qp._umath_linalg.__file__ in message
+        assert "no_such_dgelsd_64_" in message and "no_such_dgelsd_" in message
+
     def test_the_entry_points_are_numpys_blas_and_scipys_lapack(self):
-        ilp64, dgemv, ddot, dpotrf, dpotrs = qp._entry_points()
+        blas_ilp64, dgemv, ddot, lapack_ilp64, dgelsd, dpotrf, dpotrs = qp._entry_points()
         umath = ctypes.CDLL(qp._umath.__file__)
         names = [name for name in qp._DGEMV_NAMES if hasattr(umath, name)]
-        assert ilp64 == names[0].endswith("64_")
+        assert blas_ilp64 == names[0].endswith("64_")
         assert dgemv == ctypes.cast(getattr(umath, names[0]), ctypes.c_void_p).value
         assert ddot == ctypes.cast(getattr(umath, names[0].replace("dgemv", "ddot")),
                                    ctypes.c_void_p).value
+        # the dgelsd behind np.linalg.lstsq, found through its module's handle
+        linalg = ctypes.CDLL(qp._umath_linalg.__file__)
+        names = [name for name in qp._GELSD_NAMES if hasattr(linalg, name)]
+        assert lapack_ilp64 == names[0].endswith("64_")
+        assert dgelsd == ctypes.cast(getattr(linalg, names[0]), ctypes.c_void_p).value
         assert 0 not in (dpotrf, dpotrs) and dpotrf != dpotrs
+
+
+def test_the_solver_is_built_without_fma_contraction_or_fast_math():
+    # every digest and record depends on the C code rounding as numpy does:
+    # no fused multiply-add, no reassociation and no instructions beyond the
+    # baseline that the reference ran on
+    flags = qp._COMPILE[1:]
+    assert "-ffp-contract=off" in flags
+    assert not [flag for flag in flags
+                if flag in ("-ffast-math", "-Ofast") or flag.startswith("-march")]
 
 
 def test_solver_source_compiles_cleanly_as_c99():

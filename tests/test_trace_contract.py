@@ -27,7 +27,7 @@ def test_install_wraps_every_layer_and_nests_scoring_gram(tmp_path):
     spans = rec.spans
     names = {span["name"] for span in spans}
     assert {"membership.scores", "sampling.plan", "qp.factor", "qp.solve",
-            "models.hessian", "models.recover"} <= names
+            "models.hessian"} <= names
     assert any(s["name"] == "kernels.gram" and s["parent"] == "membership.scores"
                for s in spans)
 
@@ -48,12 +48,18 @@ def test_fit_model_spans_of_both_kinds(tmp_path, kind):
     parents = {(span["name"], span["parent"]) for span in rec.spans}
     expected = {("evaluation.fit", None), ("models.fit", "evaluation.fit"),
                 ("kernels.gram", "models.fit"), ("models.hessian", "models.fit"),
-                ("qp.solve", "models.fit"), ("models.recover", "models.fit")}
+                ("qp.solve", "models.fit")}
     if kind == "utsvm":
         expected |= {("sampling.universum", "evaluation.fit")}
     else:
         expected |= {("membership.scores", "models.fit"), ("sampling.plan", "models.fit")}
     assert expected <= parents
+    # (w; b) is recovered inside each plane's qp.solve span (so no span is
+    # models.recover); each nests in the fit and carries the sweeps and the KKT
+    # residual over the tolerance that qp.solve.kkt_max reads
+    solves = [span for span in rec.spans if span["name"] == "qp.solve"]
+    assert len(solves) >= 2 and all(span["parent"] == "models.fit" for span in solves)
+    assert all(span["sweeps"] > 0 and 0.0 <= span["kkt_tol"] <= 1.0 for span in solves)
 
 
 def test_search_maps_validation_folds_through_the_traced_gram(tmp_path):
