@@ -8,22 +8,12 @@ plane.  Every dual here has the shape
 where M collects the proximal (own-class) rows and H the signed constraint
 rows; the plane is recovered as (w; b) = sign * (M'M + ridge I)^{-1} H' z.
 Plane 1 has M = [X1 1] and plane 2 M = [X2 1] in both models; one builder
-(_blocks) makes the rest, and the two models differ only in these choices:
-
-    choice                  UTSVM                    IFUTSVM-ID
-    majority rows of H1     all m2 rows of X2        the m1 undersampled X2*
-    universum rows of H1    -U, all of it            -G*, the ceil(m1/2) reduced
-    universum rows of H2    -U                       +G, all m2 - m1 rows
-    class weights           ones                     fuzzy scores s2[X2*], s1
-    ridge                   delta, or trace-scaled   c3, c4
-    universum drawn by      fit_model's seed stream  the sampling plan
-    plane 2 solved on       all its rows             its class rows; +G only
-                                                     when a +G row binds
-
-Plane 2's +G is this repository's reading of the paper, not checked against
-its equations.  In kernel mode every block is replaced by its Gaussian Gram
-rows against the stacked training matrix D = [X1; X2]; a fit's blocks all
-come from one Gram evaluation of its stacked class and universum rows.
+(_blocks) makes the rest.  The choices in which the two models differ (the
+rows of H, the class weights, the ridges, the universum and which rows plane
+2 is solved on) are tabled in README.md.  In kernel mode every block is
+replaced by its Gaussian Gram rows against the stacked training matrix
+D = [X1; X2]; a fit's blocks all come from one Gram evaluation of its
+stacked class and universum rows.
 
 A fit runs in three stages: prepare (scores, sampling plan or universum, and
 the M/H blocks), hessian (per plane, the Cholesky factor of M'M + ridge I and
@@ -46,14 +36,10 @@ solves that dual, whose bounds read neither cu nor epsilon, so the lattice
 points that differ only in those share one solve.  Its universum rows are
 then checked on the recovered plane, in the same C call or, for a shared
 solve, in one more (PlaneQP.screen): the KKT residual of a universum
-multiplier held at zero is clip(lin_j - sign H_j (w; b), 0, cu).  When none
-exceeds the full dual's box-scaled tolerance, the class-row solution padded
-with zeros solves the full dual to that tolerance; otherwise the full dual is
-built and solved as an unscreened plane would be, with the same bits.  Its
-universum rows seldom bind: a +G row asks for G_j (w2; b2) >= epsilon - 1 < 0,
-and a cross-class midpoint lies near 0.5 on plane 2 unless the classes
-overlap a lot.  Plane 1 and UTSVM are not screened: their universum binds
-often.
+multiplier held at zero is clip(lin_j - sign H_j (w; b), 0, cu).  Only when
+one exceeds the full dual's box-scaled tolerance is the full dual built and
+solved, as an unscreened plane's is.  README.md says why and how seldom a
+universum row binds there.
 """
 
 from __future__ import annotations
@@ -182,20 +168,6 @@ class TwinModel:
 
 
 @dataclass(frozen=True)
-class _Plane:
-    """One dual in standard form (see module docstring), whole: the primal
-    that duality_gaps reassembles; its first `classes` rows are class rows."""
-
-    M: np.ndarray
-    ridge: float
-    H: np.ndarray
-    lin: np.ndarray
-    upper: np.ndarray
-    sign: float
-    classes: int
-
-
-@dataclass(frozen=True)
 class _Blocks:
     """Prepare stage: the parts of a fit that no penalty, tube or ridge changes.
 
@@ -234,11 +206,11 @@ class FitStages:
     def __init__(self):
         self._key = None
         self._blocks = None
-        self._planes = [None, None]  # [ridge, PlaneQP, (key, PlaneSolution) or None] per plane
+        self._held = [None, None]  # [ridge, PlaneQP, (key, PlaneSolution) or None] per plane
 
     def blocks(self, train: Dataset, key: tuple, build) -> _Blocks:
         if self._blocks is None or self._key[0] is not train or self._key[1:] != key:
-            self._key, self._blocks, self._planes = (train, *key), build(), [None, None]
+            self._key, self._blocks, self._held = (train, *key), build(), [None, None]
         return self._blocks
 
     def solve(self, index: int, ridge: float, penalty: float, cu: float,
@@ -247,9 +219,9 @@ class FitStages:
         lattice point: its solution, the KKT residual of its full dual, and
         whether a screened plane's universum bound, so that the full dual was
         solved (see the module docstring)."""
-        held = self._planes[index]
+        held = self._held[index]
         if held is None or held[0] != ridge:
-            held = self._planes[index] = [
+            held = self._held[index] = [
                 ridge, _hessian(self._blocks, index, ridge, self._blocks.screened[index]), None]
         plane = held[1]
         # the tolerance scales with the box, max(penalty * weights, cu), so that
@@ -286,13 +258,6 @@ def _hessian(blocks: _Blocks, index: int, ridge: float, screened: bool) -> Plane
     # each solve brings its own bounds (solve_plane): these only pass the check
     bounds = np.zeros(rows.shape[0])
     return PlaneQP(BoxQP(rows @ S, bounds, bounds), factor, H, weights, SIGNS[index])
-
-
-def primal_value(plane: _Plane, z: np.ndarray) -> float:
-    """Primal objective at (w; b) = z with slacks at their optimal values."""
-    Mz = plane.M @ z
-    slack = np.maximum(0.0, plane.lin - plane.sign * (plane.H @ z))
-    return float(0.5 * (Mz @ Mz) + 0.5 * plane.ridge * (z @ z) + plane.upper @ slack)
 
 
 def _blocks(train: Dataset, kernel: KernelSpec | None, universum: np.ndarray | None = None,
@@ -343,19 +308,6 @@ def _ridges(blocks: _Blocks, hp: Hyperparams, kind: str) -> tuple[float, float]:
     # smaller stabilization
     scale = 1e-7 if hp.kernel is None else 1e-3
     return tuple(scale * float(np.sum(M * M)) / M.shape[1] for M in blocks.M)
-
-
-def _planes(blocks: _Blocks, hp: Hyperparams, kind: str) -> tuple[_Plane, _Plane]:
-    """Both duals of one lattice point, whole, assembled on prepared blocks."""
-    planes = []
-    for M, H, weights, penalty, ridge, sign in zip(
-            blocks.M, blocks.H, blocks.weights, (hp.c1, hp.c2), _ridges(blocks, hp, kind), SIGNS):
-        k = weights.shape[0]
-        lin, upper = np.empty(H.shape[0]), np.empty(H.shape[0])
-        lin[:k], lin[k:] = 1.0, hp.epsilon - 1.0
-        upper[:k], upper[k:] = penalty * weights, hp.cu
-        planes.append(_Plane(M=M, ridge=ridge, H=H, lin=lin, upper=upper, sign=sign, classes=k))
-    return planes[0], planes[1]
 
 
 def _check_direction(w: np.ndarray, which: str, error=TrainingError) -> None:
@@ -453,14 +405,25 @@ def duality_gaps(model: TwinModel, train: Dataset) -> tuple[float, float]:
     """
     if model.dual_report is None:
         raise ValueError("model carries no dual report")
-    rep = model.dual_report
-    blocks = _blocks(train, model.hyperparams.kernel, rep.universum, rep.plan, rep.scores)
-    plane1, plane2 = _planes(blocks, model.hyperparams, model.kind)
-    z1 = np.concatenate([model.w1, [model.b1]])
-    z2 = np.concatenate([model.w2, [model.b2]])
-    gap1 = abs(primal_value(plane1, z1) - rep.dual_objective_1)
-    gap2 = abs(primal_value(plane2, z2) - rep.dual_objective_2)
-    return gap1, gap2
+    rep, hp = model.dual_report, model.hyperparams
+    blocks = _blocks(train, hp.kernel, rep.universum, rep.plan, rep.scores)
+    gaps = []
+    for M, H, weights, penalty, ridge, sign, w, b, dual in zip(
+            blocks.M, blocks.H, blocks.weights, (hp.c1, hp.c2), _ridges(blocks, hp, model.kind),
+            SIGNS, (model.w1, model.w2), (model.b1, model.b2),
+            (rep.dual_objective_1, rep.dual_objective_2)):
+        # the dual's linear term and box (qp.solve_plane) are the primal's
+        # margins and hinge weights
+        k = weights.shape[0]
+        lin, upper = np.empty(H.shape[0]), np.empty(H.shape[0])
+        lin[:k], lin[k:] = 1.0, hp.epsilon - 1.0
+        upper[:k], upper[k:] = penalty * weights, hp.cu
+        z = np.concatenate([w, [b]])
+        Mz = M @ z
+        slack = np.maximum(0.0, lin - sign * (H @ z))
+        primal = float(0.5 * (Mz @ Mz) + 0.5 * ridge * (z @ z) + upper @ slack)
+        gaps.append(abs(primal - dual))
+    return tuple(gaps)
 
 
 def map_rows(model: TwinModel, x: np.ndarray) -> np.ndarray:

@@ -45,8 +45,7 @@ and a missing one raises ImportError.  The C file is built with `gcc -O2
 warm import runs no compiler, and a cold one without gcc raises ImportError.
 Each solution counts its path: full residuals formed, refinements tried,
 kept and solved by least squares.
-BoxQP checks and symmetrises Q and takes its diagonals once; with_bounds
-gives that Q another c and upper.
+BoxQP checks and symmetrises Q and takes its diagonals once.
 
 A twin-SVM plane is solved by one C call per lattice point (solve_plane): a
 PlaneQP holds the plane's checked Q, its Cholesky factor, its constraint
@@ -217,8 +216,7 @@ class BoxQP:
 
     Q, c and upper must be finite (NonFiniteError, which fits report as a
     numerical failure) and Q symmetric to a relative 1e-10; Q is stored as
-    (Q + Q')/2, which keeps the bits of an exactly symmetric Q.  with_bounds
-    gives the same Q another c and upper without checking Q again.
+    (Q + Q')/2, which keeps the bits of an exactly symmetric Q.
     """
 
     Q: np.ndarray
@@ -242,23 +240,8 @@ class BoxQP:
         diagonals = np.empty((2, k))
         diagonals[0] = Q_sym.diagonal()
         np.maximum(diagonals[0], DIAG_FLOOR, out=diagonals[1])
-        object.__setattr__(self, "Q", Q_sym)
-        object.__setattr__(self, "_diagonals", diagonals)
-        self._set_bounds(self.c, self.upper)
-
-    def with_bounds(self, c, upper) -> "BoxQP":
-        """This problem's Q and diagonals with another linear term and box;
-        only c and upper are checked."""
-        problem = object.__new__(BoxQP)
-        object.__setattr__(problem, "Q", self.Q)
-        object.__setattr__(problem, "_diagonals", self._diagonals)
-        problem._set_bounds(c, upper)
-        return problem
-
-    def _set_bounds(self, c, upper) -> None:
-        c = np.ascontiguousarray(c, dtype=np.float64)
-        upper = np.ascontiguousarray(upper, dtype=np.float64)
-        k = self.Q.shape[0]
+        c = np.ascontiguousarray(self.c, dtype=np.float64)
+        upper = np.ascontiguousarray(self.upper, dtype=np.float64)
         if c.shape != (k,):
             raise ValueError("the linear term must be a vector that matches Q")
         if upper.shape != (k,):
@@ -267,6 +250,8 @@ class BoxQP:
             raise NonFiniteError("Q, c and upper must be finite")
         if (upper < 0).any():
             raise ValueError("upper bounds must be nonnegative")
+        object.__setattr__(self, "Q", Q_sym)
+        object.__setattr__(self, "_diagonals", diagonals)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "upper", upper)
 
@@ -362,18 +347,6 @@ class PlaneQP:
                          top):
             raise MemoryError(f"no memory to screen {self.rows - self.size} universum rows")
         return top.value
-
-
-def _kkt_residual(problem: BoxQP, z: np.ndarray, q: np.ndarray) -> float:
-    """KKT residual of z given q = Q @ z."""
-    r = np.clip(z - (q - problem.c), 0.0, problem.upper)
-    r -= z
-    return float(np.maximum.reduce(np.abs(r, out=r), initial=0.0))
-
-
-def kkt_residual(problem: BoxQP, z: np.ndarray) -> float:
-    """Projected-gradient optimality residual; zero exactly at a solution."""
-    return _kkt_residual(problem, z, problem.Q @ z)
 
 
 def _solution(status: int, z: np.ndarray, values, state, max_iter: int) -> QPSolution:

@@ -14,11 +14,16 @@ full 0.001-step grid; for larger k it alternates exhaustive single-coordinate
 scans with exhaustive local two-coordinate scans until no grid move improves.
 Every scan axis is clipped to its box, so each candidate is feasible.
 
-reference_plane_solve is the solve stage of one plane formed in numpy, the
-reference for the one C call per plane behind ifutsvm.models.FitStages.solve.
+kkt_residual is the projected-gradient residual that certifies a box-QP
+solution.  whole_duals builds both duals of a lattice point whole and
+primal_value the primal objective at a plane, the references for
+ifutsvm.models.duality_gaps; reference_plane_solve is the solve stage of one
+plane formed in numpy on those duals, the reference for the one C call per
+plane behind ifutsvm.models.FitStages.solve.
 """
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -109,6 +114,16 @@ def scalar_cyclic_sweep(Q, c, upper, z, q, diag_floor=1e-12):
                 q[j] += delta * Q[j, i]
 
 
+def kkt_residual(problem, z, q=None):
+    """The projected-gradient KKT residual of z, max_i |clip(z_i - (q_i - c_i),
+    0, u_i) - z_i| with q = Q z (formed when not given); zero exactly at a
+    solution."""
+    if q is None:
+        q = problem.Q @ z
+    return float(np.max(np.abs(np.clip(z - (q - problem.c), 0.0, problem.upper) - z),
+                        initial=0.0))
+
+
 def active_set_polish(problem, z, q, free):
     """Newton step on the free coordinates, kept only if it ascends.
 
@@ -163,16 +178,13 @@ def full_check_box_qp(problem, tol, max_iter, remember=True):
     Q, c, upper = problem.Q, problem.c, problem.upper
     margin = 1e-10 * (1.0 + upper)
 
-    def residual(z, q):
-        return float(np.max(np.abs(np.clip(z - (q - c), 0.0, upper) - z), initial=0.0))
-
     def objective(z, q):
         return float(c @ z - 0.5 * (z @ q))
 
     def check(z, q):
-        if residual(z, q) <= tol:
+        if kkt_residual(problem, z, q) <= tol:
             q = Q @ z
-            return residual(z, q) <= tol, q
+            return kkt_residual(problem, z, q) <= tol, q
         return False, q
 
     z, q = np.zeros(c.size), np.zeros(c.size)
@@ -195,9 +207,9 @@ def full_check_box_qp(problem, tol, max_iter, remember=True):
                     converged, q = check(z, q)
             previous = pattern
         if converged:
-            return True, z, objective(z, q), residual(z, q), it, refinements
+            return True, z, objective(z, q), kkt_residual(problem, z, q), it, refinements
     q = Q @ z
-    return False, z, objective(z, q), residual(z, q), max_iter, refinements
+    return False, z, objective(z, q), kkt_residual(problem, z, q), max_iter, refinements
 
 
 def random_box_qp(rng):
@@ -210,10 +222,49 @@ def random_box_qp(rng):
     return Q, c, upper
 
 
+class WholeDual(NamedTuple):
+    """One plane's dual at a lattice point, whole (see ifutsvm.models): the
+    proximal rows M, the ridge, the constraint rows H (its first `classes`
+    rows are class rows), the linear term, the box and the sign."""
+
+    M: np.ndarray
+    ridge: float
+    H: np.ndarray
+    lin: np.ndarray
+    upper: np.ndarray
+    sign: float
+    classes: int
+
+
+def whole_duals(blocks, hp, kind):
+    """Both duals of the lattice point hp on prepared blocks: the linear term
+    is 1 on class rows and epsilon - 1 on universum rows, the box the plane's
+    penalty times its class weights on class rows and cu on universum rows."""
+    duals = []
+    for M, H, weights, penalty, ridge, sign in zip(
+            blocks.M, blocks.H, blocks.weights, (hp.c1, hp.c2),
+            models._ridges(blocks, hp, kind), models.SIGNS):
+        k = weights.shape[0]
+        lin, upper = np.empty(H.shape[0]), np.empty(H.shape[0])
+        lin[:k], lin[k:] = 1.0, hp.epsilon - 1.0
+        upper[:k], upper[k:] = penalty * weights, hp.cu
+        duals.append(WholeDual(M, ridge, H, lin, upper, sign, k))
+    return tuple(duals)
+
+
+def primal_value(dual, z):
+    """The primal objective of a whole dual at (w; b) = z, its slacks at their
+    optimal values: ||M z||^2 / 2 + ridge ||z||^2 / 2 + upper' max(0, lin -
+    sign H z)."""
+    Mz = dual.M @ z
+    slack = np.maximum(0.0, dual.lin - dual.sign * (dual.H @ z))
+    return float(0.5 * (Mz @ Mz) + 0.5 * dual.ridge * (z @ z) + dual.upper @ slack)
+
+
 def reference_plane_solve(blocks, index, hp, kind, max_iter=qp.DEFAULT_MAX_ITER):
     """The solve stage of plane `index` at the lattice point hp, in numpy.
 
-    The whole dual comes from models._planes; a screened plane solves its
+    The whole dual comes from whole_duals; a screened plane solves its
     class rows, others all their rows: BoxQP and solve_box_qp to the
     tolerance DEFAULT_TOL * max(1, upper.max()) of those rows, and recovers
     (w; b) = sign * cho_solve(factor, H_k' z).  A screened plane then checks
@@ -225,7 +276,7 @@ def reference_plane_solve(blocks, index, hp, kind, max_iter=qp.DEFAULT_MAX_ITER)
     Returns ((w; b), the full dual's QPSolution, whether the universum bound);
     raises what the solve raises.
     """
-    plane = models._planes(blocks, hp, kind)[index]
+    plane = whole_duals(blocks, hp, kind)[index]
 
     def solve(rows):
         H, lin, upper = plane.H[:rows], plane.lin[:rows], plane.upper[:rows]

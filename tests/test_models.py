@@ -37,12 +37,12 @@ from ifutsvm import (
     solve_box_qp,
 )
 from ifutsvm import GridSpec, evaluation, grid_search_cv, models, qp
-from ifutsvm.models import _blocks, _planes
+from ifutsvm.models import _blocks
 from ifutsvm.membership import assign_scores, uniform_scores
 
 import fit_digest
 from conftest import make_blobs, read_model_file, write_model_file
-from oracle_utils import gaussian, reference_plane_solve
+from oracle_utils import gaussian, kkt_residual, primal_value, reference_plane_solve, whole_duals
 
 
 HP = dict(c1=1.0, c2=1.0, c3=0.1, c4=0.1, cu=0.5, epsilon=0.1)
@@ -231,8 +231,8 @@ class TestFitIFUTSVM:
         hp = Hyperparams(**HP, fuzzy=FuzzyParams(eta=0.5, rho=0.8), seed=2)
         model = fit_ifutsvm_id(ds, hp)
         rep = model.dual_report
-        plane1, plane2 = _planes(_blocks(ds, hp.kernel, plan=rep.plan, scores=rep.scores), hp,
-                                  "ifutsvm-id")
+        plane1, plane2 = whole_duals(_blocks(ds, hp.kernel, plan=rep.plan, scores=rep.scores), hp,
+                                     "ifutsvm-id")
         z1 = np.append(model.w1, model.b1)
         margins = plane1.lin - plane1.sign * (plane1.H @ z1)
         lam = np.concatenate([rep.alpha, rep.beta])
@@ -257,7 +257,7 @@ class TestFitIFUTSVM:
         hp = Hyperparams(**HP, seed=4)
         plan = build_plan(ds, hp.seed)
         sw = uniform_scores(ds)
-        plane1, _ = _planes(_blocks(ds, hp.kernel, plan=plan, scores=sw), hp, "ifutsvm-id")
+        plane1, _ = whole_duals(_blocks(ds, hp.kernel, plan=plan, scores=sw), hp, "ifutsvm-id")
         fac = cho_factor(plane1.M.T @ plane1.M + plane1.ridge * np.eye(plane1.M.shape[1]))
         Q = plane1.H @ cho_solve(fac, plane1.H.T)
         Q = 0.5 * (Q + Q.T)
@@ -313,7 +313,7 @@ class TestZeroWeightPlanes:
         hp = Hyperparams(**{**HP, "cu": cu, "epsilon": epsilon}, kernel=KernelSpec(0.5))
         blocks = _blocks(KEEL_SHAPED, hp.kernel, plan=build_plan(KEEL_SHAPED, hp.seed),
                          scores=assign_scores(KEEL_SHAPED, hp.kernel, hp.fuzzy))
-        plane = _planes(blocks, hp, "ifutsvm-id")[1]
+        plane = whole_duals(blocks, hp, "ifutsvm-id")[1]
         fac = cho_factor(plane.M.T @ plane.M + plane.ridge * np.eye(plane.M.shape[1]))
         Q = plane.H @ cho_solve(fac, plane.H.T)
         sol = solve_box_qp(BoxQP(0.5 * (Q + Q.T), plane.lin, plane.upper))
@@ -373,7 +373,7 @@ class TestOneGramPerPrepare:
         with_delta = dataclasses.replace(hp, delta=0.25)
 
         def ridges(blocks, hp, kind):
-            return [plane.ridge for plane in _planes(blocks, hp, kind)]
+            return [plane.ridge for plane in whole_duals(blocks, hp, kind)]
 
         blocks = _blocks(ds, kernel, plan=plan, scores=scores)
         for got, want in zip((*blocks.M, *blocks.H),
@@ -493,7 +493,8 @@ def noisy_blobs(seed: int, flips: int = 3, m1: int = 10, m2: int = 40) -> Datase
 def full_plane_2(model, ds):
     """IFUTSVM-ID's plane 2 of a fit, with all its rows."""
     rep, hp = model.dual_report, model.hyperparams
-    return _planes(_blocks(ds, hp.kernel, plan=rep.plan, scores=rep.scores), hp, "ifutsvm-id")[1]
+    return whole_duals(_blocks(ds, hp.kernel, plan=rep.plan, scores=rep.scores), hp,
+                       "ifutsvm-id")[1]
 
 
 def full_hessian_2(model, ds):
@@ -594,10 +595,36 @@ class TestScreenedPlane2:
             assume(False)
         rep = model.dual_report
         plane2 = full_plane_2(model, ds)
-        problem = full_hessian_2(model, ds).problem.with_bounds(plane2.lin, plane2.upper)
+        problem = BoxQP(full_hessian_2(model, ds).problem.Q, plane2.lin, plane2.upper)
         tol = qp.DEFAULT_TOL * max(1.0, float(plane2.upper.max()))
-        assert qp.kkt_residual(problem, np.concatenate([rep.eta, rep.theta])) <= tol
+        assert kkt_residual(problem, np.concatenate([rep.eta, rep.theta])) <= tol
         assert rep.kkt_residual_2 <= tol
+
+
+@pytest.mark.parametrize("kind, width, case", [
+    ("utsvm", None, "blobs"), ("utsvm", 2.0, "blobs"), ("ifutsvm-id", None, "blobs"),
+    ("ifutsvm-id", 2.0, "blobs"), ("ifutsvm-id", None, "balanced"), ("ifutsvm-id", None, "bound")])
+def test_duality_gaps_are_the_reference_primals_bit_for_bit(kind, width, case):
+    # the digest hashes these gaps: each is |primal - dual| with the primal
+    # summed as primal_value sums it over the whole dual of whole_duals
+    hp = Hyperparams(**HP, kernel=None if width is None else KernelSpec(width), seed=3)
+    if case == "balanced":  # no universum: the plan falls back to the balanced classes
+        ds = make_blobs(12, 12, seed=3, d=3)
+    elif case == "bound":  # plane 2's universum binds (TestScreenedPlane2)
+        ds = noisy_blobs(4, 3)
+        hp = Hyperparams(**{**HP, "c1": 10.0, "c2": 10.0, "cu": 1.0, "epsilon": 0.6}, seed=4)
+    else:
+        ds = make_blobs(8, 30, seed=3, d=3)
+    model = evaluation.fit_model(kind, ds, hp)
+    rep = model.dual_report
+    assert rep.balanced_fallback == (case == "balanced")
+    assert rep.universum_bound_2 == (case == "bound")
+    blocks = _blocks(ds, hp.kernel, rep.universum, rep.plan, rep.scores)
+    want = [abs(primal_value(dual, np.append(w, b)) - objective).hex()
+            for dual, w, b, objective in zip(
+                whole_duals(blocks, hp, kind), (model.w1, model.w2), (model.b1, model.b2),
+                (rep.dual_objective_1, rep.dual_objective_2))]
+    assert [gap.hex() for gap in duality_gaps(model, ds)] == want
 
 
 def point(**values):

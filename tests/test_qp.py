@@ -16,9 +16,9 @@ from scipy.linalg import cho_solve, cython_lapack
 import ifutsvm
 from ifutsvm import (BoxQP, FactorizationError, NonConvergenceError, NumericalError, qp,
                      solve_box_qp)
-from ifutsvm.qp import NonFiniteError, kkt_residual, spd_factor
+from ifutsvm.qp import NonFiniteError, spd_factor
 
-from oracle_utils import (active_set_polish, full_check_box_qp, grid_box_qp_oracle,
+from oracle_utils import (active_set_polish, full_check_box_qp, grid_box_qp_oracle, kkt_residual,
                           qp_objective_rows, random_box_qp)
 
 
@@ -375,7 +375,7 @@ class TestActiveSetRefinement:
         least_squares = 0
         for _ in range(8):
             problem = psd_box_qp(rng, 8, 1)
-            problem = problem.with_bounds(np.abs(problem.c), problem.upper)
+            problem = BoxQP(problem.Q, np.abs(problem.c), problem.upper)
             sol = solve_box_qp(problem)
             z_ref = grid_box_qp_oracle(problem.Q, problem.c, problem.upper)
             best = qp_objective_rows(z_ref[None, :], problem.Q, problem.c)[0]
@@ -402,7 +402,7 @@ class TestActiveSetRefinement:
         # the solver on a box whose sweeps settle with all three free: its one
         # refinement meets the zero pivot, takes least squares and is kept
         monkeypatch.undo()
-        valley = problem.with_bounds(np.array([1.0, 1.001, 1.0]), problem.upper)
+        valley = BoxQP(Q, np.array([1.0, 1.001, 1.0]), problem.upper)
         refinements = full_check_box_qp(valley, qp.DEFAULT_TOL, 10_000)[-1]
         assert refinements == [(b"\x01\x01\x01", True, True)]
         assert_matches_reference([valley], 10_000)
@@ -440,7 +440,7 @@ def singular_problems(rng, n):
     problems = []
     for _ in range(n):
         problem = psd_box_qp(rng, 8, 1)
-        problems.append(problem.with_bounds(np.abs(problem.c), problem.upper))
+        problems.append(BoxQP(problem.Q, np.abs(problem.c), problem.upper))
     return problems
 
 
@@ -518,33 +518,32 @@ def test_solver_source_compiles_cleanly_as_c99():
 
 
 class TestWithBounds:
-    """A problem with another c and upper on an already checked Q."""
+    """BoxQP with another c and upper on an already checked Q."""
 
     @staticmethod
     def base(k=5, seed=20):
         return psd_box_qp(np.random.default_rng(seed), k, k, asymmetry=1e-13)
 
-    def test_shares_q_and_matches_a_full_construction(self):
+    def test_a_checked_q_keeps_its_bits(self):
+        # a stored Q is exactly symmetric, so symmetrising it again changes no bit
         rng = np.random.default_rng(21)
         base = self.base(k=12)
         for _ in range(10):
             c = rng.normal(size=12) * rng.uniform(0.1, 5.0)
             upper = rng.uniform(0.0, 3.0, size=12)
             upper[rng.random(12) < 0.2] = 0.0
-            problem = base.with_bounds(c, upper)
-            assert problem.Q is base.Q and problem._diagonals is base._diagonals
+            problem = BoxQP(base.Q, c, upper)
+            assert_array_equal(problem.Q, base.Q)
+            assert_array_equal(problem._diagonals, base._diagonals)
             assert_array_equal(problem.c, c)
             assert_array_equal(problem.upper, upper)
-            assert (solution_bits(problem, 10_000)
-                    == solution_bits(BoxQP(base.Q, c, upper), 10_000))
-        assert base.with_bounds(base.c, base.upper) == base
 
     def test_copies_solve_alone_after_the_original_is_gone(self):
         # pickle and deepcopy rebuild a problem without __post_init__, so the
         # solver must read the copy's own arrays, never addresses of the original
         rng = np.random.default_rng(22)
         originals = [self.base(k=12), singular_valley()]
-        originals.append(originals[0].with_bounds(rng.normal(size=12), np.ones(12)))
+        originals.append(BoxQP(originals[0].Q, rng.normal(size=12), np.ones(12)))
         expected = [solution_bits(problem, 10_000) for problem in originals]
         pickled = [pickle.loads(pickle.dumps(problem)) for problem in originals]
         copied = [copy.deepcopy(problem) for problem in originals]
@@ -560,7 +559,7 @@ class TestWithBounds:
         parts = {"c": np.ones(5), "upper": np.ones(5)}
         parts[part][3] = value
         with pytest.raises(NonFiniteError, match="finite"):
-            base.with_bounds(parts["c"], parts["upper"])
+            BoxQP(base.Q, parts["c"], parts["upper"])
 
     @pytest.mark.parametrize("c, upper, message", [
         (np.ones(5), np.array([1.0, 1.0, -1e-300, 1.0, 1.0]), "nonnegative"),
@@ -571,35 +570,7 @@ class TestWithBounds:
     ], ids=["negative-upper", "short-c", "long-upper", "column-c", "row-upper"])
     def test_rejects_bad_bounds(self, c, upper, message):
         with pytest.raises(ValueError, match=message):
-            self.base().with_bounds(c, upper)
-
-
-def old_kkt_residual(z, q, c, upper):
-    """The np.clip/np.max form of the projected-gradient residual."""
-    return float(np.max(np.abs(np.clip(z - (q - c), 0.0, upper) - z), initial=0.0))
-
-
-def test_kkt_residual_matches_clip_formula_bit_for_bit():
-    rng = np.random.default_rng(22)
-    problems = {k: BoxQP(np.eye(k), np.zeros(k), np.zeros(k)) for k in range(0, 13)}
-    signed_zeros = np.array([0.0, -0.0])
-    for _ in range(2_000):
-        k = int(rng.integers(0, 13))
-        upper = rng.uniform(0.0, 3.0, size=k) * 10.0 ** rng.integers(-3, 4)
-        upper[rng.random(k) < 0.25] = 0.0  # zero boxes
-        pick = rng.integers(0, 4, size=k)  # z at 0, -0, its upper bound or inside
-        z = np.select([pick == 0, pick == 1, pick == 2],
-                      [0.0, -0.0, upper], rng.uniform(0.0, 1.0, size=k) * upper)
-        c = rng.normal(size=k) * 10.0 ** rng.integers(-3, 4)
-        q = rng.normal(size=k) * 10.0 ** rng.integers(-3, 4)
-        for v in (c, q):
-            zeroed = rng.random(k) < 0.1
-            v[zeroed] = rng.choice(signed_zeros, size=int(zeroed.sum()))
-        same = rng.random(k) < 0.2
-        q[same] = c[same]  # zero gradient
-        problem = problems[k].with_bounds(c, upper)
-        assert (qp._kkt_residual(problem, z, q).hex()
-                == old_kkt_residual(z, q, c, upper).hex())
+            BoxQP(self.base().Q, c, upper)
 
 
 def test_grid_oracle_stays_in_box():

@@ -26,7 +26,7 @@ def test_install_wraps_every_layer_and_nests_scoring_gram(tmp_path):
         patches.restore()
     spans = rec.spans
     names = {span["name"] for span in spans}
-    assert {"membership.scores", "sampling.plan", "qp.factor", "qp.solve",
+    assert {"membership.scores", "sampling.plan", "qp.factor", "qp.boxqp", "qp.solve",
             "models.hessian"} <= names
     assert any(s["name"] == "kernels.gram" and s["parent"] == "membership.scores"
                for s in spans)
